@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .optics import OcuGeometry, OcuModel
 
 FORMAT_NAME = "ocusim-checkpoint"
@@ -174,7 +175,6 @@ def save_network(path, net, kind: str, geometry: OcuGeometry | None,
 def load_network(path):
     """Rebuild a network checkpoint; returns (net, kind, topology, meta)."""
     from .networks import build_classifier, build_denoiser
-    from .nn import BatchNormLayer, OclLayer
 
     ckpt = read_checkpoint(path)
     topo = {k[len("topo."):]: v for k, v in ckpt.meta.items() if k.startswith("topo.")}
@@ -204,12 +204,14 @@ def load_network(path):
     else:
         raise ValueError(f"{path}: unknown network kind {ckpt.kind!r}")
 
-    for idx, layer in enumerate(net.layers):
-        for p in layer.params():
-            p.value[...] = ckpt.arrays[f"layer{idx}.{p.name}"]
-        if isinstance(layer, BatchNormLayer):
-            layer.running_mean[...] = ckpt.arrays[f"layer{idx}.running_mean"]
-            layer.running_var[...] = ckpt.arrays[f"layer{idx}.running_var"]
-        if isinstance(layer, OclLayer):
-            layer.port_sign[...] = ckpt.arrays[f"layer{idx}.port_sign"]
+    for key, target in _network_arrays(net).items():
+        arr = ckpt.arrays.get(key)
+        if arr is None:
+            raise ConfigError(f"{path}: missing array {key}")
+        if arr.shape != target.shape:
+            raise ConfigError(f"{path}: array {key} has shape {arr.shape}, "
+                              f"expected {target.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{path}: array {key} holds non-finite values")
+        target[...] = arr
     return net, ckpt.kind, topo, ckpt.meta

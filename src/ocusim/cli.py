@@ -376,26 +376,24 @@ def cmd_eval(args) -> int:
         print(f"accuracy: {acc:.4f}")
         return 0
 
-    from .networks import evaluate_denoiser
+    from .networks import _denoised_images, _psnr_table
     from .pgm import write_pgm
     images = _load_denoise_images(cfg, "eval", "test_")
     sigma = cfg.getfloat("eval", "sigma", 20.0)
     seed = args.seed if args.seed is not None else cfg.getint("eval", "seed", 0)
-    rows, noisy_mean, denoised_mean = evaluate_denoiser(net, images, sigma, seed)
+
+    def saved(denoised):
+        for i, (img, noisy, estimate) in enumerate(denoised):
+            write_pgm(out / f"denoised_{i}.pgm", estimate)
+            yield img, noisy, estimate
+
+    rows, noisy_mean, denoised_mean = _psnr_table(
+        saved(_denoised_images(net, images, sigma, seed)))
     with open(out / "psnr.csv", "w") as f:
         f.write("image,psnr_noisy,psnr_denoised\n")
         for i, (p_noisy, p_denoised) in enumerate(rows):
             f.write(f"{i},{p_noisy!r},{p_denoised!r}\n")
         f.write(f"mean,{noisy_mean!r},{denoised_mean!r}\n")
-    from .data import add_awgn
-    from .networks import denoiser_forward
-    import numpy as np
-    rng_seedseq = np.random.SeedSequence((seed, 13))
-    rng = np.random.Generator(np.random.PCG64(rng_seedseq))
-    for i, img in enumerate(images):
-        sample = add_awgn(np.asarray(img, dtype=float), sigma, rng)
-        _, estimate = denoiser_forward(net, sample.noisy[None, None])
-        write_pgm(out / f"denoised_{i}.pgm", np.clip(estimate[0, 0], 0.0, 1.0))
     print(f"noisy {noisy_mean:.2f} dB -> denoised {denoised_mean:.2f} dB "
           f"({denoised_mean - noisy_mean:+.2f} dB)")
     return 0

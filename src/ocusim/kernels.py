@@ -22,11 +22,3 @@ KERNEL_SUITE = (
     "sharpen", "gaussian_blur", "box_blur", "emboss",
 )
 
-
-def get_kernel(name: str) -> np.ndarray:
-    try:
-        return STANDARD_KERNELS[name].copy()
-    except KeyError:
-        raise KeyError(
-            f"unknown kernel {name!r}; available: {', '.join(sorted(STANDARD_KERNELS))}"
-        ) from None

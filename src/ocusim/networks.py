@@ -286,20 +286,27 @@ def train_denoiser(
     return DenoiserResult(net, history)
 
 
+def _denoised_images(net: Sequential, clean_images, sigma: float, seed: int):
+    """Yield (clean, noisy, clipped estimate) per image; noise from the (seed, 13) stream."""
+    rng = _seeded(seed, 13)
+    for img in clean_images:
+        img = np.asarray(img, dtype=float)
+        sample = add_awgn(img, sigma, rng)
+        _, estimate = denoiser_forward(net, sample.noisy[None, None])
+        yield img, sample.noisy, np.clip(estimate[0, 0], 0.0, 1.0)
+
+
+def _psnr_table(denoised):
+    rows = [(psnr(noisy, img), psnr(estimate, img)) for img, noisy, estimate in denoised]
+    noisy_mean = float(np.mean([r[0] for r in rows]))
+    denoised_mean = float(np.mean([r[1] for r in rows]))
+    return rows, noisy_mean, denoised_mean
+
+
 def evaluate_denoiser(net: Sequential, clean_images, sigma: float, seed: int = 0):
     """Per-image noisy and denoised PSNR on held-out clean images.
 
     Returns (rows, mean_noisy, mean_denoised) with one
     (psnr_noisy, psnr_denoised) row per image.
     """
-    rng = _seeded(seed, 13)
-    rows = []
-    for img in clean_images:
-        img = np.asarray(img, dtype=float)
-        sample = add_awgn(img, sigma, rng)
-        _, estimate = denoiser_forward(net, sample.noisy[None, None])
-        estimate = np.clip(estimate[0, 0], 0.0, 1.0)
-        rows.append((psnr(sample.noisy, img), psnr(estimate, img)))
-    noisy_mean = float(np.mean([r[0] for r in rows]))
-    denoised_mean = float(np.mean([r[1] for r in rows]))
-    return rows, noisy_mean, denoised_mean
+    return _psnr_table(_denoised_images(net, clean_images, sigma, seed))

@@ -3,7 +3,10 @@
 Every layer implements forward/backward with explicit numpy math; backward
 accumulates parameter gradients into Param objects and returns the gradient
 w.r.t. its input.  The optical convolution layer (OclLayer) evaluates a bank
-of diffractive cascades through the collapsed transfer matrices; the
+of diffractive cascades through the collapsed transfer matrices, each
+split into 4 real quadrature rows per unit, over fixed-width blocks of
+patch columns: no complex or per-unit array spans all columns, and
+backward recomputes each block's fields instead of caching them.  The
 electrical Conv2dLayer walks the exact same im2col path with ordinary
 real-valued kernels, so optical/electrical comparisons share all plumbing.
 
@@ -21,6 +24,13 @@ from .optim import Param
 from .tensorize import feature_dim, fold_batch, im2col_batch
 
 TWO_PI = 2.0 * math.pi
+
+# OclLayer walks patch columns in blocks whose (C, 4q, width) float64 field
+# array takes about this many bytes, so a block's fields stay in L2 cache.
+BLOCK_BYTES = 1 << 20
+
+# detector sign of a unit's four quadrature rows: port+ re/im, port- re/im
+_PORT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 class Layer:
@@ -90,13 +100,15 @@ def _reflect_pad_grad(grad: np.ndarray, pad: int, n: int) -> np.ndarray:
     """Adjoint of _reflect_pad: scatter-add padded gradients back."""
     if pad == 0:
         return grad
-    idx = _reflect_index(n, pad)
-    rows = np.zeros(grad.shape[:-2] + (n, grad.shape[-1]), dtype=grad.dtype)
-    for src, dst in enumerate(idx):
-        rows[..., dst, :] += grad[..., src, :]
-    out = np.zeros(rows.shape[:-1] + (n,), dtype=grad.dtype)
-    for src, dst in enumerate(idx):
-        out[..., dst] += rows[..., src]
+    if pad >= n:
+        raise ValueError("reflection pad must be smaller than the image")
+    # padded row pad - i mirrors row i (1 <= i <= pad), row pad+n-1 + i mirrors n-1-i
+    rows = grad[..., pad:pad + n, :].copy()
+    rows[..., 1:pad + 1, :] += grad[..., pad - 1::-1, :]
+    rows[..., n - 1 - pad:n - 1, :] += grad[..., 2 * pad + n - 1:pad + n - 1:-1, :]
+    out = rows[..., pad:pad + n].copy()
+    out[..., 1:pad + 1] += rows[..., pad - 1::-1]
+    out[..., n - 1 - pad:n - 1] += rows[..., 2 * pad + n - 1:pad + n - 1:-1]
     return out
 
 
@@ -114,6 +126,15 @@ class OclLayer(Layer):
     physical field scale.  ``port_sign`` records which detector port each
     unit treats as positive (a wiring choice fixed at calibration so no
     unit starts with an always-negative, ReLU-dead output).
+
+    Each unit's collapsed (2, H^2) complex matrix is evaluated as 4 real
+    rows (port+ re, port+ im, port- re, port- im), so channel c owns one
+    real ``quad[c]`` of shape (4q, H^2), rows ordered (quadrature, kernel).
+    Forward and backward walk the patch columns in blocks of fixed width,
+    chosen from the shape so one block's (C, 4q, width) field array stays
+    near BLOCK_BYTES; the fields exist only one block at a time.  The
+    forward cache holds the patch matrix, the bank partials and ``quad``;
+    backward recomputes each block's fields from them.
     """
 
     def __init__(self, geometry: OcuGeometry, kernels: int, channels: int,
@@ -148,62 +169,76 @@ class OclLayer(Layer):
         g = feature_dim(n + 2 * self.pad, self.h, self.stride)
         return (b, self.q, g, g)
 
-    def _bank(self):
+    def _operators(self, x):
+        """Patch columns (C, H^2, n), bank partials and quadratures (C, 4q, H^2)."""
+        if x.shape[1] != self.c:
+            raise ValueError(f"layer expects {self.c} channels, got {x.shape[1]}")
+        cols = im2col_batch(_reflect_pad(x, self.pad), self.h, self.stride)
+        cols = cols.reshape(self.c, self.h * self.h, -1)
         flat = self.phases.value.reshape(self.q * self.c, -1, self.geometry.metaunits_per_layer)
-        return stacked_transfer_partials(flat, self.fs)
+        partials = stacked_transfer_partials(flat, self.fs)
+        a = partials.total.reshape(self.q, self.c, 2, 1, -1)
+        quad = np.concatenate([a.real, a.imag], axis=3)     # (q, C, port, re/im, H^2)
+        quad = np.ascontiguousarray(quad.transpose(1, 2, 3, 0, 4)).reshape(self.c, 4 * self.q, -1)
+        return cols, partials, quad
+
+    def _row_weights(self) -> np.ndarray:
+        """Signed gain of every quadrature row, (C, 4q): the detector sum."""
+        eff = (self.gains() * self.port_sign).T
+        return (_PORT_SIGNS[None, :, None] * eff[:, None, :]).reshape(self.c, -1)
+
+    @staticmethod
+    def _block_fields(cols, quad):
+        """Yield (column slice, (C, 4q, width) real fields) over fixed blocks."""
+        n = cols.shape[-1]
+        width = max(1, BLOCK_BYTES // (8 * quad.shape[0] * quad.shape[1]))
+        for start in range(0, n, width):
+            blk = slice(start, min(start + width, n))
+            yield blk, np.matmul(quad, cols[:, :, blk])
 
     def forward(self, x, training=False):
-        b, c, n, _ = x.shape
-        if c != self.c:
-            raise ValueError(f"layer expects {self.c} channels, got {c}")
-        padded = _reflect_pad(x, self.pad)
-        g = feature_dim(padded.shape[-1], self.h, self.stride)
-        h2 = self.h * self.h
-        cols = im2col_batch(padded, self.h, self.stride).reshape(self.c, h2, -1)
-        partials = self._bank()
-        a = partials.total.reshape(self.q, self.c, 2, h2)
-        n_cols = cols.shape[-1]
-        resp = np.empty((self.q, self.c, 2, n_cols), dtype=complex)
-        for ch in range(self.c):
-            flat = a[:, ch].reshape(2 * self.q, h2)
-            # one real gemm for both field quadratures
-            stacked = np.vstack([flat.real, flat.imag]) @ cols[ch]
-            resp[:, ch].real = stacked[:2 * self.q].reshape(self.q, 2, n_cols)
-            resp[:, ch].imag = stacked[2 * self.q:].reshape(self.q, 2, n_cols)
-        r_pos, r_neg = resp[:, :, 0], resp[:, :, 1]
-        diff = ((r_pos.real ** 2 + r_pos.imag ** 2)
-                - (r_neg.real ** 2 + r_neg.imag ** 2))
-        y = (self.gains() * self.port_sign)[:, :, None] * diff
-        fm = y.sum(axis=1)
-        out = fm.reshape(self.q, b, g, g).transpose(1, 0, 2, 3)
-        self._cache = (x.shape, cols, partials, a, resp, diff, g)
-        return out
+        b = x.shape[0]
+        cols, partials, quad = self._operators(x)
+        g = feature_dim(x.shape[-1] + 2 * self.pad, self.h, self.stride)
+        # gain-weighted sum over channels and quadratures, one gemv per kernel
+        wt = np.ascontiguousarray(self._row_weights().reshape(-1, self.q).T)[:, None, :]
+        fm = np.empty((self.q, cols.shape[-1]))
+        for blk, f in self._block_fields(cols, quad):
+            np.square(f, out=f)
+            f = f.reshape(4 * self.c, self.q, -1).transpose(1, 0, 2)
+            fm[:, blk] = np.matmul(wt, f)[:, 0]
+        self._cache = (x.shape, cols, partials, quad)
+        return fm.reshape(self.q, b, g, g).transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
-        in_shape, cols, partials, a, resp, diff, g = self._cache
+        in_shape, cols, partials, quad = self._cache
         b = in_shape[0]
         h2 = self.h * self.h
         gq = grad.transpose(1, 0, 2, 3).reshape(self.q, -1)
+        wt2 = 2.0 * self._row_weights()
+
+        # The field adjoint is rbar = 2 w g f for row weight w.  Per block,
+        # f becomes u = g f in place; s0 = cols . u^T and dcols = (2 w quad)^T . u.
+        s0 = np.zeros((self.c, h2, 4 * self.q))
+        dcols = np.empty(cols.shape) if need_input_grad else None
+        quad_w = (wt2[:, :, None] * quad).transpose(0, 2, 1)
+        for blk, u in self._block_fields(cols, quad):
+            per_kernel = u.reshape(self.c, 4, self.q, -1)
+            per_kernel *= gq[:, blk]
+            s0 += np.matmul(cols[:, :, blk], u.transpose(0, 2, 1))
+            if need_input_grad:
+                dcols[:, :, blk] = np.matmul(quad_w, u)
+
+        # sum_n g f^2 of a row is its quad row dotted with its s0 column
+        gf2 = np.einsum("crh,chr->cr", quad, s0).reshape(self.c, 4, self.q)
         eff = self.gains() * self.port_sign
+        self.log_gain.grad += eff * (_PORT_SIGNS @ gf2).T
 
-        self.log_gain.grad += eff * np.einsum("qn,qcn->qc", gq, diff)
-
-        rbar = np.empty_like(resp)
-        scale = 2.0 * eff[:, :, None] * gq[:, None, :]
-        rbar[:, :, 0] = scale * resp[:, :, 0]
-        rbar[:, :, 1] = -scale * resp[:, :, 1]
-
-        n_cols = cols.shape[-1]
-        s_all = np.empty((self.q, self.c, 2, h2), dtype=complex)
-        for ch in range(self.c):
-            rb = rbar[:, ch].reshape(2 * self.q, n_cols)
-            both = cols[ch] @ np.hstack([rb.real.T, rb.imag.T])
-            s_flat = both[:, :2 * self.q] + 1j * both[:, 2 * self.q:]
-            s_all[:, ch] = s_flat.reshape(h2, self.q, 2).transpose(1, 2, 0)
-
+        # complex patch reduction S[m, c, port] = sum_n cols (rbar_re + j rbar_im)
+        s = (s0 * wt2[:, None, :]).reshape(self.c, h2, 2, 2, self.q)
+        s_conj = (s[:, :, :, 0] - 1j * s[:, :, :, 1]).transpose(3, 0, 2, 1)
         v = self.geometry.metaunits_per_layer
         masks = partials.masks.reshape(self.q, self.c, -1, v)
-        s_conj = np.conj(s_all)
         for l in range(self.geometry.metaline_count):
             right = partials.right[l].reshape(self.q, self.c, v, h2)
             left = partials.left[l].reshape(self.q, self.c, 2, v)
@@ -213,18 +248,22 @@ class OclLayer(Layer):
 
         if not need_input_grad:
             return None
-        dcols = np.empty((self.c, h2, n_cols))
-        for ch in range(self.c):
-            flat = a[:, ch].reshape(2 * self.q, h2)
-            rb = rbar[:, ch].reshape(2 * self.q, n_cols)
-            # Re(A^H rbar) as one stacked real gemm
-            dcols[ch] = np.hstack([flat.real.T, flat.imag.T]) @ np.vstack(
-                [rb.real, rb.imag])
         n_pad = in_shape[-1] + 2 * self.pad
-        padded_shape = (b, self.c, n_pad, n_pad)
-        dpadded = fold_batch(dcols.reshape(self.c * h2, n_cols), padded_shape,
+        dpadded = fold_batch(dcols.reshape(self.c * h2, -1), (b, self.c, n_pad, n_pad),
                              self.h, self.stride)
         return _reflect_pad_grad(dpadded, self.pad, in_shape[-1])
+
+    def unit_outputs(self, x: np.ndarray) -> np.ndarray:
+        """|R+|^2 - |R-|^2 of every unit, before gain and port sign: (q, C, n).
+
+        Column n runs over the batch-major patch positions of ``x``.
+        """
+        cols, _, quad = self._operators(x)
+        out = np.empty((self.c, self.q, cols.shape[-1]))
+        for blk, f in self._block_fields(cols, quad):
+            f = f.reshape(self.c, 4, self.q, -1)
+            out[:, :, blk] = (f[:, 0] ** 2 + f[:, 1] ** 2) - (f[:, 2] ** 2 + f[:, 3] ** 2)
+        return out.transpose(1, 0, 2)
 
     def calibrate_gains(self, x: np.ndarray, target_rms: float = 1.0) -> None:
         """Fix port polarity and set each unit's gain to a useful scale.
@@ -236,14 +275,12 @@ class OclLayer(Layer):
         not negative almost everywhere (which a downstream ReLU would
         silence permanently).
         """
-        self.forward(x, training=False)
-        _, _, _, _, _, diff, _ = self._cache
+        diff = self.unit_outputs(x)
         rms = np.sqrt(np.mean(diff * diff, axis=-1))
         safe = np.where(rms > 0, rms, 1.0)
         self.log_gain.value[...] = np.log(target_rms / safe)
         mean = np.mean(diff, axis=-1)
         self.port_sign[...] = np.where(mean < 0, -1.0, 1.0)
-        self._cache = None
 
 
 class Conv2dLayer(Layer):

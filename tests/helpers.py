@@ -122,3 +122,17 @@ def fd_check_network(net_proto, x, y, loss, rel=1e-4, abs_floor=1e-8):
             lambda v: 1e-6 * max(1.0, abs(v)))
         fd = numeric_grad(f, p.value, step)
         assert_grad_close(analytic[i], fd, rel, abs_floor, label=f"param {i} ({p.name})")
+
+
+def reflect_pad_grad_loop(grad, pad, n):
+    """Adjoint of reflection padding by per-row and per-column scatter-adds."""
+    if pad == 0:
+        return grad
+    idx = [pad - i for i in range(pad)] + list(range(n)) + [n - 2 - i for i in range(pad)]
+    rows = np.zeros(grad.shape[:-2] + (n, grad.shape[-1]), dtype=grad.dtype)
+    for src, dst in enumerate(idx):
+        rows[..., dst, :] += grad[..., src, :]
+    out = np.zeros(rows.shape[:-1] + (n,), dtype=grad.dtype)
+    for src, dst in enumerate(idx):
+        out[..., dst] += rows[..., src]
+    return out

@@ -9,6 +9,7 @@ from ocusim.checkpoint import (
     save_ocu_model,
     write_checkpoint,
 )
+from ocusim.config import ConfigError
 from ocusim.networks import build_classifier, build_denoiser, calibrate_optical_layers
 from ocusim.optics import OcuGeometry, OcuModel
 
@@ -104,3 +105,44 @@ class TestNetworkCheckpoint:
         save_network(path, net, "classifier", geom, topo)
         loaded, _, _, _ = load_network(path)
         assert np.array_equal(loaded.forward(x), before)
+
+
+class TestNetworkCheckpointSchema:
+    """A network checkpoint whose arrays do not fit the rebuilt stack is a
+    schema error that names the array, never a silent broadcast."""
+
+    def saved_denoiser(self, tmp_path):
+        geom = small_geometry()
+        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
+                "in_channels": 1, "seed": 5, "optical": "true"}
+        path = tmp_path / "dn.ckpt"
+        save_network(path, build_denoiser(geom, 2, 2, seed=5), "denoiser", geom, topo)
+        return path
+
+    @staticmethod
+    def replace_section(path, name, body):
+        lines = path.read_text().splitlines()
+        start = lines.index(f"[array {name}]")
+        end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+                   len(lines))
+        path.write_text("\n".join(lines[:start] + body + lines[end:]) + "\n")
+
+    def test_rejects_wrong_shape(self, tmp_path):
+        path = self.saved_denoiser(tmp_path)
+        # layer 3 is the batch norm of 2 channels; one value must not broadcast
+        self.replace_section(path, "layer3.gamma", ["[array layer3.gamma]", "shape = 1", "7.0"])
+        with pytest.raises(ConfigError, match=r"layer3\.gamma"):
+            load_network(path)
+
+    def test_rejects_missing_array(self, tmp_path):
+        path = self.saved_denoiser(tmp_path)
+        self.replace_section(path, "layer0.port_sign", [])
+        with pytest.raises(ConfigError, match=r"layer0\.port_sign"):
+            load_network(path)
+
+    def test_rejects_non_finite_array(self, tmp_path):
+        path = self.saved_denoiser(tmp_path)
+        self.replace_section(path, "layer3.running_var",
+                             ["[array layer3.running_var]", "shape = 2", "1.0 nan"])
+        with pytest.raises(ConfigError, match=r"layer3\.running_var"):
+            load_network(path)

@@ -342,3 +342,40 @@ dir = {tmp_path / 'evalout2'}
         assert proc3.returncode == 0, proc3.stderr
         denoised = read_pgm(tmp_path / "evalout2" / "denoised_0.pgm")
         assert denoised.shape == (48, 48)
+
+    def test_eval_images_are_the_scored_estimates(self, tmp_path):
+        # the written PGMs must be the very estimates psnr.csv scores
+        from ocusim.checkpoint import save_network
+        from ocusim.data import psnr, synthetic_corpus
+        from ocusim.networks import _denoised_images, build_denoiser, calibrate_optical_layers
+        from ocusim.optics import OcuGeometry
+
+        geom = OcuGeometry(metaunits_per_layer=8, num_layers=3, num_inputs=9)
+        net = build_denoiser(geom, 2, 2, seed=2)
+        calibrate_optical_layers(net, np.random.default_rng(0).random((4, 1, 12, 12)))
+        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
+                "in_channels": 1, "seed": 2, "optical": "true"}
+        ckpt = tmp_path / "dn.ckpt"
+        save_network(ckpt, net, "denoiser", geom, topo)
+        eval_cfg = tmp_path / "eval.ini"
+        eval_cfg.write_text(f"""
+[eval]
+checkpoint = {ckpt}
+sigma = 20
+seed = 4
+test_kind = synthetic
+test_count = 3
+test_size = 24
+test_seed = 9
+
+[output]
+dir = {tmp_path / 'evalout'}
+""")
+        proc = run_cli("eval", "--config", str(eval_cfg))
+        assert proc.returncode == 0, proc.stderr
+        lines = (tmp_path / "evalout" / "psnr.csv").read_text().splitlines()[1:-1]
+        images = synthetic_corpus(3, 24, 9)
+        for i, (img, noisy, estimate) in enumerate(_denoised_images(net, images, 20.0, 4)):
+            assert lines[i] == f"{i},{psnr(noisy, img)!r},{psnr(estimate, img)!r}"
+            written = read_pgm(tmp_path / "evalout" / f"denoised_{i}.pgm")
+            assert np.array_equal(written, np.rint(estimate * 255.0) / 255.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ocusim import nn
 from ocusim.nn import (
     BatchNormLayer,
     Conv2dLayer,
@@ -16,11 +17,18 @@ from ocusim.nn import (
     mse_loss,
     softmax_cross_entropy,
 )
-from ocusim.optics import OcuGeometry, OcuModel, balanced_detect, ocu_forward
+from ocusim.optics import (
+    OcuGeometry,
+    OcuModel,
+    balanced_detect,
+    ocu_forward,
+    ocu_vjp,
+    transfer_partials,
+)
 from ocusim.srp import conv2d_reference
 from ocusim.tensorize import im2col
 
-from helpers import fd_check_network
+from helpers import fd_check_network, naive_patch_columns, reflect_pad_grad_loop
 
 
 def tiny_geometry(inputs=4):
@@ -92,9 +100,7 @@ class TestOclLayer:
         layer = OclLayer(geom, 2, 2, rng)
         x = rng.random((4, 2, 4, 4))
         layer.calibrate_gains(x, target_rms=1.0)
-        layer.forward(x)
-        _, _, _, _, _, diff, _ = layer._cache
-        y = layer.gains()[:, :, None] * diff
+        y = layer.gains()[:, :, None] * layer.unit_outputs(x)
         rms = np.sqrt(np.mean(y * y, axis=-1))
         assert rms == pytest.approx(np.ones((2, 2)), rel=1e-9)
 
@@ -109,6 +115,124 @@ class TestOclLayer:
         layer = OclLayer(geom, 2, 1, np.random.default_rng(6), pad=1)
         x = np.random.default_rng(7).random((2, 1, 6, 6))
         assert layer.forward(x).shape == layer.out_shape(x.shape)
+
+
+def unit_oracle(layer, x, grad):
+    """OclLayer output and gradients rebuilt one unit at a time from the
+    single-unit optics path, with independent padding, patches and fold."""
+    b, c, n, _ = x.shape
+    h, s, pad = layer.h, layer.stride, layer.pad
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    g = (n + 2 * pad - h) // s + 1
+    gq = grad.transpose(1, 0, 2, 3).reshape(layer.q, -1)
+    out = np.zeros((layer.q, b * g * g))
+    detected = np.zeros((layer.q, c, b * g * g))
+    dphases = np.zeros_like(layer.phases.value)
+    dlog_gain = np.zeros_like(layer.log_gain.value)
+    dcols = np.zeros((c, h * h, b * g * g))
+    for ch in range(c):
+        cols = np.hstack([naive_patch_columns(padded[i, ch], h, s) for i in range(b)])
+        for m in range(layer.q):
+            kappa = float(np.exp(layer.log_gain.value[m, ch]))
+            sign = layer.port_sign[m, ch]
+            model = OcuModel(layer.geometry, layer.phases.value[m, ch], kappa)
+            partials = transfer_partials(model, layer.fs)
+            resp = ocu_forward(model, cols, layer.fs)
+            detected[m, ch] = balanced_detect(resp, 1.0)
+            out[m] += sign * balanced_detect(resp, kappa)
+            grads = ocu_vjp(model, cols, sign * gq[m], partials, resp)
+            dphases[m, ch] = grads.phases
+            dlog_gain[m, ch] = kappa * grads.gain
+            dcols[ch] += grads.patches
+    dpadded = np.zeros(padded.shape)
+    for ch in range(c):
+        for ki in range(h):
+            for kj in range(h):
+                patch = dcols[ch, ki * h + kj].reshape(b, g, g)
+                for gi in range(g):
+                    for gj in range(g):
+                        dpadded[:, ch, gi * s + ki, gj * s + kj] += patch[:, gi, gj]
+    dx = reflect_pad_grad_loop(dpadded, pad, n)
+    fm = out.reshape(layer.q, b, g, g).transpose(1, 0, 2, 3)
+    return fm, dx, dphases, dlog_gain, detected
+
+
+def assert_rel_close(actual, expected, rel=1e-12, label=""):
+    scale = np.max(np.abs(expected))
+    err = np.max(np.abs(actual - expected))
+    assert err <= rel * scale, f"{label}: max error {err:.3g} vs scale {scale:.3g}"
+
+
+def check_against_oracle(layer, x, need_input_grad=True):
+    rng = np.random.default_rng(31)
+    out = layer.forward(x, training=True)
+    grad = rng.standard_normal(out.shape)
+    layer.phases.zero_grad()
+    layer.log_gain.zero_grad()
+    dx = layer.backward(grad, need_input_grad=need_input_grad)
+    fm, dx_ref, dphases, dlog_gain, detected = unit_oracle(layer, x, grad)
+    assert_rel_close(out, fm, label="output")
+    assert_rel_close(layer.phases.grad, dphases, label="phases")
+    assert_rel_close(layer.log_gain.grad, dlog_gain, label="log_gain")
+    assert_rel_close(layer.unit_outputs(x), detected, label="unit outputs")
+    if need_input_grad:
+        assert_rel_close(dx, dx_ref, label="input")
+    else:
+        assert dx is None
+
+
+def random_ocl(q, c, stride, pad, seed):
+    rng = np.random.default_rng(seed)
+    geom = OcuGeometry(metaunits_per_layer=8, num_inputs=9, num_layers=4)
+    layer = OclLayer(geom, q, c, rng, stride=stride, pad=pad)
+    layer.log_gain.value[...] = rng.normal(size=(q, c))
+    layer.port_sign[...] = rng.choice([-1.0, 1.0], size=(q, c))
+    return layer, rng
+
+
+class TestOclLayerOracle:
+    """The blocked quadrature layer equals the per-unit optics path to round-off."""
+
+    @pytest.mark.parametrize("q,c", [(8, 1), (8, 8), (1, 8), (4, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_blocked_layer_matches_units(self, q, c, stride, pad, monkeypatch):
+        layer, rng = random_ocl(q, c, stride, pad, seed=10 * q + c + stride + pad)
+        x = rng.random((2, c, 5, 5))
+        n_cols = 2 * ((5 + 2 * pad - 3) // stride + 1) ** 2
+        ragged = next(w for w in range(4, n_cols) if n_cols % w)
+        # block widths: beyond the columns, exactly one block, and not a divisor
+        for width, need in ((n_cols + 5, True), (n_cols, True), (ragged, True), (ragged, False)):
+            monkeypatch.setattr(nn, "BLOCK_BYTES", width * 8 * c * 4 * q)
+            check_against_oracle(layer, x, need_input_grad=need)
+
+    def test_default_block_width_over_many_blocks(self):
+        # 600 columns at 8x8 span two blocks of the 1 MB default, the second partial
+        layer, rng = random_ocl(8, 8, 1, 1, seed=3)
+        assert nn.BLOCK_BYTES // (8 * 8 * 4 * 8) < 600
+        check_against_oracle(layer, rng.random((6, 8, 10, 10)))
+
+
+class TestReflectPadGrad:
+    def test_pad_one_is_bitwise_equal_to_loops(self):
+        rng = np.random.default_rng(40)
+        for n in (2, 3, 6):
+            grad = rng.standard_normal((2, 3, n + 2, n + 2))
+            assert np.array_equal(nn._reflect_pad_grad(grad, 1, n),
+                                  reflect_pad_grad_loop(grad, 1, n))
+
+    def test_every_pad_matches_loops(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 8):
+            for pad in range(n):
+                grad = rng.standard_normal((2, n + 2 * pad, n + 2 * pad))
+                np.testing.assert_allclose(nn._reflect_pad_grad(grad, pad, n),
+                                           reflect_pad_grad_loop(grad, pad, n),
+                                           rtol=0, atol=1e-14 * np.abs(grad).max())
+
+    def test_rejects_pad_not_below_size(self):
+        with pytest.raises(ValueError):
+            nn._reflect_pad_grad(np.zeros((1, 7, 7)), 3, 3)
 
 
 class TestConv2dLayer:

@@ -26,6 +26,7 @@ _GEOMETRY_SCALARS = (
     "amplitude_coeff", "phase_coeff",
 )
 _GEOMETRY_INTS = ("num_layers", "metaunits_per_layer", "num_inputs")
+_GEOMETRY_ROWS = ("input_positions", "output_positions")
 
 
 @dataclass
@@ -34,6 +35,46 @@ class Checkpoint:
     meta: dict[str, str]
     geometry: OcuGeometry | None
     arrays: dict[str, np.ndarray]
+
+
+def _float_row(raw: str) -> np.ndarray:
+    return np.array([float(v) for v in raw.split()])
+
+
+def _field(path, fields: dict[str, str], key: str, convert, where: str = "", default=None):
+    """Parse a stored key = value; a missing or malformed value is a
+    ConfigError naming the key, prefixed by its section in ``where``."""
+    raw = fields.get(key)
+    if raw is None:
+        if default is not None:
+            return default
+        raise ConfigError(f"{path}: missing key {where}{key}")
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: key {where}{key} is malformed: {raw!r}") from None
+
+
+def _key_values(lines: list[str], i: int) -> tuple[dict[str, str], int]:
+    """The key = value lines from ``i`` up to the next section, and its index."""
+    fields: dict[str, str] = {}
+    while i < len(lines) and not lines[i].startswith("["):
+        key, _, value = lines[i].partition(" = ")
+        fields[key] = value
+        i += 1
+    return fields, i
+
+
+def _parse_array(path, name: str, body: list[str]) -> np.ndarray:
+    """An [array NAME] section body: a shape line, then the payload rows."""
+    try:
+        shape = tuple(int(d) for d in body[0].partition(" = ")[2].split())
+        arr = np.array([float(v) for line in body[1:] for v in line.split()])
+    except (IndexError, ValueError):
+        raise ConfigError(f"{path}: array {name} is malformed") from None
+    if arr.size != int(np.prod(shape)):
+        raise ConfigError(f"{path}: array {name} payload does not match shape")
+    return arr.reshape(shape)
 
 
 def _fmt_row(row) -> str:
@@ -54,8 +95,8 @@ def write_checkpoint(path, kind: str, meta: dict, geometry: OcuGeometry | None,
             lines.append(f"{name} = {getattr(geometry, name)!r}")
         for name in _GEOMETRY_INTS:
             lines.append(f"{name} = {getattr(geometry, name)}")
-        lines.append(f"input_positions = {_fmt_row(geometry.input_positions)}")
-        lines.append(f"output_positions = {_fmt_row(geometry.output_positions)}")
+        for name in _GEOMETRY_ROWS:
+            lines.append(f"{name} = {_fmt_row(getattr(geometry, name))}")
     for name in sorted(arrays):
         arr = np.asarray(arrays[name], dtype=float)
         lines.append(f"[array {name}]")
@@ -74,18 +115,12 @@ def read_checkpoint(path) -> Checkpoint:
     head = lines[0].split()
     if len(head) != 2 or head[0] != FORMAT_NAME:
         raise ValueError(f"{path}: not an {FORMAT_NAME} file")
-    if int(head[1]) != FORMAT_VERSION:
+    if head[1] != str(FORMAT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {head[1]}")
 
-    meta: dict[str, str] = {}
     geometry = None
     arrays: dict[str, np.ndarray] = {}
-    i = 1
-    # header
-    while i < len(lines) and not lines[i].startswith("["):
-        key, _, value = lines[i].partition(" = ")
-        meta[key] = value
-        i += 1
+    meta, i = _key_values(lines, 1)
     kind = meta.pop("kind", "")
     if not kind:
         raise ValueError(f"{path}: checkpoint missing kind")
@@ -94,30 +129,19 @@ def read_checkpoint(path) -> Checkpoint:
         header = lines[i].strip()
         i += 1
         if header == "[geometry]":
-            fields: dict[str, str] = {}
-            while i < len(lines) and not lines[i].startswith("["):
-                key, _, value = lines[i].partition(" = ")
-                fields[key] = value
-                i += 1
-            kwargs = {name: float(fields[name]) for name in _GEOMETRY_SCALARS}
-            kwargs.update({name: int(fields[name]) for name in _GEOMETRY_INTS})
-            kwargs["input_positions"] = np.array(
-                [float(v) for v in fields["input_positions"].split()])
-            kwargs["output_positions"] = np.array(
-                [float(v) for v in fields["output_positions"].split()])
+            fields, i = _key_values(lines, i)
+            kwargs = {}
+            for names, convert in ((_GEOMETRY_SCALARS, float), (_GEOMETRY_INTS, int),
+                                   (_GEOMETRY_ROWS, _float_row)):
+                for name in names:
+                    kwargs[name] = _field(path, fields, name, convert, "[geometry] ")
             geometry = OcuGeometry(**kwargs)
         elif header.startswith("[array ") and header.endswith("]"):
             name = header[len("[array "):-1]
-            shape = tuple(int(d) for d in lines[i].partition(" = ")[2].split())
-            i += 1
-            values: list[float] = []
+            start = i
             while i < len(lines) and not lines[i].startswith("["):
-                values.extend(float(v) for v in lines[i].split())
                 i += 1
-            arr = np.array(values)
-            if arr.size != int(np.prod(shape)):
-                raise ValueError(f"{path}: array {name} payload does not match shape")
-            arrays[name] = arr.reshape(shape)
+            arrays[name] = _parse_array(path, name, lines[start:i])
         else:
             raise ValueError(f"{path}: unrecognized section {header!r}")
     return Checkpoint(kind, meta, geometry, arrays)
@@ -139,9 +163,10 @@ def load_ocu_model(path) -> tuple[OcuModel, dict]:
         raise ValueError(f"{path}: expected an ocu checkpoint, found {ckpt.kind!r}")
     if ckpt.geometry is None:
         raise ValueError(f"{path}: ocu checkpoint missing geometry")
-    kappa = float(ckpt.meta["kappa"])
-    model = OcuModel(ckpt.geometry, ckpt.arrays["phases"], kappa)
-    return model, ckpt.meta
+    kappa = _field(path, ckpt.meta, "kappa", float)
+    if "phases" not in ckpt.arrays:
+        raise ConfigError(f"{path}: missing array phases")
+    return OcuModel(ckpt.geometry, ckpt.arrays["phases"], kappa), ckpt.meta
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +203,33 @@ def load_network(path):
 
     ckpt = read_checkpoint(path)
     topo = {k[len("topo."):]: v for k, v in ckpt.meta.items() if k.startswith("topo.")}
+
+    def setting(key, convert=int, default=None):
+        return _field(path, topo, key, convert, "topo.", default)
+
     optical = topo.get("optical", "true") == "true"
+    if optical and ckpt.geometry is None:
+        raise ConfigError(f"{path}: optical network checkpoint missing section [geometry]")
     if ckpt.kind == "classifier":
         net = build_classifier(
             ckpt.geometry,
-            kernels=int(topo["kernels"]),
-            channels=int(topo["channels"]),
-            image_size=int(topo["image_size"]),
-            n_classes=int(topo["n_classes"]),
-            seed=int(topo.get("seed", 0)),
+            kernels=setting("kernels"),
+            channels=setting("channels"),
+            image_size=setting("image_size"),
+            n_classes=setting("n_classes"),
+            seed=setting("seed", default=0),
             optical=optical,
-            hidden=tuple(int(v) for v in topo["hidden"].split()),
+            hidden=setting("hidden", lambda raw: tuple(int(v) for v in raw.split())),
             pool_mode=topo.get("pool", "mean"),
         )
     elif ckpt.kind == "denoiser":
         net = build_denoiser(
             ckpt.geometry,
-            input_kernels=int(topo["input_kernels"]),
-            middle_kernels=int(topo["middle_kernels"]),
-            in_channels=int(topo.get("in_channels", 1)),
-            middle_layers=int(topo.get("middle_layers", 1)),
-            seed=int(topo.get("seed", 0)),
+            input_kernels=setting("input_kernels"),
+            middle_kernels=setting("middle_kernels"),
+            in_channels=setting("in_channels", default=1),
+            middle_layers=setting("middle_layers", default=1),
+            seed=setting("seed", default=0),
             optical=optical,
         )
     else:

@@ -38,6 +38,16 @@ def _out_dir(args, cfg=None) -> Path:
     return path
 
 
+def _load_checkpoint(loader, path):
+    """Run a checkpoint loader; an unreadable checkpoint is a schema error (exit 2)."""
+    from .config import ConfigError
+
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _resolve_kernels(cfg):
     """Kernel list from [fit] kernels: library names or [kernel:NAME] sections."""
     import numpy as np
@@ -148,16 +158,15 @@ def cmd_convolve(args) -> int:
 
     from .checkpoint import load_ocu_model
     from .config import ConfigError
-    from .optics import balanced_detect
+    from .optics import balanced_detect, ocu_forward
     from .pgm import read_pgm, write_pgm
-    from .srp import model_response
     from .tensorize import im2col
 
     if not Path(args.checkpoint).is_file():
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     if not Path(args.image).is_file():
         raise ConfigError(f"image not found: {args.image}")
-    model, _ = load_ocu_model(args.checkpoint)
+    model, _ = _load_checkpoint(load_ocu_model, args.checkpoint)
     img = read_pgm(args.image)
     h2 = model.geometry.num_inputs
     h = int(round(h2 ** 0.5))
@@ -169,7 +178,7 @@ def cmd_convolve(args) -> int:
         raise ConfigError("convolve expects a square image")
 
     patches = im2col(img, h, args.stride)
-    y = balanced_detect(model_response(model, patches.values), model.detection_gain)
+    y = balanced_detect(ocu_forward(model, patches.values), model.detection_gain)
     fm = y.reshape(patches.grid, patches.grid)
     out = _out_dir(args)
     with open(out / "feature_map.csv", "w") as f:
@@ -361,7 +370,7 @@ def cmd_eval(args) -> int:
     ckpt_path = cfg.require("eval", "checkpoint")
     if not Path(ckpt_path).is_file():
         raise ConfigError(f"{cfg.path}: checkpoint not found: {ckpt_path}")
-    net, kind, topo, meta = load_network(ckpt_path)
+    net, kind, topo, meta = _load_checkpoint(load_network, ckpt_path)
     out = _out_dir(args, cfg)
 
     if kind == "classifier":
@@ -432,11 +441,11 @@ def cmd_export_geometry(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     from .checkpoint import read_checkpoint
-    ckpt = read_checkpoint(args.checkpoint)
+    ckpt = _load_checkpoint(read_checkpoint, args.checkpoint)
     out = _out_dir(args)
     if ckpt.kind == "ocu":
         from .checkpoint import load_ocu_model
-        model, _ = load_ocu_model(args.checkpoint)
+        model, _ = _load_checkpoint(load_ocu_model, args.checkpoint)
         path = out / "geometry.csv"
         with open(path, "w") as f:
             write_geometry_csv(model, f)
@@ -447,7 +456,7 @@ def cmd_export_geometry(args) -> int:
         from .nn import OclLayer
         from .optics import OcuModel
         import numpy as np
-        net, _, _, _ = load_network(args.checkpoint)
+        net, _, _, _ = _load_checkpoint(load_network, args.checkpoint)
         count = 0
         for li, layer in enumerate(net.layers):
             if not isinstance(layer, OclLayer):

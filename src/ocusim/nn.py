@@ -3,10 +3,12 @@
 Every layer implements forward/backward with explicit numpy math; backward
 accumulates parameter gradients into Param objects and returns the gradient
 w.r.t. its input.  The optical convolution layer (OclLayer) evaluates a bank
-of diffractive cascades through the collapsed transfer matrices, each
-split into 4 real quadrature rows per unit, over fixed-width blocks of
-patch columns: no complex or per-unit array spans all columns, and
-backward recomputes each block's fields instead of caching them.  The
+of diffractive cascades with the cascade engine and phase adjoint of a
+single unit (optics.stacked_transfer_partials, optics.phase_adjoint), the
+(kernels, channels) unit axes leading.  Each collapsed transfer matrix is
+split into 4 real quadrature rows per unit and applied over fixed-width
+blocks of patch columns: no complex or per-unit array spans all columns,
+and backward recomputes each block's fields instead of caching them.  The
 electrical Conv2dLayer walks the exact same im2col path with ordinary
 real-valued kernels, so optical/electrical comparisons share all plumbing.
 
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .optics import OcuGeometry, propagation_matrices, stacked_transfer_partials
+from .optics import OcuGeometry, phase_adjoint, propagation_matrices, stacked_transfer_partials
 from .optim import Param
 from .tensorize import feature_dim, fold_batch, im2col_batch
 
@@ -175,9 +177,8 @@ class OclLayer(Layer):
             raise ValueError(f"layer expects {self.c} channels, got {x.shape[1]}")
         cols = im2col_batch(_reflect_pad(x, self.pad), self.h, self.stride)
         cols = cols.reshape(self.c, self.h * self.h, -1)
-        flat = self.phases.value.reshape(self.q * self.c, -1, self.geometry.metaunits_per_layer)
-        partials = stacked_transfer_partials(flat, self.fs)
-        a = partials.total.reshape(self.q, self.c, 2, 1, -1)
+        partials = stacked_transfer_partials(self.phases.value, self.fs)
+        a = partials.total[:, :, :, None, :]
         quad = np.concatenate([a.real, a.imag], axis=3)     # (q, C, port, re/im, H^2)
         quad = np.ascontiguousarray(quad.transpose(1, 2, 3, 0, 4)).reshape(self.c, 4 * self.q, -1)
         return cols, partials, quad
@@ -234,17 +235,10 @@ class OclLayer(Layer):
         eff = self.gains() * self.port_sign
         self.log_gain.grad += eff * (_PORT_SIGNS @ gf2).T
 
-        # complex patch reduction S[m, c, port] = sum_n cols (rbar_re + j rbar_im)
+        # complex patch reduction S[m, c, :, port] = sum_n cols (rbar_re + j rbar_im)
         s = (s0 * wt2[:, None, :]).reshape(self.c, h2, 2, 2, self.q)
-        s_conj = (s[:, :, :, 0] - 1j * s[:, :, :, 1]).transpose(3, 0, 2, 1)
-        v = self.geometry.metaunits_per_layer
-        masks = partials.masks.reshape(self.q, self.c, -1, v)
-        for l in range(self.geometry.metaline_count):
-            right = partials.right[l].reshape(self.q, self.c, v, h2)
-            left = partials.left[l].reshape(self.q, self.c, 2, v)
-            p = np.einsum("qcvh,qcoh->qcvo", right, s_conj)
-            gv = masks[:, :, l] * np.einsum("qcvo,qcov->qcv", p, left)
-            self.phases.grad[:, :, l] += -np.imag(gv)
+        s = (s[:, :, :, 0] + 1j * s[:, :, :, 1]).transpose(3, 0, 1, 2)
+        self.phases.grad += phase_adjoint(partials, s)
 
         if not need_input_grad:
             return None

@@ -13,6 +13,9 @@ Conventions:
       at x = l * layer_gap
     * fields are numpy complex128 arrays; a "response" is a (2, n) array
       whose rows belong to the positive and negative detection port
+    * a bank of units shares one geometry; its arrays put leading unit
+      axes before each per-unit shape, and the one cascade engine
+      (stacked_transfer_partials, phase_adjoint) broadcasts over them
     * the obliquity angle uses cos(theta) = |dx| / r so the factor
       (1 + cos theta)/2 peaks on axis (declared deviation from the
       sign-ambiguous textbook form; validated by the symmetry tests)
@@ -27,11 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-def _as_patch_array(patches) -> np.ndarray:
-    """Accept a PatchMatrix-like object or a plain array."""
-    return np.asarray(getattr(patches, "values", patches))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,7 @@ def propagation_matrices(geom: OcuGeometry) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the device model
+# the device model and the cascade engine
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -244,40 +242,53 @@ class OcuModel:
 
 @dataclass
 class TransferPartials:
-    """Cumulative transfer products around each metaline.
+    """Cumulative transfer products around each metaline of a bank of units.
 
-    ``total`` is the collapsed (2, H^2) device matrix.  For metaline l,
-    ``right[l]`` maps the inputs to the field arriving at that metaline and
-    ``left[l]`` maps the field leaving it to the output ports, so
-    total == left[l] @ diag(exp(j phi_l)) @ right[l] for every l.
+    Every array carries the bank's leading unit axes ``...`` first; a single
+    unit has none.  ``total`` is the collapsed (..., 2, H^2) device matrix.
+    For metaline l, ``right[l]`` (..., V, H^2) maps the inputs to the field
+    arriving at that metaline and ``left[l]`` (..., 2, V) maps the field
+    leaving it to the output ports, so for every unit and every l
+    total == left[l] @ diag(exp(j phi_l)) @ right[l].
     """
 
     total: np.ndarray
     right: list[np.ndarray]
     left: list[np.ndarray]
-    masks: np.ndarray  # exp(j * phases), (M-1, V)
+    masks: np.ndarray  # exp(j * phases), (..., M-1, V)
 
 
-def transfer_partials(model: OcuModel, fs: list[np.ndarray] | None = None) -> TransferPartials:
-    if fs is None:
-        fs = propagation_matrices(model.geometry)
-    masks = np.exp(1j * model.phases)
-    n_meta = model.geometry.metaline_count
+def stacked_transfer_partials(phases: np.ndarray, fs: list[np.ndarray]) -> TransferPartials:
+    """The cascade engine: transfer partials of any bank of units.
+
+    ``phases`` is (..., M-1, V), one (M-1, V) phase set per unit.  All
+    units share one geometry and so the diffraction matrices ``fs``; every
+    product broadcasts over the leading unit axes.
+    """
+    lead = phases.shape[:-2]
+    n_meta = phases.shape[-2]
+    masks = np.exp(1j * phases)
 
     right = []
-    cur = fs[0]
+    cur = np.broadcast_to(fs[0], lead + fs[0].shape)
     for l in range(n_meta):
         right.append(cur)
-        cur = fs[l + 1] @ (masks[l][:, None] * cur)
-    total = cur
+        cur = fs[l + 1] @ (masks[..., l, :, None] * cur)
 
     left: list[np.ndarray] = [None] * n_meta
-    acc = fs[-1]
+    acc = np.broadcast_to(fs[-1], lead + fs[-1].shape)
     for l in range(n_meta - 1, -1, -1):
         left[l] = acc
         if l > 0:
-            acc = (acc * masks[l][None, :]) @ fs[l]
-    return TransferPartials(total, right, left, masks)
+            acc = (acc * masks[..., l, None, :]) @ fs[l]
+    return TransferPartials(cur, right, left, masks)
+
+
+def transfer_partials(model: OcuModel, fs: list[np.ndarray] | None = None) -> TransferPartials:
+    """Transfer partials of one unit (no leading unit axes)."""
+    if fs is None:
+        fs = propagation_matrices(model.geometry)
+    return stacked_transfer_partials(model.phases, fs)
 
 
 def ocu_transfer(model: OcuModel, fs: list[np.ndarray] | None = None) -> np.ndarray:
@@ -292,7 +303,7 @@ def ocu_forward(model: OcuModel, patches, fs: list[np.ndarray] | None = None) ->
     column per sliding position; the result is the (2, n) complex response
     at the two output ports.
     """
-    values = _as_patch_array(patches)
+    values = np.asarray(patches)
     if values.ndim != 2 or values.shape[0] != model.geometry.num_inputs:
         raise ValueError(
             f"patch matrix must have {model.geometry.num_inputs} rows, "
@@ -321,9 +332,25 @@ class OcuGradients:
     patches: np.ndarray | None  # dJ/d patch matrix, (H^2, n)
 
 
+def phase_adjoint(partials: TransferPartials, s: np.ndarray) -> np.ndarray:
+    """Exact phase gradient of a unit or bank from its patch reduction.
+
+    ``s`` is the (..., H^2, 2) complex reduction patches @ rbar^T of the
+    response adjoint rbar = 2 dJ/d conj(R) over the data columns, with the
+    leading unit axes of ``partials``.  Returns dJ/dphases, (..., M-1, V).
+    """
+    s_conj = np.conj(s)
+    dphases = np.empty(partials.masks.shape)
+    for l, (right, left) in enumerate(zip(partials.right, partials.left)):
+        p = right @ s_conj                                   # (..., V, 2)
+        gv = partials.masks[..., l, :] * np.einsum("...vo,...ov->...v", p, left)
+        dphases[..., l, :] = -np.imag(gv)
+    return dphases
+
+
 def ocu_vjp(
     model: OcuModel,
-    patches,
+    patches: np.ndarray,
     grad_detected: np.ndarray,
     partials: TransferPartials,
     response: np.ndarray,
@@ -336,7 +363,6 @@ def ocu_vjp(
     the real input patches.  ``partials`` and ``response`` must come from
     the forward evaluation of the same model on the same patches.
     """
-    values = _as_patch_array(patches)
     g = np.asarray(grad_detected, dtype=float)
     r1, r2 = response
     diff = np.abs(r1) ** 2 - np.abs(r2) ** 2
@@ -349,55 +375,13 @@ def ocu_vjp(
     rbar[1] = -2.0 * kappa * g * r2
 
     # S = patches @ rbar^T is the only reduction touching the data columns
-    s = values @ rbar.T                      # (H^2, 2) complex
-    dphases = np.empty_like(model.phases)
-    for l in range(model.geometry.metaline_count):
-        p = partials.right[l] @ np.conj(s)   # (V, 2)
-        gv = partials.masks[l] * np.einsum("vo,ov->v", p, partials.left[l])
-        dphases[l] = -np.imag(gv)
+    dphases = phase_adjoint(partials, patches @ rbar.T)
 
     dpatches = None
     if need_patch_grad:
         a = partials.total
         dpatches = a.real.T @ rbar.real + a.imag.T @ rbar.imag
     return OcuGradients(dphases, dgain, dpatches)
-
-
-# ---------------------------------------------------------------------------
-# stacked (banked) evaluation used by the network layers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StackedPartials:
-    total: np.ndarray          # (K, 2, H^2)
-    right: list[np.ndarray]    # each (K, V, H^2)
-    left: list[np.ndarray]     # each (K, 2, V)
-    masks: np.ndarray          # (K, M-1, V)
-
-
-def stacked_transfer_partials(phases: np.ndarray, fs: list[np.ndarray]) -> StackedPartials:
-    """transfer_partials for a bank of K units sharing one geometry.
-
-    ``phases`` is (K, M-1, V); all K cascades reuse the same diffraction
-    matrices, so the whole bank collapses in a handful of einsums.
-    """
-    k, n_meta, _ = phases.shape
-    masks = np.exp(1j * phases)
-
-    right = []
-    cur = np.broadcast_to(fs[0], (k,) + fs[0].shape)
-    for l in range(n_meta):
-        right.append(cur)
-        cur = np.einsum("wv,kvh->kwh", fs[l + 1], masks[:, l, :, None] * cur)
-    total = cur
-
-    left: list[np.ndarray] = [None] * n_meta
-    acc = np.broadcast_to(fs[-1], (k,) + fs[-1].shape)
-    for l in range(n_meta - 1, -1, -1):
-        left[l] = acc
-        if l > 0:
-            acc = np.einsum("kov,vu->kou", acc * masks[:, l, None, :], fs[l])
-    return StackedPartials(np.ascontiguousarray(total), right, left, masks)
 
 
 # ---------------------------------------------------------------------------

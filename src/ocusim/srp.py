@@ -18,6 +18,7 @@ import numpy as np
 from .optics import (
     OcuModel,
     balanced_detect,
+    ocu_forward,
     ocu_vjp,
     propagation_matrices,
     transfer_partials,
@@ -78,16 +79,17 @@ def srp_loss(model: OcuModel, patches, labels, fs=None) -> tuple[float, float]:
     metric mean((y - label)^2) is what gets compared against reported
     emulation quality.
     """
-    values = np.asarray(getattr(patches, "values", patches))
-    y = balanced_detect(model_response(model, values, fs), model.detection_gain)
+    y = balanced_detect(ocu_forward(model, patches, fs), model.detection_gain)
     e = y - np.asarray(labels, dtype=float)
     return 0.5 * float(np.dot(e, e)), float(np.mean(e * e))
 
 
-def model_response(model: OcuModel, values: np.ndarray, fs=None) -> np.ndarray:
-    if fs is None:
-        fs = propagation_matrices(model.geometry)
-    return transfer_partials(model, fs).total @ values
+def _residual_grads(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs):
+    """Residual e = y - labels of the SRP loss and its exact gradients."""
+    partials = transfer_partials(model, fs)
+    response = partials.total @ values
+    e = balanced_detect(response, model.detection_gain) - labels
+    return e, ocu_vjp(model, values, e, partials, response, need_patch_grad=False)
 
 
 def phase_gradients(model: OcuModel, patches, labels, fs=None):
@@ -96,14 +98,8 @@ def phase_gradients(model: OcuModel, patches, labels, fs=None):
     Returns (dJ/dphases, dJ/dkappa) with dJ/dphases shaped like
     ``model.phases``.
     """
-    values = np.asarray(getattr(patches, "values", patches))
-    if fs is None:
-        fs = propagation_matrices(model.geometry)
-    partials = transfer_partials(model, fs)
-    response = partials.total @ values
-    y = balanced_detect(response, model.detection_gain)
-    e = y - np.asarray(labels, dtype=float)
-    grads = ocu_vjp(model, values, e, partials, response, need_patch_grad=False)
+    _, grads = _residual_grads(model, np.asarray(patches),
+                               np.asarray(labels, dtype=float), fs)
     return grads.phases, grads.gain
 
 
@@ -113,8 +109,6 @@ class FitConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     betas: tuple[float, float] = (0.9, 0.999)
-    batch_size: int | None = None     # None = full-pattern batch
-    loss_tol: float | None = None     # stop early once J falls below this
     restarts: int = 1                 # independent inits, best train loss wins
 
     def __post_init__(self):
@@ -136,7 +130,7 @@ class FitResult:
 
 def _init_gain(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs) -> float:
     """Match mean detected power to label power so square-law grads are live."""
-    response = model_response(model, values, fs)
+    response = ocu_forward(model, values, fs)
     diff = np.abs(response[0]) ** 2 - np.abs(response[1]) ** 2
     rms_d = math.sqrt(float(np.mean(diff * diff)))
     rms_l = math.sqrt(float(np.mean(labels * labels)))
@@ -169,7 +163,9 @@ def fit_kernel(
             f"geometry has {model.geometry.num_inputs} inputs but kernel needs {h * h}"
         )
     pair = TrainingPair.make(pattern, kernel, stride)
-    values = im2col(pattern, h, stride).values
+    # cast once: every epoch multiplies the patches with complex matrices
+    # twice, and a fresh complex copy per product costs page faults
+    values = im2col(pattern, h, stride).values.astype(complex)
     fs = propagation_matrices(model.geometry)
 
     best: FitResult | None = None
@@ -177,7 +173,7 @@ def fit_kernel(
         rng = np.random.Generator(np.random.PCG64(cfg.seed + restart))
         trial = OcuModel.random_init(model.geometry, rng)
         trial.detection_gain = _init_gain(trial, values, pair.labels, fs)
-        result = _fit_once(trial, values, pair.labels, cfg, fs, rng)
+        result = _fit_once(trial, values, pair.labels, cfg, fs)
         if best is None or result.train_mse < best.train_mse:
             best = result
 
@@ -188,62 +184,42 @@ def fit_kernel(
     return best
 
 
-def _fit_once(model, values, labels, cfg, fs, rng) -> FitResult:
+def _fit_once(model, values, labels, cfg, fs) -> FitResult:
     phases = Param(model.phases, "phases")
     log_gain = Param(np.array(math.log(model.detection_gain)), "log_gain")
     opt = Adam([phases, log_gain], lr=cfg.learning_rate, betas=cfg.betas)
 
-    n_cols = values.shape[1]
     history: list[tuple[int, float, float]] = []
     best_loss = math.inf
     best_phases = model.phases.copy()
     best_gain = model.detection_gain
 
     for epoch in range(cfg.epochs):
-        if cfg.batch_size is None or cfg.batch_size >= n_cols:
-            slices = [slice(None)]
-        else:
-            perm = rng.permutation(n_cols)
-            slices = [
-                perm[i:i + cfg.batch_size] for i in range(0, n_cols, cfg.batch_size)
-            ]
         # the epoch loss belongs to the parameters the epoch started with
         epoch_phases = model.phases.copy()
         epoch_gain = model.detection_gain
-        loss_sum = 0.0
-        sq_sum = 0.0
-        for sel in slices:
-            cols = values[:, sel]
-            targets = labels[sel]
-            partials = transfer_partials(model, fs)
-            response = partials.total @ cols
-            y = balanced_detect(response, model.detection_gain)
-            e = y - targets
-            loss_sum += 0.5 * float(np.dot(e, e))
-            sq_sum += float(np.dot(e, e))
-            grads = ocu_vjp(model, cols, e, partials, response, need_patch_grad=False)
-            phases.grad[...] = grads.phases
-            log_gain.grad[...] = grads.gain * model.detection_gain
-            opt.step()
-            model.detection_gain = float(np.exp(log_gain.value))
-            if not (0.0 < model.detection_gain < math.inf):
-                raise TrainingDiverged(
-                    f"detection gain left (0, inf) at epoch {epoch}; "
-                    "reduce the learning rate"
-                )
-        if not math.isfinite(loss_sum):
+        e, grads = _residual_grads(model, values, labels, fs)
+        sq_sum = float(np.dot(e, e))
+        loss = 0.5 * sq_sum
+        phases.grad[...] = grads.phases
+        log_gain.grad[...] = grads.gain * model.detection_gain
+        opt.step()
+        model.detection_gain = float(np.exp(log_gain.value))
+        if not (0.0 < model.detection_gain < math.inf):
+            raise TrainingDiverged(
+                f"detection gain left (0, inf) at epoch {epoch}; "
+                "reduce the learning rate"
+            )
+        if not math.isfinite(loss):
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch} "
                 f"(gain {model.detection_gain:.3e}); reduce the learning rate"
             )
-        mse = sq_sum / n_cols
-        history.append((epoch, loss_sum, mse))
-        if loss_sum < best_loss:
-            best_loss = loss_sum
+        history.append((epoch, loss, sq_sum / values.shape[1]))
+        if loss < best_loss:
+            best_loss = loss
             best_phases = epoch_phases
             best_gain = epoch_gain
-        if cfg.loss_tol is not None and loss_sum <= cfg.loss_tol:
-            break
 
     # the very last optimizer step produced an unscored iterate; keep it
     # if it beats everything recorded
@@ -272,9 +248,7 @@ def evaluate_kernel_emulation(
     kernel = np.asarray(kernel, dtype=float)
     h = kernel.shape[0]
     patches = im2col(image, h, stride)
-    y = balanced_detect(
-        model_response(model, patches.values), model.detection_gain
-    )
+    y = balanced_detect(ocu_forward(model, patches.values), model.detection_gain)
     ref = conv2d_reference(image, kernel, stride)
     predicted = y.reshape(ref.shape)
     err = predicted - ref

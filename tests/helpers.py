@@ -136,3 +136,39 @@ def reflect_pad_grad_loop(grad, pad, n):
     for src, dst in enumerate(idx):
         out[..., dst] += rows[..., src]
     return out
+
+
+def einsum_stacked_partials(phases, fs):
+    """Transfer partials of a flat (K, M-1, V) bank by one einsum per step.
+
+    Returns (total, right, left, masks) with the unit axis K first.
+    """
+    k, n_meta, _ = phases.shape
+    masks = np.exp(1j * phases)
+    right = []
+    cur = np.broadcast_to(fs[0], (k,) + fs[0].shape)
+    for l in range(n_meta):
+        right.append(cur)
+        cur = np.einsum("wv,kvh->kwh", fs[l + 1], masks[:, l, :, None] * cur)
+    left = [None] * n_meta
+    acc = np.broadcast_to(fs[-1], (k,) + fs[-1].shape)
+    for l in range(n_meta - 1, -1, -1):
+        left[l] = acc
+        if l > 0:
+            acc = np.einsum("kov,vu->kou", acc * masks[:, l, None, :], fs[l])
+    return cur, right, left, masks
+
+
+def phase_adjoint_loop(partials, s):
+    """Phase gradient of a flat bank, one metaline at a time by einsums.
+
+    ``partials`` is the tuple of ``einsum_stacked_partials``; ``s`` is the
+    (K, H^2, 2) complex patch reduction.  Returns (K, M-1, V).
+    """
+    _, right, left, masks = partials
+    s_conj = np.conj(s).transpose(0, 2, 1)
+    out = np.empty(masks.shape)
+    for l in range(masks.shape[1]):
+        p = np.einsum("kvh,koh->kvo", right[l], s_conj)
+        out[:, l] = -np.imag(masks[:, l] * np.einsum("kvo,kov->kv", p, left[l]))
+    return out

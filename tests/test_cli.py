@@ -379,3 +379,56 @@ dir = {tmp_path / 'evalout'}
             assert lines[i] == f"{i},{psnr(noisy, img)!r},{psnr(estimate, img)!r}"
             written = read_pgm(tmp_path / "evalout" / f"denoised_{i}.pgm")
             assert np.array_equal(written, np.rint(estimate * 255.0) / 255.0)
+
+
+class TestMalformedCheckpoint:
+    """Hand-edited checkpoints with a missing or malformed key exit 2 and name it."""
+
+    @staticmethod
+    def rewrite(path, prefix, replacement=None):
+        lines = path.read_text().splitlines()
+        hits = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        assert len(hits) == 1
+        lines[hits[0]:hits[0] + 1] = [] if replacement is None else [replacement]
+        path.write_text("\n".join(lines) + "\n")
+
+    @staticmethod
+    def ocu_checkpoint(tmp_path):
+        from ocusim.checkpoint import save_ocu_model
+        from ocusim.optics import OcuGeometry, OcuModel
+
+        path = tmp_path / "unit.ckpt"
+        model = OcuModel.random_init(OcuGeometry(metaunits_per_layer=4),
+                                     np.random.default_rng(0))
+        save_ocu_model(path, model)
+        return path
+
+    @staticmethod
+    def assert_names(path, key):
+        proc = run_cli("export-geometry", "--checkpoint", str(path),
+                       "--out-dir", str(path.parent / "geo"))
+        assert proc.returncode == 2, proc.stderr
+        assert key in proc.stderr
+
+    def test_missing_geometry_key(self, tmp_path):
+        path = self.ocu_checkpoint(tmp_path)
+        self.rewrite(path, "num_layers = ")
+        self.assert_names(path, "[geometry] num_layers")
+
+    def test_missing_kappa(self, tmp_path):
+        path = self.ocu_checkpoint(tmp_path)
+        self.rewrite(path, "kappa = ")
+        self.assert_names(path, "kappa")
+
+    def test_non_integer_topology(self, tmp_path):
+        from ocusim.checkpoint import save_network
+        from ocusim.networks import build_denoiser
+        from ocusim.optics import OcuGeometry
+
+        geom = OcuGeometry(metaunits_per_layer=4)
+        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
+                "in_channels": 1, "seed": 2, "optical": "true"}
+        path = tmp_path / "dn.ckpt"
+        save_network(path, build_denoiser(geom, 2, 2, seed=2), "denoiser", geom, topo)
+        self.rewrite(path, "topo.middle_layers = ", "topo.middle_layers = x")
+        self.assert_names(path, "topo.middle_layers")

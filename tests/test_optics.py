@@ -15,6 +15,7 @@ from ocusim.optics import (
     ocu_forward,
     ocu_transfer,
     ocu_vjp,
+    phase_adjoint,
     phase_mask_matrix,
     propagation_matrices,
     slot_length_from_phase,
@@ -23,7 +24,12 @@ from ocusim.optics import (
     write_geometry_csv,
 )
 
-from helpers import naive_chain, naive_diffraction_entry
+from helpers import (
+    einsum_stacked_partials,
+    naive_chain,
+    naive_diffraction_entry,
+    phase_adjoint_loop,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -253,21 +259,47 @@ class TestCascade:
                 parts.masks[layer][:, None] * (parts.right[layer] @ patches))
             assert np.allclose(staged, full, rtol=1e-12, atol=0)
 
-    def test_stacked_matches_single(self):
+    @staticmethod
+    def bank(seed):
+        """A (2, 3) bank of units sharing one geometry."""
         geom = small_geometry(v=6, inputs=4, layers=4)
-        rng = np.random.default_rng(6)
-        fs = propagation_matrices(geom)
-        phases = rng.uniform(0, TWO_PI, size=(3, geom.metaline_count, 6))
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0, TWO_PI, size=(2, 3, geom.metaline_count, 6))
+        return geom, propagation_matrices(geom), phases, rng
+
+    def test_stacked_matches_single(self):
+        # every unit of the bank is its own naive cascade, and splits at each metaline
+        geom, fs, phases, rng = self.bank(6)
         bank = stacked_transfer_partials(phases, fs)
-        for k in range(3):
-            model = OcuModel(geom, phases[k])
-            single = transfer_partials(model, fs)
-            assert np.allclose(bank.total[k], single.total, rtol=1e-12, atol=0)
+        patches = rng.random((4, 3))
+        for unit in np.ndindex(2, 3):
+            chain = [fs[0]]
             for layer in range(geom.metaline_count):
-                assert np.allclose(bank.right[layer][k], single.right[layer],
-                                   rtol=1e-12, atol=0)
-                assert np.allclose(bank.left[layer][k], single.left[layer],
-                                   rtol=1e-12, atol=0)
+                chain = [fs[layer + 1], phase_mask_matrix(phases[unit][layer])] + chain
+            assert np.allclose(bank.total[unit], naive_chain(chain), rtol=1e-12, atol=0)
+            full = bank.total[unit] @ patches
+            for layer in range(geom.metaline_count):
+                staged = bank.left[layer][unit] @ (
+                    bank.masks[unit][layer][:, None] * (bank.right[layer][unit] @ patches))
+                assert np.allclose(staged, full, rtol=1e-12, atol=0)
+
+    def test_stacked_matches_einsum_oracle(self):
+        geom, fs, phases, rng = self.bank(7)
+        bank = stacked_transfer_partials(phases, fs)
+        flat = phases.reshape(6, geom.metaline_count, -1)
+        oracle = einsum_stacked_partials(flat, fs)
+        total, right, left, _ = oracle
+
+        def assert_rel(got, expected):
+            got = got.reshape(expected.shape)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+        assert_rel(bank.total, total)
+        for layer in range(geom.metaline_count):
+            assert_rel(bank.right[layer], right[layer])
+            assert_rel(bank.left[layer], left[layer])
+        s = rng.normal(size=(2, 3, 4, 2)) + 1j * rng.normal(size=(2, 3, 4, 2))
+        assert_rel(phase_adjoint(bank, s), phase_adjoint_loop(oracle, s.reshape(6, 4, 2)))
 
 
 class TestBalancedDetect:

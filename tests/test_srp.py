@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocusim.optics import OcuGeometry, OcuModel, balanced_detect
+from ocusim.optics import OcuGeometry, OcuModel, balanced_detect, ocu_forward
 from ocusim.srp import (
     FitConfig,
     TrainingDiverged,
@@ -10,7 +10,6 @@ from ocusim.srp import (
     evaluate_kernel_emulation,
     fit_kernel,
     generate_pattern,
-    model_response,
     phase_gradients,
     srp_loss,
     write_history_csv,
@@ -77,20 +76,20 @@ class TestLoss:
         model = OcuModel.random_init(geom, np.random.default_rng(3))
         patches = np.random.default_rng(4).random((4, 4))
         # gain calibrated so detected outputs are O(1), not at raw field scale
-        resp = model_response(model, patches)
+        resp = ocu_forward(model, patches)
         diff = np.abs(resp[0]) ** 2 - np.abs(resp[1]) ** 2
         model.detection_gain = 1.0 / float(np.sqrt(np.mean(diff ** 2)))
         return model, patches
 
     def test_zero_at_exact_labels(self):
         model, patches = self._setup()
-        y = balanced_detect(model_response(model, patches), model.detection_gain)
+        y = balanced_detect(ocu_forward(model, patches), model.detection_gain)
         loss, mse = srp_loss(model, patches, y)
         assert loss == 0.0 and mse == 0.0
 
     def test_constant_offset(self):
         model, patches = self._setup()
-        y = balanced_detect(model_response(model, patches), model.detection_gain)
+        y = balanced_detect(ocu_forward(model, patches), model.detection_gain)
         loss, mse = srp_loss(model, patches, y - 1.0)
         assert loss == pytest.approx(2.0, rel=1e-12)   # 1/2 * 4 * 1^2
         assert mse == pytest.approx(1.0, rel=1e-12)
@@ -99,7 +98,7 @@ class TestLoss:
         model, patches = self._setup()
         labels = np.random.default_rng(5).normal(size=4)
         loss, mse = srp_loss(model, patches, labels)
-        y = balanced_detect(model_response(model, patches), model.detection_gain)
+        y = balanced_detect(ocu_forward(model, patches), model.detection_gain)
         expected = 0.5 * sum((float(y[i]) - labels[i]) ** 2 for i in range(4))
         assert loss == pytest.approx(expected, rel=1e-12)
         assert mse == pytest.approx(2 * expected / 4, rel=1e-12)
@@ -134,7 +133,7 @@ class TestGradients:
         model = OcuModel.random_init(geom, rng)
         patches = rng.random((4, 9))
         # calibrate gain near the useful scale before differentiating
-        resp = model_response(model, patches)
+        resp = ocu_forward(model, patches)
         diff = np.abs(resp[0]) ** 2 - np.abs(resp[1]) ** 2
         model.detection_gain = 1.0 / float(np.sqrt(np.mean(diff ** 2)))
         labels = rng.normal(size=9)
@@ -188,7 +187,7 @@ class TestFit:
         geom = small_geometry()
         pattern = generate_pattern(5, 16)
         kernel = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        cfg = FitConfig(epochs=30, seed=3, batch_size=64)
+        cfg = FitConfig(epochs=30, seed=3)
         runs = []
         for _ in range(2):
             model = OcuModel.random_init(geom, np.random.default_rng(12))

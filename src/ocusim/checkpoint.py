@@ -14,19 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import GEOMETRY_FIELDS, ConfigError, float_row
 from .optics import OcuGeometry, OcuModel
 
 FORMAT_NAME = "ocusim-checkpoint"
 FORMAT_VERSION = 1
-
-_GEOMETRY_SCALARS = (
-    "wavelength", "slab_index", "slot_index", "layer_gap", "aperture",
-    "metaunit_period", "slot_width", "slot_gap", "slot_height",
-    "amplitude_coeff", "phase_coeff",
-)
-_GEOMETRY_INTS = ("num_layers", "metaunits_per_layer", "num_inputs")
-_GEOMETRY_ROWS = ("input_positions", "output_positions")
 
 
 @dataclass
@@ -35,10 +27,6 @@ class Checkpoint:
     meta: dict[str, str]
     geometry: OcuGeometry | None
     arrays: dict[str, np.ndarray]
-
-
-def _float_row(raw: str) -> np.ndarray:
-    return np.array([float(v) for v in raw.split()])
 
 
 def _field(path, fields: dict[str, str], key: str, convert, where: str = "", default=None):
@@ -91,12 +79,10 @@ def write_checkpoint(path, kind: str, meta: dict, geometry: OcuGeometry | None,
         lines.append(f"{key} = {value}")
     if geometry is not None:
         lines.append("[geometry]")
-        for name in _GEOMETRY_SCALARS:
-            lines.append(f"{name} = {getattr(geometry, name)!r}")
-        for name in _GEOMETRY_INTS:
-            lines.append(f"{name} = {getattr(geometry, name)}")
-        for name in _GEOMETRY_ROWS:
-            lines.append(f"{name} = {_fmt_row(getattr(geometry, name))}")
+        for name, convert in GEOMETRY_FIELDS.items():
+            value = getattr(geometry, name)
+            text = _fmt_row(value) if convert is float_row else repr(convert(value))
+            lines.append(f"{name} = {text}")
     for name in sorted(arrays):
         arr = np.asarray(arrays[name], dtype=float)
         lines.append(f"[array {name}]")
@@ -130,12 +116,9 @@ def read_checkpoint(path) -> Checkpoint:
         i += 1
         if header == "[geometry]":
             fields, i = _key_values(lines, i)
-            kwargs = {}
-            for names, convert in ((_GEOMETRY_SCALARS, float), (_GEOMETRY_INTS, int),
-                                   (_GEOMETRY_ROWS, _float_row)):
-                for name in names:
-                    kwargs[name] = _field(path, fields, name, convert, "[geometry] ")
-            geometry = OcuGeometry(**kwargs)
+            geometry = OcuGeometry(**{
+                name: _field(path, fields, name, convert, "[geometry] ")
+                for name, convert in GEOMETRY_FIELDS.items()})
         elif header.startswith("[array ") and header.endswith("]"):
             name = header[len("[array "):-1]
             start = i

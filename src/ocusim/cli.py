@@ -60,7 +60,7 @@ def _resolve_kernels(cfg):
     for name in names:
         section = f"kernel:{name}"
         if cfg.has(section):
-            size = cfg.getint(section, "size", 3)
+            size = cfg.getcount(section, "size", 3)
             values = [float(v) for v in cfg.require(section, "values").split()]
             if len(values) != size * size:
                 raise ConfigError(
@@ -80,7 +80,7 @@ def _holdout_image(cfg):
     from .data import synthetic_contrast_image, synthetic_image
 
     choice = cfg.get("fit", "holdout", "contrast")
-    size = cfg.getint("fit", "holdout_size", 256)
+    size = cfg.getcount("fit", "holdout_size", 256)
     if choice == "none":
         return None
     if choice == "contrast":
@@ -113,14 +113,14 @@ def cmd_fit_kernel(args) -> int:
 
     seed = args.seed if args.seed is not None else cfg.getint("fit", "seed", 7)
     fit_cfg = FitConfig(
-        epochs=cfg.getint("fit", "epochs", 4000),
+        epochs=cfg.getcount("fit", "epochs", 4000),
         learning_rate=cfg.getfloat("fit", "learning_rate", 1e-3),
         seed=seed,
-        restarts=cfg.getint("fit", "restarts", 1),
+        restarts=cfg.getcount("fit", "restarts", 1),
     )
     pattern = generate_pattern(cfg.getint("fit", "pattern_seed", 1),
-                               cfg.getint("fit", "pattern_size", 128))
-    stride = cfg.getint("fit", "stride", 1)
+                               cfg.getcount("fit", "pattern_size", 128))
+    stride = cfg.getcount("fit", "stride", 1)
     holdout = _holdout_image(cfg)
     out = _out_dir(args, cfg)
 
@@ -166,6 +166,8 @@ def cmd_convolve(args) -> int:
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     if not Path(args.image).is_file():
         raise ConfigError(f"image not found: {args.image}")
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     model, _ = _load_checkpoint(load_ocu_model, args.checkpoint)
     img = read_pgm(args.image)
     h2 = model.geometry.num_inputs
@@ -245,12 +247,12 @@ def cmd_train_classifier(args) -> int:
         raise ConfigError(
             f"{cfg.path}: key [network] channels = {cfg_channels} but dataset has {channels}")
 
-    kernel_size = cfg.getint("network", "kernel_size", 3)
+    kernel_size = cfg.getcount("network", "kernel_size", 3)
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
     seed = args.seed if args.seed is not None else cfg.getint("train", "seed", 0)
     net_seed = cfg.getint("network", "seed", seed)
     topo = {
-        "kernels": cfg.getint("network", "kernels", 4),
+        "kernels": cfg.getcount("network", "kernels", 4),
         "channels": channels,
         "image_size": image_size,
         "n_classes": n_classes,
@@ -266,8 +268,8 @@ def cmd_train_classifier(args) -> int:
         pool_mode=topo["pool"],
     )
     train_cfg = TrainConfig(
-        epochs=cfg.getint("train", "epochs", 100),
-        batch_size=cfg.getint("train", "batch_size", 32),
+        epochs=cfg.getcount("train", "epochs", 100),
+        batch_size=cfg.getcount("train", "batch_size", 32),
         learning_rate=cfg.getfloat("train", "learning_rate", 1e-3),
         seed=seed,
         eval_every=cfg.getint("train", "eval_every", 0),
@@ -316,18 +318,21 @@ def _load_denoise_images(cfg, section: str, key_prefix: str):
 
 def cmd_train_denoiser(args) -> int:
     from .checkpoint import save_network
-    from .config import Config, geometry_from_config
+    from .config import Config, ConfigError, geometry_from_config
     from .networks import DenoiseTrainConfig, build_denoiser, train_denoiser
 
     cfg = Config.load(args.config)
     images = _load_denoise_images(cfg, "dataset", "")
-    kernel_size = cfg.getint("network", "kernel_size", 3)
+    kernel_size = cfg.getcount("network", "kernel_size", 3)
+    if kernel_size % 2 == 0:
+        raise ConfigError(f"{cfg.path}: key [network] kernel_size must be odd for the "
+                          f"denoiser to keep the image size, got {kernel_size}")
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
     seed = args.seed if args.seed is not None else cfg.getint("denoise", "seed", 0)
     net_seed = cfg.getint("network", "seed", seed)
     topo = {
-        "input_kernels": cfg.getint("network", "input_kernels", 8),
-        "middle_kernels": cfg.getint("network", "middle_kernels", 8),
+        "input_kernels": cfg.getcount("network", "input_kernels", 8),
+        "middle_kernels": cfg.getcount("network", "middle_kernels", 8),
         "middle_layers": cfg.getint("network", "middle_layers", 1),
         "in_channels": 1,
         "seed": net_seed,
@@ -340,12 +345,12 @@ def cmd_train_denoiser(args) -> int:
     )
     sigma = cfg.getfloat("denoise", "sigma", 20.0)
     train_cfg = DenoiseTrainConfig(
-        epochs=cfg.getint("denoise", "epochs", 12),
-        batch_size=cfg.getint("denoise", "batch_size", 16),
+        epochs=cfg.getcount("denoise", "epochs", 12),
+        batch_size=cfg.getcount("denoise", "batch_size", 16),
         learning_rate=cfg.getfloat("denoise", "learning_rate", 1e-3),
         seed=seed,
-        patch=cfg.getint("denoise", "patch", 40),
-        crops_per_image=cfg.getint("denoise", "crops_per_image", 64),
+        patch=cfg.getcount("denoise", "patch", 40),
+        crops_per_image=cfg.getcount("denoise", "crops_per_image", 64),
     )
     result = train_denoiser(net, images, sigma, train_cfg)
 
@@ -414,12 +419,12 @@ def cmd_perf(args) -> int:
 
     cfg = Config.load(args.config)
     spec = PerfSpec(
-        kernel_size=cfg.getint("perf", "kernel_size", 3),
-        channels=cfg.getint("perf", "channels", 1),
-        kernels=cfg.getint("perf", "kernels", 1),
+        kernel_size=cfg.getcount("perf", "kernel_size", 3),
+        channels=cfg.getcount("perf", "channels", 1),
+        kernels=cfg.getcount("perf", "kernels", 1),
         rate=cfg.getfloat("perf", "rate_gbaud", 100.0) * 1e9,
         pixels=cfg.getfloat("perf", "pixels", 8e6),
-        bit_depth=cfg.getint("perf", "bit_depth", 8),
+        bit_depth=cfg.getcount("perf", "bit_depth", 8),
         energy_per_bit=cfg.getfloat("perf", "energy_fj_per_bit", 100.0) * 1e-15,
         detector_power=cfg.getfloat("perf", "detector_power_mw", 100.0) * 1e-3,
     )
@@ -455,7 +460,6 @@ def cmd_export_geometry(args) -> int:
         from .checkpoint import load_network
         from .nn import OclLayer
         from .optics import OcuModel
-        import numpy as np
         net, _, _, _ = _load_checkpoint(load_network, args.checkpoint)
         count = 0
         for li, layer in enumerate(net.layers):

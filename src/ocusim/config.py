@@ -7,6 +7,7 @@ report schema violations precisely (exit code 2) before any work starts.
 from __future__ import annotations
 
 import configparser
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,16 @@ from .optics import OcuGeometry
 
 class ConfigError(Exception):
     """Configuration or input-schema violation (CLI exit code 2)."""
+
+
+def float_row(raw: str) -> np.ndarray:
+    return np.array([float(v) for v in raw.split()])
+
+
+# every OcuGeometry field with the parser of its text form, by its annotation
+GEOMETRY_FIELDS = {f.name: {"float": float, "int": int, "np.ndarray": float_row}[f.type]
+                   for f in fields(OcuGeometry)}
+_TYPE_NAMES = {float: "a number", int: "an integer", float_row: "a list of numbers"}
 
 
 class Config:
@@ -66,6 +77,15 @@ class Config:
     def getint(self, section, key, default: int | None = None) -> int:
         return self._typed(section, key, default, int, "an integer")
 
+    def getcount(self, section, key, default: int | None = None) -> int:
+        """An integer >= 1: a count, a size or a stride."""
+        def conv(raw: str) -> int:
+            value = int(raw)
+            if value < 1:
+                raise ValueError(raw)
+            return value
+        return self._typed(section, key, default, conv, "an integer >= 1")
+
     def getfloat(self, section, key, default: float | None = None) -> float:
         return self._typed(section, key, default, float, "a number")
 
@@ -87,18 +107,8 @@ def geometry_from_config(cfg: Config, num_inputs: int | None = None) -> OcuGeome
     from the kernel size elsewhere in the config) overrides the section.
     """
     sec = "geometry"
-    kwargs = {}
-    for name in ("wavelength", "slab_index", "slot_index", "layer_gap", "aperture",
-                 "metaunit_period", "slot_width", "slot_gap", "slot_height",
-                 "amplitude_coeff", "phase_coeff"):
-        if cfg.has(sec, name):
-            kwargs[name] = cfg.getfloat(sec, name)
-    for name in ("num_layers", "metaunits_per_layer", "num_inputs"):
-        if cfg.has(sec, name):
-            kwargs[name] = cfg.getint(sec, name)
-    for name in ("input_positions", "output_positions"):
-        if cfg.has(sec, name):
-            kwargs[name] = np.array([float(v) for v in cfg.require(sec, name).split()])
+    kwargs = {name: cfg._typed(sec, name, None, convert, _TYPE_NAMES[convert])
+              for name, convert in GEOMETRY_FIELDS.items() if cfg.has(sec, name)}
     if num_inputs is not None:
         kwargs["num_inputs"] = num_inputs
     try:

@@ -41,7 +41,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    betas: tuple[float, float] = (0.9, 0.999)
     eval_every: int = 0          # 0 = evaluate only after the last epoch
 
     def __post_init__(self):
@@ -65,16 +64,15 @@ def build_classifier(
     optical: bool = True,
     hidden: tuple[int, ...] = (128, 64),
     pool_mode: str = "mean",
-    stride: int = 1,
 ) -> Sequential:
     """One convolution layer (q kernels), 2x2 pooling, and a 3-affine head."""
     rng = _seeded(seed, 0)
     h = int(round(math.sqrt(geometry.num_inputs)))
     if optical:
-        conv = OclLayer(geometry, kernels, channels, rng, stride=stride)
+        conv = OclLayer(geometry, kernels, channels, rng)
     else:
-        conv = Conv2dLayer(kernels, channels, h, rng, stride=stride)
-    g = feature_dim(image_size, h, stride)
+        conv = Conv2dLayer(kernels, channels, h, rng)
+    g = feature_dim(image_size, h)
     gp = feature_dim(g, 2, 2)
     head = dense_head(kernels * gp * gp, hidden, n_classes, rng)
     return Sequential([conv, Pool2dLayer(2, 2, pool_mode), FlattenLayer(), *head])
@@ -129,7 +127,7 @@ def train_classifier(
     n = len(train_images)
     first = train_images[:min(cfg.batch_size, n)]
     calibrate_optical_layers(net, first)
-    opt = Adam(net.params(), lr=cfg.learning_rate, betas=cfg.betas)
+    opt = Adam(net.params(), lr=cfg.learning_rate)
 
     history: list[tuple[int, float, float]] = []
     for epoch in range(cfg.epochs):
@@ -208,7 +206,6 @@ class DenoiseTrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    betas: tuple[float, float] = (0.9, 0.999)
     patch: int = 40
     crops_per_image: int = 64
 
@@ -263,7 +260,7 @@ def train_denoiser(
     first = add_awgn(patches[:min(cfg.batch_size, n)], sigma, noise_rng)
     calibrate_optical_layers(net, first.noisy)
     _match_output_scale(net, first.noisy, first.noise)
-    opt = Adam(net.params(), lr=cfg.learning_rate, betas=cfg.betas)
+    opt = Adam(net.params(), lr=cfg.learning_rate)
 
     history: list[tuple[int, float]] = []
     for epoch in range(cfg.epochs):

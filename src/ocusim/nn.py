@@ -2,14 +2,10 @@
 
 Every layer implements forward/backward with explicit numpy math; backward
 accumulates parameter gradients into Param objects and returns the gradient
-w.r.t. its input.  The optical convolution layer (OclLayer) evaluates a bank
-of diffractive cascades with the cascade engine and phase adjoint of a
-single unit (optics.stacked_transfer_partials, optics.phase_adjoint), the
-(kernels, channels) unit axes leading.  Each collapsed transfer matrix is
-split into 4 real quadrature rows per unit and applied over fixed-width
-blocks of patch columns: no complex or per-unit array spans all columns,
-and backward recomputes each block's fields instead of caching them.  The
-electrical Conv2dLayer walks the exact same im2col path with ordinary
+w.r.t. its input.  The optical convolution layer (OclLayer) is a bank of
+diffractive units, (kernels, channels) unit axes leading, run through the
+cascade and detection engines in optics that also serve a single SRP unit.
+The electrical Conv2dLayer walks the exact same im2col path with ordinary
 real-valued kernels, so optical/electrical comparisons share all plumbing.
 
 Shapes: images and feature maps are (B, C, N, N); dense activations (B, F).
@@ -21,18 +17,12 @@ import math
 
 import numpy as np
 
-from .optics import OcuGeometry, phase_adjoint, propagation_matrices, stacked_transfer_partials
+from .optics import (OcuGeometry, bank_detect, bank_unit_outputs, bank_vjp, propagation_matrices,
+                     quadrature_rows, stacked_transfer_partials)
 from .optim import Param
 from .tensorize import feature_dim, fold_batch, im2col_batch
 
 TWO_PI = 2.0 * math.pi
-
-# OclLayer walks patch columns in blocks whose (C, 4q, width) float64 field
-# array takes about this many bytes, so a block's fields stay in L2 cache.
-BLOCK_BYTES = 1 << 20
-
-# detector sign of a unit's four quadrature rows: port+ re/im, port- re/im
-_PORT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 class Layer:
@@ -61,7 +51,7 @@ class Sequential(Layer):
     def backward(self, grad):
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            if i == 0 and isinstance(layer, (OclLayer, Conv2dLayer)):
+            if i == 0 and isinstance(layer, _Convolution):
                 return layer.backward(grad, need_input_grad=False)
             grad = layer.backward(grad)
         return grad
@@ -118,7 +108,39 @@ def _reflect_pad_grad(grad: np.ndarray, pad: int, n: int) -> np.ndarray:
 # convolution layers
 # ---------------------------------------------------------------------------
 
-class OclLayer(Layer):
+class _Convolution(Layer):
+    """Patch plumbing of the optical convolution and its electrical twin:
+    reflection padding, im2col columns and their adjoint.  A forward pass
+    first drops the previous call's cache, so two column arrays never coexist."""
+
+    def __init__(self, kernels: int, channels: int, kernel_size: int, stride: int, pad: int):
+        if min(kernels, channels, kernel_size) < 1:
+            raise ValueError("kernels, channels and kernel size must be >= 1, "
+                             f"got {kernels}, {channels}, {kernel_size}")
+        self.q, self.c, self.h = kernels, channels, kernel_size
+        self.stride, self.pad = stride, pad
+        self._cache = None
+
+    def out_shape(self, in_shape):
+        b, c, n, _ = in_shape
+        if c != self.c:
+            raise ValueError(f"layer expects {self.c} channels, got {c}")
+        g = feature_dim(n + 2 * self.pad, self.h, self.stride)
+        return (b, self.q, g, g)
+
+    def _columns(self, x):
+        """(C*H^2, B*G^2) patch columns of the padded input, its shape checked."""
+        self.out_shape(x.shape)
+        return im2col_batch(_reflect_pad(x, self.pad), self.h, self.stride)
+
+    def _input_grad(self, dcols, in_shape):
+        """Adjoint of _columns: fold (C*H^2, B*G^2) gradients onto the input."""
+        n_pad = in_shape[-1] + 2 * self.pad
+        dpadded = fold_batch(dcols, (in_shape[0], self.c, n_pad, n_pad), self.h, self.stride)
+        return _reflect_pad_grad(dpadded, self.pad, in_shape[-1])
+
+
+class OclLayer(_Convolution):
     """Optical convolution layer: ``kernels`` OCKs of ``channels`` OCUs each.
 
     Input (B, C, N, N) -> (B, q, G, G).  OCK m sums the balanced-detected
@@ -129,14 +151,9 @@ class OclLayer(Layer):
     unit treats as positive (a wiring choice fixed at calibration so no
     unit starts with an always-negative, ReLU-dead output).
 
-    Each unit's collapsed (2, H^2) complex matrix is evaluated as 4 real
-    rows (port+ re, port+ im, port- re, port- im), so channel c owns one
-    real ``quad[c]`` of shape (4q, H^2), rows ordered (quadrature, kernel).
-    Forward and backward walk the patch columns in blocks of fixed width,
-    chosen from the shape so one block's (C, 4q, width) field array stays
-    near BLOCK_BYTES; the fields exist only one block at a time.  The
-    forward cache holds the patch matrix, the bank partials and ``quad``;
-    backward recomputes each block's fields from them.
+    The forward cache holds the patch columns, the bank partials and the
+    quadrature rows (optics.quadrature_rows); the detection engine
+    recomputes each block's fields from them in backward.
     """
 
     def __init__(self, geometry: OcuGeometry, kernels: int, channels: int,
@@ -145,18 +162,13 @@ class OclLayer(Layer):
         h = int(round(math.sqrt(h2)))
         if h * h != h2:
             raise ValueError("geometry num_inputs must be a square number")
+        super().__init__(kernels, channels, h, stride, pad)
         self.geometry = geometry
-        self.q = kernels
-        self.c = channels
-        self.h = h
-        self.stride = stride
-        self.pad = pad
         self.fs = propagation_matrices(geometry)
         shape = (kernels, channels, geometry.metaline_count, geometry.metaunits_per_layer)
         self.phases = Param(rng.uniform(0.0, TWO_PI, size=shape), "phases")
         self.log_gain = Param(np.zeros((kernels, channels)), "log_gain")
         self.port_sign = np.ones((kernels, channels))
-        self._cache = None
 
     def params(self):
         return [self.phases, self.log_gain]
@@ -164,88 +176,30 @@ class OclLayer(Layer):
     def gains(self) -> np.ndarray:
         return np.exp(self.log_gain.value)
 
-    def out_shape(self, in_shape):
-        b, c, n, _ = in_shape
-        if c != self.c:
-            raise ValueError(f"layer expects {self.c} channels, got {c}")
-        g = feature_dim(n + 2 * self.pad, self.h, self.stride)
-        return (b, self.q, g, g)
-
     def _operators(self, x):
         """Patch columns (C, H^2, n), bank partials and quadratures (C, 4q, H^2)."""
-        if x.shape[1] != self.c:
-            raise ValueError(f"layer expects {self.c} channels, got {x.shape[1]}")
-        cols = im2col_batch(_reflect_pad(x, self.pad), self.h, self.stride)
-        cols = cols.reshape(self.c, self.h * self.h, -1)
+        cols = self._columns(x).reshape(self.c, self.h * self.h, -1)
         partials = stacked_transfer_partials(self.phases.value, self.fs)
-        a = partials.total[:, :, :, None, :]
-        quad = np.concatenate([a.real, a.imag], axis=3)     # (q, C, port, re/im, H^2)
-        quad = np.ascontiguousarray(quad.transpose(1, 2, 3, 0, 4)).reshape(self.c, 4 * self.q, -1)
-        return cols, partials, quad
-
-    def _row_weights(self) -> np.ndarray:
-        """Signed gain of every quadrature row, (C, 4q): the detector sum."""
-        eff = (self.gains() * self.port_sign).T
-        return (_PORT_SIGNS[None, :, None] * eff[:, None, :]).reshape(self.c, -1)
-
-    @staticmethod
-    def _block_fields(cols, quad):
-        """Yield (column slice, (C, 4q, width) real fields) over fixed blocks."""
-        n = cols.shape[-1]
-        width = max(1, BLOCK_BYTES // (8 * quad.shape[0] * quad.shape[1]))
-        for start in range(0, n, width):
-            blk = slice(start, min(start + width, n))
-            yield blk, np.matmul(quad, cols[:, :, blk])
+        return cols, partials, quadrature_rows(partials.total)
 
     def forward(self, x, training=False):
-        b = x.shape[0]
+        b, q, g, _ = self.out_shape(x.shape)
+        self._cache = None
         cols, partials, quad = self._operators(x)
-        g = feature_dim(x.shape[-1] + 2 * self.pad, self.h, self.stride)
-        # gain-weighted sum over channels and quadratures, one gemv per kernel
-        wt = np.ascontiguousarray(self._row_weights().reshape(-1, self.q).T)[:, None, :]
-        fm = np.empty((self.q, cols.shape[-1]))
-        for blk, f in self._block_fields(cols, quad):
-            np.square(f, out=f)
-            f = f.reshape(4 * self.c, self.q, -1).transpose(1, 0, 2)
-            fm[:, blk] = np.matmul(wt, f)[:, 0]
+        fm = bank_detect(quad, cols, self.gains() * self.port_sign)
         self._cache = (x.shape, cols, partials, quad)
-        return fm.reshape(self.q, b, g, g).transpose(1, 0, 2, 3)
+        return fm.reshape(q, b, g, g).transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
         in_shape, cols, partials, quad = self._cache
-        b = in_shape[0]
-        h2 = self.h * self.h
         gq = grad.transpose(1, 0, 2, 3).reshape(self.q, -1)
-        wt2 = 2.0 * self._row_weights()
-
-        # The field adjoint is rbar = 2 w g f for row weight w.  Per block,
-        # f becomes u = g f in place; s0 = cols . u^T and dcols = (2 w quad)^T . u.
-        s0 = np.zeros((self.c, h2, 4 * self.q))
-        dcols = np.empty(cols.shape) if need_input_grad else None
-        quad_w = (wt2[:, :, None] * quad).transpose(0, 2, 1)
-        for blk, u in self._block_fields(cols, quad):
-            per_kernel = u.reshape(self.c, 4, self.q, -1)
-            per_kernel *= gq[:, blk]
-            s0 += np.matmul(cols[:, :, blk], u.transpose(0, 2, 1))
-            if need_input_grad:
-                dcols[:, :, blk] = np.matmul(quad_w, u)
-
-        # sum_n g f^2 of a row is its quad row dotted with its s0 column
-        gf2 = np.einsum("crh,chr->cr", quad, s0).reshape(self.c, 4, self.q)
         eff = self.gains() * self.port_sign
-        self.log_gain.grad += eff * (_PORT_SIGNS @ gf2).T
-
-        # complex patch reduction S[m, c, :, port] = sum_n cols (rbar_re + j rbar_im)
-        s = (s0 * wt2[:, None, :]).reshape(self.c, h2, 2, 2, self.q)
-        s = (s[:, :, :, 0] + 1j * s[:, :, :, 1]).transpose(3, 0, 1, 2)
-        self.phases.grad += phase_adjoint(partials, s)
-
+        grads = bank_vjp(partials, quad, cols, eff, gq, need_input_grad)
+        self.log_gain.grad += eff * grads.gain
+        self.phases.grad += grads.phases
         if not need_input_grad:
             return None
-        n_pad = in_shape[-1] + 2 * self.pad
-        dpadded = fold_batch(dcols.reshape(self.c * h2, -1), (b, self.c, n_pad, n_pad),
-                             self.h, self.stride)
-        return _reflect_pad_grad(dpadded, self.pad, in_shape[-1])
+        return self._input_grad(grads.patches.reshape(self.c * self.h * self.h, -1), in_shape)
 
     def unit_outputs(self, x: np.ndarray) -> np.ndarray:
         """|R+|^2 - |R-|^2 of every unit, before gain and port sign: (q, C, n).
@@ -253,17 +207,13 @@ class OclLayer(Layer):
         Column n runs over the batch-major patch positions of ``x``.
         """
         cols, _, quad = self._operators(x)
-        out = np.empty((self.c, self.q, cols.shape[-1]))
-        for blk, f in self._block_fields(cols, quad):
-            f = f.reshape(self.c, 4, self.q, -1)
-            out[:, :, blk] = (f[:, 0] ** 2 + f[:, 1] ** 2) - (f[:, 2] ** 2 + f[:, 3] ** 2)
-        return out.transpose(1, 0, 2)
+        return bank_unit_outputs(quad, cols)
 
-    def calibrate_gains(self, x: np.ndarray, target_rms: float = 1.0) -> None:
+    def calibrate_gains(self, x: np.ndarray) -> None:
         """Fix port polarity and set each unit's gain to a useful scale.
 
         Run once on a representative batch before training: gains are set
-        so each detected sub-map has RMS ~ target (square-law outputs
+        so each detected sub-map has unit RMS (square-law outputs
         otherwise sit at the raw physical field scale and gradients die),
         and the positive detector port is chosen per unit so its output is
         not negative almost everywhere (which a downstream ReLU would
@@ -272,61 +222,43 @@ class OclLayer(Layer):
         diff = self.unit_outputs(x)
         rms = np.sqrt(np.mean(diff * diff, axis=-1))
         safe = np.where(rms > 0, rms, 1.0)
-        self.log_gain.value[...] = np.log(target_rms / safe)
+        self.log_gain.value[...] = np.log(1.0 / safe)
         mean = np.mean(diff, axis=-1)
         self.port_sign[...] = np.where(mean < 0, -1.0, 1.0)
 
 
-class Conv2dLayer(Layer):
+class Conv2dLayer(_Convolution):
     """Ordinary real-valued convolution (the electrical baseline twin)."""
 
     def __init__(self, kernels: int, channels: int, kernel_size: int,
                  rng: np.random.Generator, stride: int = 1, pad: int = 0):
-        self.q = kernels
-        self.c = channels
-        self.h = kernel_size
-        self.stride = stride
-        self.pad = pad
+        super().__init__(kernels, channels, kernel_size, stride, pad)
         fan_in = channels * kernel_size * kernel_size
         self.weight = Param(
             rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(kernels, channels, kernel_size, kernel_size)),
             "weight",
         )
         self.bias = Param(np.zeros(kernels), "bias")
-        self._cache = None
 
     def params(self):
         return [self.weight, self.bias]
 
-    def out_shape(self, in_shape):
-        b, c, n, _ = in_shape
-        if c != self.c:
-            raise ValueError(f"layer expects {self.c} channels, got {c}")
-        g = feature_dim(n + 2 * self.pad, self.h, self.stride)
-        return (b, self.q, g, g)
-
     def forward(self, x, training=False):
-        b = x.shape[0]
-        padded = _reflect_pad(x, self.pad)
-        g = feature_dim(padded.shape[-1], self.h, self.stride)
-        cols = im2col_batch(padded, self.h, self.stride)
-        w2 = self.weight.value.reshape(self.q, -1)
-        fm = w2 @ cols + self.bias.value[:, None]
+        b, q, g, _ = self.out_shape(x.shape)
+        self._cache = None
+        cols = self._columns(x)
+        fm = self.weight.value.reshape(q, -1) @ cols + self.bias.value[:, None]
         self._cache = (x.shape, cols)
-        return fm.reshape(self.q, b, g, g).transpose(1, 0, 2, 3)
+        return fm.reshape(q, b, g, g).transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
         in_shape, cols = self._cache
-        b = in_shape[0]
         gq = grad.transpose(1, 0, 2, 3).reshape(self.q, -1)
         self.weight.grad += (gq @ cols.T).reshape(self.weight.value.shape)
         self.bias.grad += gq.sum(axis=1)
         if not need_input_grad:
             return None
-        dcols = self.weight.value.reshape(self.q, -1).T @ gq
-        n_pad = in_shape[-1] + 2 * self.pad
-        dpadded = fold_batch(dcols, (b, self.c, n_pad, n_pad), self.h, self.stride)
-        return _reflect_pad_grad(dpadded, self.pad, in_shape[-1])
+        return self._input_grad(self.weight.value.reshape(self.q, -1).T @ gq, in_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +402,8 @@ class FlattenLayer(Layer):
 
 class DenseLayer(Layer):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
+        if min(n_in, n_out) < 1:
+            raise ValueError(f"dense layer sizes must be >= 1, got {n_in}, {n_out}")
         self.weight = Param(rng.normal(0.0, math.sqrt(2.0 / n_in), size=(n_in, n_out)), "weight")
         self.bias = Param(np.zeros(n_out), "bias")
 

@@ -16,6 +16,10 @@ Conventions:
     * a bank of units shares one geometry; its arrays put leading unit
       axes before each per-unit shape, and the one cascade engine
       (stacked_transfer_partials, phase_adjoint) broadcasts over them
+    * the one detection engine (bank_detect, bank_vjp) serves the
+      optical convolution layer and SRP, one unit being a 1x1 bank; it
+      applies 4 real quadrature rows per unit to blocks of real patch
+      columns.  ocu_forward/balanced_detect are the complex reference.
     * the obliquity angle uses cos(theta) = |dx| / r so the factor
       (1 + cos theta)/2 peaks on axis (declared deviation from the
       sign-ambiguous textbook form; validated by the symmetry tests)
@@ -236,9 +240,6 @@ class OcuModel:
         shape = (geom.metaline_count, geom.metaunits_per_layer)
         return cls(geom, rng.uniform(0.0, TWO_PI, size=shape), 1.0)
 
-    def copy(self) -> "OcuModel":
-        return OcuModel(self.geometry, self.phases.copy(), self.detection_gain)
-
 
 @dataclass
 class TransferPartials:
@@ -322,14 +323,70 @@ def balanced_detect(response: np.ndarray, gain: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact adjoint (backward) pass
+# the detection engine: balanced detection in real quadratures
 # ---------------------------------------------------------------------------
+
+# Detection walks the patch columns in blocks whose (C, 4q, width) float64
+# field array takes about this many bytes, so a block's fields stay in L2 cache.
+BLOCK_BYTES = 1 << 20
+
+# detector sign of a unit's four quadrature rows: port+ re/im, port- re/im
+_PORT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
 
 @dataclass
 class OcuGradients:
-    phases: np.ndarray        # (M-1, V)
-    gain: float               # dJ/d kappa
-    patches: np.ndarray | None  # dJ/d patch matrix, (H^2, n)
+    phases: np.ndarray        # (..., M-1, V)
+    gain: float | np.ndarray  # dJ/d signed gain, (...)
+    patches: np.ndarray | None  # dJ/d patch matrix, (H^2, n) or (C, H^2, n)
+
+
+def quadrature_rows(total: np.ndarray) -> np.ndarray:
+    """(C, 4q, H^2) real rows of (q, C, 2, H^2) collapsed matrices, or (2, H^2)
+    for one unit: port+ re/im and port- re/im, ordered (quadrature, kernel)."""
+    q, c = total.shape[:-2] or (1, 1)
+    a = total.reshape(q, c, 2, 1, -1)
+    quad = np.concatenate([a.real, a.imag], axis=3)     # (q, C, port, re/im, H^2)
+    return np.ascontiguousarray(quad.transpose(1, 2, 3, 0, 4)).reshape(c, 4 * q, -1)
+
+
+def _row_weights(gains: np.ndarray) -> np.ndarray:
+    """Signed gain of every quadrature row, (C, 4q), from (q, C) unit gains."""
+    eff = gains.T
+    return (_PORT_SIGNS[None, :, None] * eff[:, None, :]).reshape(eff.shape[0], -1)
+
+
+def _block_fields(cols, quad):
+    """Yield (column slice, (C, 4q, width) real fields) over fixed blocks."""
+    n = cols.shape[-1]
+    width = max(1, BLOCK_BYTES // (8 * quad.shape[0] * quad.shape[1]))
+    for start in range(0, n, width):
+        blk = slice(start, min(start + width, n))
+        yield blk, np.matmul(quad, cols[:, :, blk])
+
+
+def bank_detect(quad: np.ndarray, cols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Balanced detection of a bank, summed over channels: (q, n), from its
+    quadrature rows, real patch columns (C, H^2, n) and (q, C) signed gains."""
+    c, q = quad.shape[0], quad.shape[1] // 4
+    # gain-weighted sum over channels and quadratures, one gemv per kernel
+    wt = np.ascontiguousarray(_row_weights(gains).reshape(-1, q).T)[:, None, :]
+    out = np.empty((q, cols.shape[-1]))
+    for blk, f in _block_fields(cols, quad):
+        np.square(f, out=f)
+        f = f.reshape(4 * c, q, -1).transpose(1, 0, 2)
+        out[:, blk] = np.matmul(wt, f)[:, 0]
+    return out
+
+
+def bank_unit_outputs(quad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """|R+|^2 - |R-|^2 of every unit, before gain and sign: (q, C, n)."""
+    c, q = quad.shape[0], quad.shape[1] // 4
+    out = np.empty((c, q, cols.shape[-1]))
+    for blk, f in _block_fields(cols, quad):
+        f = f.reshape(c, 4, q, -1)
+        out[:, :, blk] = (f[:, 0] ** 2 + f[:, 1] ** 2) - (f[:, 2] ** 2 + f[:, 3] ** 2)
+    return out.transpose(1, 0, 2)
 
 
 def phase_adjoint(partials: TransferPartials, s: np.ndarray) -> np.ndarray:
@@ -348,40 +405,49 @@ def phase_adjoint(partials: TransferPartials, s: np.ndarray) -> np.ndarray:
     return dphases
 
 
-def ocu_vjp(
-    model: OcuModel,
-    patches: np.ndarray,
-    grad_detected: np.ndarray,
-    partials: TransferPartials,
-    response: np.ndarray,
-    need_patch_grad: bool = True,
-) -> OcuGradients:
-    """Vector-Jacobian product of the detected output.
+def bank_vjp(partials: TransferPartials, quad: np.ndarray, cols: np.ndarray,
+             gains: np.ndarray, grad: np.ndarray, need_patch_grad: bool = True) -> OcuGradients:
+    """Exact adjoint of bank_detect for the output gradient ``grad`` (q, n); the
+    phase and gain gradients take the unit axes of ``partials``, if any."""
+    c, q, h2 = quad.shape[0], quad.shape[1] // 4, quad.shape[2]
+    wt2 = 2.0 * _row_weights(gains)
+
+    # The field adjoint is rbar = 2 w g f for row weight w.  Per block,
+    # f becomes u = g f in place; s0 = cols . u^T and dcols = (2 w quad)^T . u.
+    s0 = np.zeros((c, h2, 4 * q))
+    dcols = np.empty(cols.shape) if need_patch_grad else None
+    quad_w = (wt2[:, :, None] * quad).transpose(0, 2, 1)
+    for blk, u in _block_fields(cols, quad):
+        per_kernel = u.reshape(c, 4, q, -1)
+        per_kernel *= grad[:, blk]
+        s0 += np.matmul(cols[:, :, blk], u.transpose(0, 2, 1))
+        if need_patch_grad:
+            dcols[:, :, blk] = np.matmul(quad_w, u)
+
+    # sum_n g f^2 of a row is its quad row dotted with its s0 column
+    gf2 = np.einsum("crh,chr->cr", quad, s0).reshape(c, 4, q)
+    lead = partials.masks.shape[:-2]
+    dgain = (_PORT_SIGNS @ gf2).T.reshape(lead)
+
+    # complex patch reduction S[m, c, :, port] = sum_n cols (rbar_re + j rbar_im)
+    s = (s0 * wt2[:, None, :]).reshape(c, h2, 2, 2, q)
+    s = (s[:, :, :, 0] + 1j * s[:, :, :, 1]).transpose(3, 0, 1, 2).reshape(lead + (h2, 2))
+    return OcuGradients(phase_adjoint(partials, s), dgain, dcols)
+
+
+def ocu_vjp(model: OcuModel, patches: np.ndarray, grad_detected: np.ndarray,
+            partials: TransferPartials, need_patch_grad: bool = True) -> OcuGradients:
+    """Vector-Jacobian product of one unit's detected output, a 1x1 bank.
 
     Given g = dJ/dy for the balanced-detected vector y, returns the exact
     gradients of J with respect to every phase, the gain, and (optionally)
-    the real input patches.  ``partials`` and ``response`` must come from
-    the forward evaluation of the same model on the same patches.
+    the real input patches; ``partials`` is transfer_partials(model).
     """
     g = np.asarray(grad_detected, dtype=float)
-    r1, r2 = response
-    diff = np.abs(r1) ** 2 - np.abs(r2) ** 2
-    dgain = float(np.dot(g, diff))
-
-    kappa = model.detection_gain
-    # adjoint of the complex response, rbar = 2 dJ/d conj(R)
-    rbar = np.empty_like(response)
-    rbar[0] = 2.0 * kappa * g * r1
-    rbar[1] = -2.0 * kappa * g * r2
-
-    # S = patches @ rbar^T is the only reduction touching the data columns
-    dphases = phase_adjoint(partials, patches @ rbar.T)
-
-    dpatches = None
-    if need_patch_grad:
-        a = partials.total
-        dpatches = a.real.T @ rbar.real + a.imag.T @ rbar.imag
-    return OcuGradients(dphases, dgain, dpatches)
+    grads = bank_vjp(partials, quadrature_rows(partials.total), np.asarray(patches)[None],
+                     np.full((1, 1), model.detection_gain), g[None], need_patch_grad)
+    dpatches = grads.patches[0] if need_patch_grad else None
+    return OcuGradients(grads.phases, float(grads.gain), dpatches)
 
 
 # ---------------------------------------------------------------------------

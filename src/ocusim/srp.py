@@ -3,9 +3,10 @@
 The unit never sees the kernel weights directly.  A random pattern is
 convolved with the target kernel to make labels, and the metaline phases
 (plus the detection gain) are regressed so the balanced-detected output of
-the cascade reproduces those labels.  Gradients are exact adjoints through
-the complex cascade and the square-law detection; a finite-difference
-harness in the test suite guards every term.
+the cascade reproduces those labels.  Training runs the unit on the real
+patch matrix as a 1x1 bank of the detection engine in optics; gradients are
+exact adjoints, and a finite-difference harness in the test suite guards
+every term.  Evaluation reports through ocu_forward and balanced_detect.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ import numpy as np
 from .optics import (
     OcuModel,
     balanced_detect,
+    bank_detect,
+    bank_unit_outputs,
     ocu_forward,
     ocu_vjp,
     propagation_matrices,
+    quadrature_rows,
     transfer_partials,
 )
 from .optim import Adam, Param, TrainingDiverged
@@ -72,6 +76,13 @@ class TrainingPair:
         return cls(np.asarray(pattern, dtype=float), np.asarray(kernel, dtype=float), labels)
 
 
+def _residual(model: OcuModel, values: np.ndarray, labels, partials) -> np.ndarray:
+    """Residual e = y - labels of the detected output, the unit run as a 1x1 bank."""
+    y = bank_detect(quadrature_rows(partials.total), values[None],
+                    np.full((1, 1), model.detection_gain))[0]
+    return y - np.asarray(labels, dtype=float)
+
+
 def srp_loss(model: OcuModel, patches, labels, fs=None) -> tuple[float, float]:
     """Half-sum-of-squares training loss and the per-pixel mean square error.
 
@@ -79,17 +90,15 @@ def srp_loss(model: OcuModel, patches, labels, fs=None) -> tuple[float, float]:
     metric mean((y - label)^2) is what gets compared against reported
     emulation quality.
     """
-    y = balanced_detect(ocu_forward(model, patches, fs), model.detection_gain)
-    e = y - np.asarray(labels, dtype=float)
+    e = _residual(model, np.asarray(patches, dtype=float), labels, transfer_partials(model, fs))
     return 0.5 * float(np.dot(e, e)), float(np.mean(e * e))
 
 
 def _residual_grads(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs):
     """Residual e = y - labels of the SRP loss and its exact gradients."""
     partials = transfer_partials(model, fs)
-    response = partials.total @ values
-    e = balanced_detect(response, model.detection_gain) - labels
-    return e, ocu_vjp(model, values, e, partials, response, need_patch_grad=False)
+    e = _residual(model, values, labels, partials)
+    return e, ocu_vjp(model, values, e, partials, need_patch_grad=False)
 
 
 def phase_gradients(model: OcuModel, patches, labels, fs=None):
@@ -98,8 +107,7 @@ def phase_gradients(model: OcuModel, patches, labels, fs=None):
     Returns (dJ/dphases, dJ/dkappa) with dJ/dphases shaped like
     ``model.phases``.
     """
-    _, grads = _residual_grads(model, np.asarray(patches),
-                               np.asarray(labels, dtype=float), fs)
+    _, grads = _residual_grads(model, np.asarray(patches, dtype=float), labels, fs)
     return grads.phases, grads.gain
 
 
@@ -108,7 +116,6 @@ class FitConfig:
     epochs: int = 3000
     learning_rate: float = 1e-3
     seed: int = 0
-    betas: tuple[float, float] = (0.9, 0.999)
     restarts: int = 1                 # independent inits, best train loss wins
 
     def __post_init__(self):
@@ -130,8 +137,8 @@ class FitResult:
 
 def _init_gain(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs) -> float:
     """Match mean detected power to label power so square-law grads are live."""
-    response = ocu_forward(model, values, fs)
-    diff = np.abs(response[0]) ** 2 - np.abs(response[1]) ** 2
+    quad = quadrature_rows(transfer_partials(model, fs).total)
+    diff = bank_unit_outputs(quad, values[None])[0, 0]
     rms_d = math.sqrt(float(np.mean(diff * diff)))
     rms_l = math.sqrt(float(np.mean(labels * labels)))
     if rms_d == 0.0:
@@ -163,9 +170,7 @@ def fit_kernel(
             f"geometry has {model.geometry.num_inputs} inputs but kernel needs {h * h}"
         )
     pair = TrainingPair.make(pattern, kernel, stride)
-    # cast once: every epoch multiplies the patches with complex matrices
-    # twice, and a fresh complex copy per product costs page faults
-    values = im2col(pattern, h, stride).values.astype(complex)
+    values = im2col(pattern, h, stride).values
     fs = propagation_matrices(model.geometry)
 
     best: FitResult | None = None
@@ -187,7 +192,7 @@ def fit_kernel(
 def _fit_once(model, values, labels, cfg, fs) -> FitResult:
     phases = Param(model.phases, "phases")
     log_gain = Param(np.array(math.log(model.detection_gain)), "log_gain")
-    opt = Adam([phases, log_gain], lr=cfg.learning_rate, betas=cfg.betas)
+    opt = Adam([phases, log_gain], lr=cfg.learning_rate)
 
     history: list[tuple[int, float, float]] = []
     best_loss = math.inf

@@ -1,7 +1,9 @@
 """Shared independent oracles and the finite-difference harness.
 
 Everything here is deliberately naive (scalar loops, cmath) so the routines
-share no code with the vectorized implementations they check.
+share no code with the vectorized implementations they check; the one
+exception, complex_ocu_vjp, shares only the phase adjoint, which
+phase_adjoint_loop checks.
 """
 
 import cmath
@@ -9,6 +11,8 @@ import copy
 import math
 
 import numpy as np
+
+from ocusim.optics import phase_adjoint
 
 
 def naive_diffraction_entry(src_xy, dst_xy, wavelength, slab_index,
@@ -172,3 +176,28 @@ def phase_adjoint_loop(partials, s):
         p = np.einsum("kvh,koh->kvo", right[l], s_conj)
         out[:, l] = -np.imag(masks[:, l] * np.einsum("kvo,kov->kv", p, left[l]))
     return out
+
+
+def complex_ocu_vjp(model, patches, grad_detected, partials, response, need_patch_grad=True):
+    """Adjoint of one unit's detected output through its complex response.
+
+    The reference for the real-quadrature engine: ``response`` is the
+    (2, n) complex ocu_forward of the same model on the same patches.
+    The phase adjoint is shared (optics.phase_adjoint has its own oracle,
+    ``phase_adjoint_loop``); the data side is computed independently.
+    Returns (dphases, dgain, dpatches or None).
+    """
+    g = np.asarray(grad_detected, dtype=float)
+    r1, r2 = response
+    dgain = float(np.dot(g, np.abs(r1) ** 2 - np.abs(r2) ** 2))
+    kappa = model.detection_gain
+    # adjoint of the complex response, rbar = 2 dJ/d conj(R)
+    rbar = np.empty_like(response)
+    rbar[0] = 2.0 * kappa * g * r1
+    rbar[1] = -2.0 * kappa * g * r2
+    dphases = phase_adjoint(partials, patches @ rbar.T)
+    dpatches = None
+    if need_patch_grad:
+        a = partials.total
+        dpatches = a.real.T @ rbar.real + a.imag.T @ rbar.imag
+    return dphases, dgain, dpatches

@@ -432,3 +432,48 @@ class TestMalformedCheckpoint:
         save_network(path, build_denoiser(geom, 2, 2, seed=2), "denoiser", geom, topo)
         self.rewrite(path, "topo.middle_layers = ", "topo.middle_layers = x")
         self.assert_names(path, "topo.middle_layers")
+
+
+class TestBadNumbers:
+    """A count, size or stride below 1, or an even denoiser kernel, exits 2 naming the key."""
+
+    @staticmethod
+    def convolve_stride_zero(tmp_path):
+        from ocusim.checkpoint import save_ocu_model
+        from ocusim.optics import OcuGeometry, OcuModel
+
+        ckpt = tmp_path / "unit.ckpt"
+        save_ocu_model(ckpt, OcuModel.random_init(OcuGeometry(metaunits_per_layer=4),
+                                                  np.random.default_rng(0)))
+        write_pgm(tmp_path / "img.pgm", np.zeros((8, 8)))
+        return run_cli("convolve", "--checkpoint", str(ckpt), "--image",
+                       str(tmp_path / "img.pgm"), "--stride", "0",
+                       "--out-dir", str(tmp_path / "out"))
+
+    CASES = {
+        "fit_epochs": ("fit-kernel", FIT_CONFIG, "epochs = 40", "epochs = 0", "[fit] epochs"),
+        "fit_stride": ("fit-kernel", FIT_CONFIG, "epochs = 40", "epochs = 40\nstride = 0",
+                       "[fit] stride"),
+        "train_epochs": ("train-classifier", BLOBS_CONFIG, "epochs = 2", "epochs = 0",
+                         "[train] epochs"),
+        "classifier_kernels": ("train-classifier", BLOBS_CONFIG, "kernels = 1", "kernels = 0",
+                               "[network] kernels"),
+        "denoiser_even_kernel": ("train-denoiser", DENOISE_CONFIG, "[network]\n",
+                                 "[network]\nkernel_size = 2\n", "[network] kernel_size"),
+        "denoise_batch": ("train-denoiser", DENOISE_CONFIG, "batch_size = 8", "batch_size = 0",
+                          "[denoise] batch_size"),
+    }
+
+    @pytest.mark.parametrize("case", ["convolve_stride", *CASES])
+    def test_exits_2_and_names_key(self, tmp_path, case):
+        if case == "convolve_stride":
+            proc, key = self.convolve_stride_zero(tmp_path), "--stride"
+        else:
+            command, template, old, new, key = self.CASES[case]
+            text = template.format(out=tmp_path / "out")
+            assert text.count(old) == 1
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text(text.replace(old, new))
+            proc = run_cli(command, "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert key in proc.stderr

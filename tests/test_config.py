@@ -31,6 +31,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[a\] x"):
             cfg.getint("a", "x")
 
+    def test_count_must_be_positive(self, tmp_path):
+        cfg = load(tmp_path, "[a]\nx = 0\ny = 2\n")
+        assert cfg.getcount("a", "y") == 2
+        assert cfg.getcount("a", "missing", 5) == 5
+        with pytest.raises(ConfigError, match=r"\[a\] x must be an integer >= 1"):
+            cfg.getcount("a", "x")
+
     def test_bad_syntax(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("no section header\n")
@@ -53,6 +60,11 @@ class TestGeometryFromConfig:
         assert geom.wavelength == 1.31e-6
         assert geom.num_inputs == 4
         assert list(geom.output_positions) == [5e-5, -5e-5]
+
+    def test_malformed_positions_name_key(self, tmp_path):
+        cfg = load(tmp_path, "[geometry]\ninput_positions = 1e-5 x\n")
+        with pytest.raises(ConfigError, match=r"\[geometry\] input_positions"):
+            geometry_from_config(cfg)
 
     def test_invalid_geometry_is_config_error(self, tmp_path):
         cfg = load(tmp_path, "[geometry]\nmetaunits_per_layer = 500\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ocusim import nn
+from ocusim import nn, optics
 from ocusim.nn import (
     BatchNormLayer,
     Conv2dLayer,
@@ -22,13 +22,17 @@ from ocusim.optics import (
     OcuModel,
     balanced_detect,
     ocu_forward,
-    ocu_vjp,
     transfer_partials,
 )
 from ocusim.srp import conv2d_reference
 from ocusim.tensorize import im2col
 
-from helpers import fd_check_network, naive_patch_columns, reflect_pad_grad_loop
+from helpers import (
+    complex_ocu_vjp,
+    fd_check_network,
+    naive_patch_columns,
+    reflect_pad_grad_loop,
+)
 
 
 def tiny_geometry(inputs=4):
@@ -99,7 +103,7 @@ class TestOclLayer:
         rng = np.random.default_rng(4)
         layer = OclLayer(geom, 2, 2, rng)
         x = rng.random((4, 2, 4, 4))
-        layer.calibrate_gains(x, target_rms=1.0)
+        layer.calibrate_gains(x)
         y = layer.gains()[:, :, None] * layer.unit_outputs(x)
         rms = np.sqrt(np.mean(y * y, axis=-1))
         assert rms == pytest.approx(np.ones((2, 2)), rel=1e-9)
@@ -117,9 +121,24 @@ class TestOclLayer:
         assert layer.forward(x).shape == layer.out_shape(x.shape)
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: OclLayer(tiny_geometry(), 0, 1, rng),
+    lambda rng: OclLayer(tiny_geometry(), 1, 0, rng),
+    lambda rng: Conv2dLayer(0, 1, 3, rng),
+    lambda rng: Conv2dLayer(1, 0, 3, rng),
+    lambda rng: Conv2dLayer(1, 1, 0, rng),
+    lambda rng: DenseLayer(0, 3, rng),
+    lambda rng: DenseLayer(3, 0, rng),
+])
+def test_layers_reject_sizes_below_one(make):
+    with pytest.raises(ValueError, match=">= 1"):
+        make(np.random.default_rng(0))
+
+
 def unit_oracle(layer, x, grad):
     """OclLayer output and gradients rebuilt one unit at a time from the
-    single-unit optics path, with independent padding, patches and fold."""
+    complex single-unit path (ocu_forward, balanced_detect and the complex
+    adjoint), with independent padding, patches and fold."""
     b, c, n, _ = x.shape
     h, s, pad = layer.h, layer.stride, layer.pad
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
@@ -140,10 +159,10 @@ def unit_oracle(layer, x, grad):
             resp = ocu_forward(model, cols, layer.fs)
             detected[m, ch] = balanced_detect(resp, 1.0)
             out[m] += sign * balanced_detect(resp, kappa)
-            grads = ocu_vjp(model, cols, sign * gq[m], partials, resp)
-            dphases[m, ch] = grads.phases
-            dlog_gain[m, ch] = kappa * grads.gain
-            dcols[ch] += grads.patches
+            dph, dgain, dpatches = complex_ocu_vjp(model, cols, sign * gq[m], partials, resp)
+            dphases[m, ch] = dph
+            dlog_gain[m, ch] = kappa * dgain
+            dcols[ch] += dpatches
     dpadded = np.zeros(padded.shape)
     for ch in range(c):
         for ki in range(h):
@@ -203,13 +222,13 @@ class TestOclLayerOracle:
         ragged = next(w for w in range(4, n_cols) if n_cols % w)
         # block widths: beyond the columns, exactly one block, and not a divisor
         for width, need in ((n_cols + 5, True), (n_cols, True), (ragged, True), (ragged, False)):
-            monkeypatch.setattr(nn, "BLOCK_BYTES", width * 8 * c * 4 * q)
+            monkeypatch.setattr(optics, "BLOCK_BYTES", width * 8 * c * 4 * q)
             check_against_oracle(layer, x, need_input_grad=need)
 
     def test_default_block_width_over_many_blocks(self):
         # 600 columns at 8x8 span two blocks of the 1 MB default, the second partial
         layer, rng = random_ocl(8, 8, 1, 1, seed=3)
-        assert nn.BLOCK_BYTES // (8 * 8 * 4 * 8) < 600
+        assert optics.BLOCK_BYTES // (8 * 8 * 4 * 8) < 600
         check_against_oracle(layer, rng.random((6, 8, 10, 10)))
 
 

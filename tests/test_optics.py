@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocusim import optics
 from ocusim.optics import (
     OcuGeometry,
     OcuModel,
     balanced_detect,
+    bank_detect,
+    bank_unit_outputs,
     diffraction_matrix,
     geometry_records,
     layout_positions,
@@ -18,6 +21,7 @@ from ocusim.optics import (
     phase_adjoint,
     phase_mask_matrix,
     propagation_matrices,
+    quadrature_rows,
     slot_length_from_phase,
     stacked_transfer_partials,
     transfer_partials,
@@ -25,6 +29,7 @@ from ocusim.optics import (
 )
 
 from helpers import (
+    complex_ocu_vjp,
     einsum_stacked_partials,
     naive_chain,
     naive_diffraction_entry,
@@ -300,6 +305,42 @@ class TestCascade:
             assert_rel(bank.left[layer], left[layer])
         s = rng.normal(size=(2, 3, 4, 2)) + 1j * rng.normal(size=(2, 3, 4, 2))
         assert_rel(phase_adjoint(bank, s), phase_adjoint_loop(oracle, s.reshape(6, 4, 2)))
+
+
+class TestDetectionEngine:
+    """The real-quadrature engine equals the complex single-unit path."""
+
+    @staticmethod
+    def assert_rel(got, expected):
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("need_patch_grad", [True, False])
+    @pytest.mark.parametrize("width", [None, 7])
+    def test_unit_matches_complex_path(self, need_patch_grad, width, monkeypatch):
+        if width is not None:   # 30 columns in ragged blocks of 7
+            monkeypatch.setattr(optics, "BLOCK_BYTES", width * 8 * 4)
+        geom = small_geometry(v=6, inputs=9, layers=4)
+        rng = np.random.default_rng(21)
+        model = OcuModel(geom, rng.uniform(0, TWO_PI, (3, 6)), 2.5e-21)
+        patches = rng.random((9, 30))
+        g = rng.standard_normal(30)
+        partials = transfer_partials(model)
+        response = ocu_forward(model, patches)
+        quad, cols = quadrature_rows(partials.total), patches[None]
+
+        self.assert_rel(bank_detect(quad, cols, np.full((1, 1), model.detection_gain))[0],
+                        balanced_detect(response, model.detection_gain))
+        self.assert_rel(bank_unit_outputs(quad, cols)[0, 0], balanced_detect(response, 1.0))
+
+        grads = ocu_vjp(model, patches, g, partials, need_patch_grad)
+        dphases, dgain, dpatches = complex_ocu_vjp(model, patches, g, partials, response,
+                                                   need_patch_grad)
+        self.assert_rel(grads.phases, dphases)
+        assert grads.gain == pytest.approx(dgain, rel=1e-12)
+        if need_patch_grad:
+            self.assert_rel(grads.patches, dpatches)
+        else:
+            assert grads.patches is None
 
 
 class TestBalancedDetect:

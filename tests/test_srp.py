@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from ocusim.optics import OcuGeometry, OcuModel, balanced_detect, ocu_forward
+from ocusim.optics import (
+    OcuGeometry,
+    OcuModel,
+    balanced_detect,
+    bank_detect,
+    ocu_forward,
+    ocu_transfer,
+    ocu_vjp,
+    quadrature_rows,
+    transfer_partials,
+)
 from ocusim.srp import (
     FitConfig,
     TrainingDiverged,
@@ -83,7 +93,12 @@ class TestLoss:
 
     def test_zero_at_exact_labels(self):
         model, patches = self._setup()
-        y = balanced_detect(ocu_forward(model, patches), model.detection_gain)
+        # the unit's own output as the loss detects it, a 1x1 bank in real
+        # quadratures; the complex reference path agrees to round-off
+        y = bank_detect(quadrature_rows(ocu_transfer(model)), patches[None],
+                        np.full((1, 1), model.detection_gain))[0]
+        reference = balanced_detect(ocu_forward(model, patches), model.detection_gain)
+        assert np.max(np.abs(y - reference)) <= 1e-12 * np.max(np.abs(reference))
         loss, mse = srp_loss(model, patches, y)
         assert loss == 0.0 and mse == 0.0
 
@@ -148,6 +163,25 @@ class TestGradients:
         model.detection_gain = kappa
         fd = (f_plus - f_minus) / (2 * h)
         assert dgain == pytest.approx(fd, rel=1e-6)
+
+    def test_patches_match_finite_differences(self):
+        geom = small_geometry()
+        rng = np.random.default_rng(12)
+        model = OcuModel.random_init(geom, rng)
+        patches = rng.random((4, 7))
+        resp = ocu_forward(model, patches)
+        diff = np.abs(resp[0]) ** 2 - np.abs(resp[1]) ** 2
+        model.detection_gain = 1.0 / float(np.sqrt(np.mean(diff ** 2)))
+        labels = rng.normal(size=7)
+        # dJ/dy of the SRP loss is the residual
+        e = balanced_detect(ocu_forward(model, patches), model.detection_gain) - labels
+        grads = ocu_vjp(model, patches, e, transfer_partials(model), need_patch_grad=True)
+
+        def loss():
+            return srp_loss(model, patches, labels)[0]
+
+        fd = numeric_grad(loss, patches, lambda v: 1e-6)
+        assert_grad_close(grads.patches, fd, label="patches")
 
     def test_gain_closed_form_at_zero_labels(self):
         geom = small_geometry()

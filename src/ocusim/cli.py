@@ -50,8 +50,6 @@ def _load_checkpoint(loader, path):
 
 def _resolve_kernels(cfg):
     """Kernel list from [fit] kernels: library names or [kernel:NAME] sections."""
-    import numpy as np
-
     from .config import ConfigError
     from .kernels import STANDARD_KERNELS
 
@@ -61,11 +59,11 @@ def _resolve_kernels(cfg):
         section = f"kernel:{name}"
         if cfg.has(section):
             size = cfg.getcount(section, "size", 3)
-            values = [float(v) for v in cfg.require(section, "values").split()]
+            values = cfg.getfloats(section, "values")
             if len(values) != size * size:
                 raise ConfigError(
                     f"{cfg.path}: key [{section}] values must hold {size * size} numbers")
-            out.append((name, np.array(values).reshape(size, size)))
+            out.append((name, values.reshape(size, size)))
         elif name in STANDARD_KERNELS:
             out.append((name, STANDARD_KERNELS[name]))
         else:
@@ -114,7 +112,7 @@ def cmd_fit_kernel(args) -> int:
     seed = args.seed if args.seed is not None else cfg.getint("fit", "seed", 7)
     fit_cfg = FitConfig(
         epochs=cfg.getcount("fit", "epochs", 4000),
-        learning_rate=cfg.getfloat("fit", "learning_rate", 1e-3),
+        learning_rate=cfg.getpositive("fit", "learning_rate", 1e-3),
         seed=seed,
         restarts=cfg.getcount("fit", "restarts", 1),
     )
@@ -249,6 +247,10 @@ def cmd_train_classifier(args) -> int:
 
     kernel_size = cfg.getcount("network", "kernel_size", 3)
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
+    hidden = cfg.getcounts("network", "hidden", (128, 64))
+    pool = cfg.get("network", "pool", "mean")
+    if pool not in ("mean", "max"):
+        raise ConfigError(f"{cfg.path}: key [network] pool must be mean or max, got {pool!r}")
     seed = args.seed if args.seed is not None else cfg.getint("train", "seed", 0)
     net_seed = cfg.getint("network", "seed", seed)
     topo = {
@@ -258,19 +260,19 @@ def cmd_train_classifier(args) -> int:
         "n_classes": n_classes,
         "seed": net_seed,
         "optical": "true" if cfg.getbool("network", "optical", True) else "false",
-        "hidden": cfg.get("network", "hidden", "128 64"),
-        "pool": cfg.get("network", "pool", "mean"),
+        "hidden": " ".join(str(v) for v in hidden),
+        "pool": pool,
     }
     net = build_classifier(
         geometry, topo["kernels"], channels, image_size, n_classes,
         seed=net_seed, optical=topo["optical"] == "true",
-        hidden=tuple(int(v) for v in topo["hidden"].split()),
-        pool_mode=topo["pool"],
+        hidden=hidden,
+        pool_mode=pool,
     )
     train_cfg = TrainConfig(
         epochs=cfg.getcount("train", "epochs", 100),
         batch_size=cfg.getcount("train", "batch_size", 32),
-        learning_rate=cfg.getfloat("train", "learning_rate", 1e-3),
+        learning_rate=cfg.getpositive("train", "learning_rate", 1e-3),
         seed=seed,
         eval_every=cfg.getint("train", "eval_every", 0),
     )
@@ -347,7 +349,7 @@ def cmd_train_denoiser(args) -> int:
     train_cfg = DenoiseTrainConfig(
         epochs=cfg.getcount("denoise", "epochs", 12),
         batch_size=cfg.getcount("denoise", "batch_size", 16),
-        learning_rate=cfg.getfloat("denoise", "learning_rate", 1e-3),
+        learning_rate=cfg.getpositive("denoise", "learning_rate", 1e-3),
         seed=seed,
         patch=cfg.getcount("denoise", "patch", 40),
         crops_per_image=cfg.getcount("denoise", "crops_per_image", 64),

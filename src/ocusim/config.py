@@ -7,6 +7,7 @@ report schema violations precisely (exit code 2) before any work starts.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -88,6 +89,33 @@ class Config:
 
     def getfloat(self, section, key, default: float | None = None) -> float:
         return self._typed(section, key, default, float, "a number")
+
+    def getpositive(self, section, key, default: float | None = None) -> float:
+        """A finite number > 0: a rate or a scale."""
+        def conv(raw: str) -> float:
+            value = float(raw)
+            if not 0.0 < value < math.inf:
+                raise ValueError(raw)
+            return value
+        return self._typed(section, key, default, conv, "a finite number > 0")
+
+    def getfloats(self, section, key) -> np.ndarray:
+        """A required whitespace-separated list of finite numbers."""
+        def conv(raw: str) -> np.ndarray:
+            values = float_row(raw)
+            if not np.all(np.isfinite(values)):
+                raise ValueError(raw)
+            return values
+        return self._typed(section, key, None, conv, "a list of finite numbers")
+
+    def getcounts(self, section, key, default: tuple[int, ...] | None = None) -> tuple[int, ...]:
+        """A whitespace-separated list of integers >= 1."""
+        def conv(raw: str) -> tuple[int, ...]:
+            values = tuple(int(v) for v in raw.split())
+            if any(v < 1 for v in values):
+                raise ValueError(raw)
+            return values
+        return self._typed(section, key, default, conv, "a list of integers >= 1")
 
     def getbool(self, section, key, default: bool | None = None) -> bool:
         def conv(raw: str) -> bool:

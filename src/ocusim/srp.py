@@ -3,10 +3,31 @@
 The unit never sees the kernel weights directly.  A random pattern is
 convolved with the target kernel to make labels, and the metaline phases
 (plus the detection gain) are regressed so the balanced-detected output of
-the cascade reproduces those labels.  Training runs the unit on the real
-patch matrix as a 1x1 bank of the detection engine in optics; gradients are
-exact adjoints, and a finite-difference harness in the test suite guards
-every term.  Evaluation reports through ocu_forward and balanced_detect.
+the cascade reproduces those labels.  The unit runs as a 1x1 bank of the
+detection engine in optics; gradients are exact adjoints, and a
+finite-difference harness in the test suite guards every term.  Evaluation
+reports through ocu_forward and balanced_detect.
+
+Training epochs never touch the patch columns.  On a real patch x the
+detected output y = kappa (|a+ . x|^2 - |a- . x|^2) is a quadratic form
+in x, so it is linear in the n_p = H^2 (H^2 + 1) / 2 monomials x_a x_b,
+a <= b: y = theta . phi(x), with theta fixed by the unit's phases and
+gain.  Over the (n_p, n) monomial matrix Phi of all patches, the loss
+1/2 |Phi^T theta - l|^2 therefore depends on the data only through the
+Gram Phi Phi^T = U diag(lam) U^T, Phi l and l . l.  PatchMoments factors
+the Gram once per fit and keeps the eigenvalues above n_p eps lam_max, so
+degenerate data such as a constant pattern loses only directions no
+output can see.  With R = diag(sqrt(lam)) U^T and z = R^-T Phi l the loss
+is 1/2 (|R theta - z|^2 + c), where c = l . l - z . z is the label energy
+no unit can reach.  theta itself is read off the unit on n_p fixed probe
+columns e_a and e_a + e_b, whose outputs are y_E = T theta for a fixed
+invertible T, so R theta = P y_E with P = R T^-1.  An epoch detects the
+probe columns, forms r = P y_E - z, and hands P^T r to the unchanged
+adjoint ocu_vjp as the output gradient of the probes.  This is the same
+loss and the same gradient as the direct evaluation over every patch
+column (srp_loss, phase_gradients, kept as the reference and for the
+reported train MSE), up to round-off, at a cost that does not grow with
+the pattern.
 """
 
 from __future__ import annotations
@@ -15,8 +36,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import (
+    OcuGradients,
     OcuModel,
     balanced_detect,
     bank_detect,
@@ -72,15 +95,20 @@ class TrainingPair:
 
     @classmethod
     def make(cls, pattern, kernel, stride: int = 1) -> "TrainingPair":
-        labels = conv2d_reference(pattern, kernel, stride).ravel()
-        return cls(np.asarray(pattern, dtype=float), np.asarray(kernel, dtype=float), labels)
+        pattern = np.asarray(pattern, dtype=float)
+        kernel = np.asarray(kernel, dtype=float)
+        # every window times the kernel, each window's products summed in the
+        # order conv2d_reference sums them, so the labels equal it bitwise
+        h = kernel.shape[0]
+        windows = sliding_window_view(pattern, (h, h))[::stride, ::stride]
+        labels = (windows * kernel).reshape(-1, h * h).sum(axis=-1)
+        return cls(pattern, kernel, labels)
 
 
-def _residual(model: OcuModel, values: np.ndarray, labels, partials) -> np.ndarray:
-    """Residual e = y - labels of the detected output, the unit run as a 1x1 bank."""
-    y = bank_detect(quadrature_rows(partials.total), values[None],
-                    np.full((1, 1), model.detection_gain))[0]
-    return y - np.asarray(labels, dtype=float)
+def _detect(model: OcuModel, values: np.ndarray, partials) -> np.ndarray:
+    """Detected output y of the unit on real patch columns, run as a 1x1 bank."""
+    return bank_detect(quadrature_rows(partials.total), values[None],
+                       np.full((1, 1), model.detection_gain))[0]
 
 
 def srp_loss(model: OcuModel, patches, labels, fs=None) -> tuple[float, float]:
@@ -88,27 +116,90 @@ def srp_loss(model: OcuModel, patches, labels, fs=None) -> tuple[float, float]:
 
     J = 1/2 * sum_i (y_i - label_i)^2 drives the optimizer; the normalized
     metric mean((y - label)^2) is what gets compared against reported
-    emulation quality.
+    emulation quality.  Evaluated directly over every patch column.
     """
-    e = _residual(model, np.asarray(patches, dtype=float), labels, transfer_partials(model, fs))
+    values = np.asarray(patches, dtype=float)
+    e = _detect(model, values, transfer_partials(model, fs)) - np.asarray(labels, dtype=float)
     return 0.5 * float(np.dot(e, e)), float(np.mean(e * e))
-
-
-def _residual_grads(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs):
-    """Residual e = y - labels of the SRP loss and its exact gradients."""
-    partials = transfer_partials(model, fs)
-    e = _residual(model, values, labels, partials)
-    return e, ocu_vjp(model, values, e, partials, need_patch_grad=False)
 
 
 def phase_gradients(model: OcuModel, patches, labels, fs=None):
     """Exact gradient of the SRP loss w.r.t. every phase and the gain.
 
-    Returns (dJ/dphases, dJ/dkappa) with dJ/dphases shaped like
-    ``model.phases``.
+    Evaluated directly over every patch column.  Returns (dJ/dphases,
+    dJ/dkappa) with dJ/dphases shaped like ``model.phases``.
     """
-    _, grads = _residual_grads(model, np.asarray(patches, dtype=float), labels, fs)
+    values = np.asarray(patches, dtype=float)
+    partials = transfer_partials(model, fs)
+    e = _detect(model, values, partials) - np.asarray(labels, dtype=float)
+    grads = ocu_vjp(model, values, e, partials, need_patch_grad=False)
     return grads.phases, grads.gain
+
+
+def _monomials(values: np.ndarray) -> np.ndarray:
+    """(n_p, n) quadratic monomials x_a x_b, a <= b, of real patch columns."""
+    n_in = values.shape[0]
+    phi = np.empty((n_in * (n_in + 1) // 2, values.shape[1]))
+    row = 0
+    for a in range(n_in):
+        # rows (a, a), (a, a + 1), ..., (a, H^2 - 1)
+        np.multiply(values[a:], values[a], out=phi[row:row + n_in - a])
+        row += n_in - a
+    return phi
+
+
+def _probe_columns(num_inputs: int) -> np.ndarray:
+    """(H^2, n_p) probe columns e_a (a == b) and e_a + e_b (a < b)."""
+    a, b = np.triu_indices(num_inputs)
+    probes = np.zeros((num_inputs, a.size))
+    column = np.arange(a.size)
+    probes[a, column] = probes[b, column] = 1.0
+    return probes
+
+
+@dataclass
+class PatchMoments:
+    """The SRP loss over a patch matrix, reduced to its sufficient statistics
+    and mapped onto fixed probe columns (see the module docstring).
+
+    For any unit, J = 1/2 sum_i (y_i - label_i)^2 over the patch columns
+    equals 1/2 (r . r + rest) with r = project @ y(probes) - target.
+    """
+
+    probes: np.ndarray    # (H^2, n_p) probe columns
+    project: np.ndarray   # (k, n_p), P = R T^-1; k <= n_p is the rank kept
+    target: np.ndarray    # (k,), z = R^-T Phi l
+    rest: float           # l . l - z . z, the label energy no unit can reach
+    count: int            # patch columns n
+
+    @classmethod
+    def of(cls, values: np.ndarray, labels: np.ndarray) -> "PatchMoments":
+        phi = _monomials(values)
+        n_p = phi.shape[0]
+        lam, u = np.linalg.eigh(phi @ phi.T)
+        keep = lam > n_p * np.finfo(float).eps * lam[-1]
+        lam, u = lam[keep], u[:, keep]
+        root = np.sqrt(lam)
+        target = (u.T @ (phi @ labels)) / root
+        # l . l - z . z, summed as the squared residual of the least-squares
+        # fit Phi^T theta* ~ l, so it does not cancel when the fit is exact
+        resid = labels - phi.T @ (u @ (target / root))
+        rest = float(np.dot(resid, resid))
+        del phi
+        probes = _probe_columns(values.shape[0])
+        # P T = R, and T^T is the monomial matrix of the probes
+        project = np.linalg.solve(_monomials(probes), u * root).T
+        return cls(probes, project, target, rest, values.shape[1])
+
+    def loss(self, model: OcuModel, partials) -> tuple[float, np.ndarray]:
+        """J over every patch column, and the reduced residual r."""
+        r = self.project @ _detect(model, self.probes, partials) - self.target
+        return 0.5 * (float(np.dot(r, r)) + self.rest), r
+
+    def gradients(self, model: OcuModel, partials, r: np.ndarray) -> OcuGradients:
+        """Exact phase and gain gradients of J, from the residual of ``loss``."""
+        return ocu_vjp(model, self.probes, self.project.T @ r, partials,
+                       need_patch_grad=False)
 
 
 @dataclass
@@ -172,15 +263,17 @@ def fit_kernel(
     pair = TrainingPair.make(pattern, kernel, stride)
     values = im2col(pattern, h, stride).values
     fs = propagation_matrices(model.geometry)
+    moments = PatchMoments.of(values, pair.labels)
 
     best: FitResult | None = None
     for restart in range(cfg.restarts):
         rng = np.random.Generator(np.random.PCG64(cfg.seed + restart))
         trial = OcuModel.random_init(model.geometry, rng)
         trial.detection_gain = _init_gain(trial, values, pair.labels, fs)
-        result = _fit_once(trial, values, pair.labels, cfg, fs)
-        if best is None or result.train_mse < best.train_mse:
-            best = result
+        fitted, history = _fit_once(trial, moments, cfg, fs)
+        _, train_mse = srp_loss(fitted, values, pair.labels, fs)
+        if best is None or train_mse < best.train_mse:
+            best = FitResult(fitted, history, train_mse)
 
     if holdout is not None:
         best.holdout_mse = evaluate_kernel_emulation(
@@ -189,7 +282,8 @@ def fit_kernel(
     return best
 
 
-def _fit_once(model, values, labels, cfg, fs) -> FitResult:
+def _fit_once(model, moments: PatchMoments, cfg, fs):
+    """Adam on the phases and log-gain; returns the best iterate and the history."""
     phases = Param(model.phases, "phases")
     log_gain = Param(np.array(math.log(model.detection_gain)), "log_gain")
     opt = Adam([phases, log_gain], lr=cfg.learning_rate)
@@ -203,9 +297,9 @@ def _fit_once(model, values, labels, cfg, fs) -> FitResult:
         # the epoch loss belongs to the parameters the epoch started with
         epoch_phases = model.phases.copy()
         epoch_gain = model.detection_gain
-        e, grads = _residual_grads(model, values, labels, fs)
-        sq_sum = float(np.dot(e, e))
-        loss = 0.5 * sq_sum
+        partials = transfer_partials(model, fs)
+        loss, r = moments.loss(model, partials)
+        grads = moments.gradients(model, partials, r)
         phases.grad[...] = grads.phases
         log_gain.grad[...] = grads.gain * model.detection_gain
         opt.step()
@@ -220,7 +314,7 @@ def _fit_once(model, values, labels, cfg, fs) -> FitResult:
                 f"loss became non-finite at epoch {epoch} "
                 f"(gain {model.detection_gain:.3e}); reduce the learning rate"
             )
-        history.append((epoch, loss, sq_sum / values.shape[1]))
+        history.append((epoch, loss, 2.0 * loss / moments.count))
         if loss < best_loss:
             best_loss = loss
             best_phases = epoch_phases
@@ -228,14 +322,12 @@ def _fit_once(model, values, labels, cfg, fs) -> FitResult:
 
     # the very last optimizer step produced an unscored iterate; keep it
     # if it beats everything recorded
-    final_loss, _ = srp_loss(model, values, labels, fs)
+    final_loss, _ = moments.loss(model, transfer_partials(model, fs))
     if final_loss < best_loss:
         best_phases = model.phases.copy()
         best_gain = model.detection_gain
 
-    fitted = OcuModel(model.geometry, best_phases, best_gain)
-    _, train_mse = srp_loss(fitted, values, labels, fs)
-    return FitResult(fitted, history, train_mse)
+    return OcuModel(model.geometry, best_phases, best_gain), history
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Shared independent oracles and the finite-difference harness.
 
 Everything here is deliberately naive (scalar loops, cmath) so the routines
-share no code with the vectorized implementations they check; the one
-exception, complex_ocu_vjp, shares only the phase adjoint, which
-phase_adjoint_loop checks.
+share no code with the vectorized implementations they check.  Two
+exceptions: complex_ocu_vjp shares only the phase adjoint, which
+phase_adjoint_loop checks, and direct_fit_history runs the SRP epoch on
+the direct evaluator (srp_loss, phase_gradients), which the
+finite-difference tests check.
 """
 
 import cmath
@@ -13,6 +15,8 @@ import math
 import numpy as np
 
 from ocusim.optics import phase_adjoint
+from ocusim.optim import Adam, Param
+from ocusim.srp import phase_gradients, srp_loss
 
 
 def naive_diffraction_entry(src_xy, dst_xy, wavelength, slab_index,
@@ -201,3 +205,27 @@ def complex_ocu_vjp(model, patches, grad_detected, partials, response, need_patc
         a = partials.total
         dpatches = a.real.T @ rbar.real + a.imag.T @ rbar.imag
     return dphases, dgain, dpatches
+
+
+def direct_fit_history(model, values, labels, cfg, fs):
+    """(epoch, J, mse) of every epoch of an SRP fit that evaluates the loss
+    and its gradients directly over all patch columns.
+
+    The reference for the probe-column epoch of srp.fit_kernel: the same
+    Adam steps on the phases and the log-gain from the same starting unit
+    (a copy of ``model``), each loss belonging to the parameters its epoch
+    started with.
+    """
+    model = copy.deepcopy(model)
+    phases = Param(model.phases, "phases")
+    log_gain = Param(np.array(math.log(model.detection_gain)), "log_gain")
+    opt = Adam([phases, log_gain], lr=cfg.learning_rate)
+    history = []
+    for epoch in range(cfg.epochs):
+        loss, mse = srp_loss(model, values, labels, fs)
+        phases.grad[...], dgain = phase_gradients(model, values, labels, fs)
+        log_gain.grad[...] = dgain * model.detection_gain
+        opt.step()
+        model.detection_gain = float(np.exp(log_gain.value))
+        history.append((epoch, loss, mse))
+    return history

@@ -435,7 +435,8 @@ class TestMalformedCheckpoint:
 
 
 class TestBadNumbers:
-    """A count, size or stride below 1, or an even denoiser kernel, exits 2 naming the key."""
+    """A count, size or stride below 1, an even denoiser kernel, a malformed list,
+    an unknown pool mode or a learning rate <= 0 exits 2 naming the key."""
 
     @staticmethod
     def convolve_stride_zero(tmp_path):
@@ -462,6 +463,19 @@ class TestBadNumbers:
                                  "[network]\nkernel_size = 2\n", "[network] kernel_size"),
         "denoise_batch": ("train-denoiser", DENOISE_CONFIG, "batch_size = 8", "batch_size = 0",
                           "[denoise] batch_size"),
+        "kernel_values": ("fit-kernel", CUSTOM_KERNEL_CONFIG, "values = 0 0 0 0 1",
+                          "values = 0 0 0 0 x", "[kernel:mykernel] values"),
+        "classifier_hidden": ("train-classifier", BLOBS_CONFIG, "hidden = 8", "hidden = 8 x",
+                              "[network] hidden"),
+        "classifier_pool": ("train-classifier", BLOBS_CONFIG, "hidden = 8",
+                            "hidden = 8\npool = median", "[network] pool"),
+        "fit_learning_rate": ("fit-kernel", FIT_CONFIG, "epochs = 40",
+                              "epochs = 40\nlearning_rate = 0", "[fit] learning_rate"),
+        "train_learning_rate": ("train-classifier", BLOBS_CONFIG, "epochs = 2",
+                                "epochs = 2\nlearning_rate = 0", "[train] learning_rate"),
+        "denoise_learning_rate": ("train-denoiser", DENOISE_CONFIG, "batch_size = 8",
+                                  "batch_size = 8\nlearning_rate = -1",
+                                  "[denoise] learning_rate"),
     }
 
     @pytest.mark.parametrize("case", ["convolve_stride", *CASES])

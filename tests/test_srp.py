@@ -9,13 +9,17 @@ from ocusim.optics import (
     ocu_forward,
     ocu_transfer,
     ocu_vjp,
+    propagation_matrices,
     quadrature_rows,
     transfer_partials,
 )
+from ocusim.kernels import KERNEL_SUITE, STANDARD_KERNELS
 from ocusim.srp import (
     FitConfig,
+    PatchMoments,
     TrainingDiverged,
     TrainingPair,
+    _init_gain,
     conv2d_reference,
     evaluate_kernel_emulation,
     fit_kernel,
@@ -26,7 +30,7 @@ from ocusim.srp import (
 )
 from ocusim.tensorize import im2col
 
-from helpers import assert_grad_close, numeric_grad
+from helpers import assert_grad_close, direct_fit_history, numeric_grad
 
 
 def small_geometry():
@@ -78,6 +82,17 @@ class TestConvReference:
         assert pair.labels.shape == (14 * 14,)
         assert np.array_equal(pair.labels,
                               conv2d_reference(pattern, kernel).ravel())
+        # stride 2, an odd size, non-integer kernels; bitwise every time
+        odd = generate_pattern(3, 37)
+        for pattern, kernel, stride in (
+                (pattern, kernel, 2),
+                (odd, STANDARD_KERNELS["gaussian_blur"] * 0.37, 1),
+                (odd, np.random.default_rng(4).normal(size=(3, 3)), 2),
+                (odd, np.random.default_rng(5).normal(size=(5, 5)), 3),
+                (odd, np.array([[0.1, -0.7], [1.3, 0.25]]), 1)):
+            pair = TrainingPair.make(pattern, kernel, stride)
+            assert np.array_equal(pair.labels,
+                                  conv2d_reference(pattern, kernel, stride).ravel())
 
 
 class TestLoss:
@@ -193,6 +208,134 @@ class TestGradients:
         loss, _ = srp_loss(model, patches, labels)
         _, dgain = phase_gradients(model, patches, labels)
         assert dgain == pytest.approx(2.0 * loss / model.detection_gain, rel=1e-12)
+
+
+def _moment_and_direct(model, values, labels, fs):
+    """(J, dJ/dphases, dJ/dkappa) from the probe-column path and the direct one."""
+    moments = PatchMoments.of(values, labels)
+    partials = transfer_partials(model, fs)
+    loss, r = moments.loss(model, partials)
+    grads = moments.gradients(model, partials, r)
+    direct_loss, _ = srp_loss(model, values, labels, fs)
+    dphases, dgain = phase_gradients(model, values, labels, fs)
+    return (loss, grads.phases, grads.gain), (direct_loss, dphases, dgain)
+
+
+def _assert_paths_agree(model, values, labels, fs, rel=1e-12):
+    moment, direct = _moment_and_direct(model, values, labels, fs)
+    for name, got, want in zip(("loss", "phases", "gain"), moment, direct):
+        err = np.max(np.abs(np.asarray(got) - want))
+        assert err <= rel * np.max(np.abs(want)), (name, err, np.max(np.abs(want)))
+
+
+def _models(geom, values, labels, fs):
+    """Random units whose gains sit off the label scale, so no unit fits exactly."""
+    for seed, scale in ((0, 0.5), (1, 2.0), (2, 3.0)):
+        model = OcuModel.random_init(geom, np.random.default_rng(seed))
+        model.detection_gain = _init_gain(model, values, labels, fs) * scale
+        yield model
+
+
+class TestPatchMoments:
+    """The probe-column epoch equals the direct loss and gradients over every column."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_direct_path(self, stride):
+        geom = OcuGeometry()
+        fs = propagation_matrices(geom)
+        pattern = generate_pattern(1, 64)
+        values = im2col(pattern, 3, stride).values
+        for name in (*KERNEL_SUITE, "identity"):
+            labels = TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
+            for model in _models(geom, values, labels, fs):
+                _assert_paths_agree(model, values, labels, fs)
+
+    @pytest.mark.parametrize("case", ["constant", "five_by_five", "binary"])
+    def test_matches_direct_path_on_rank_deficient_data(self, case):
+        # a constant pattern has rank-1 moments and a 5x5 one has 9 columns,
+        # fewer than the 45 probes; binary pixels repeat their monomials.
+        # Zero-sum kernels give round-off labels on a constant pattern, so
+        # random labels stand in for them there.
+        pattern = {"constant": np.full((20, 20), 0.3),
+                   "five_by_five": generate_pattern(2, 5),
+                   "binary": (generate_pattern(3, 40) > 0.5).astype(float)}[case]
+        geom = OcuGeometry()
+        fs = propagation_matrices(geom)
+        for stride in (1, 2):
+            values = im2col(pattern, 3, stride).values
+            label_sets = [TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
+                          for name in ("identity", "box_blur", "sharpen")]
+            label_sets.append(np.random.default_rng(9).normal(size=values.shape[1]))
+            if case != "constant":
+                label_sets += [TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
+                               for name in ("sobel_x", "edge8")]
+            for labels in label_sets:
+                for model in _models(geom, values, labels, fs):
+                    _assert_paths_agree(model, values, labels, fs)
+
+    def test_exact_fit_has_no_cancellation_floor(self):
+        # every unit fits a constant pattern's labels exactly once its gain
+        # matches; the loss is then round-off, far below eps * l . l
+        pattern = np.full((20, 20), 0.3)
+        geom = OcuGeometry()
+        fs = propagation_matrices(geom)
+        values = im2col(pattern, 3).values
+        labels = TrainingPair.make(pattern, STANDARD_KERNELS["identity"]).labels
+        model = OcuModel.random_init(geom, np.random.default_rng(0))
+        model.detection_gain = _init_gain(model, values, labels, fs)
+        (loss, _, _), (direct_loss, _, _) = _moment_and_direct(model, values, labels, fs)
+        scale = 0.5 * float(np.dot(labels, labels))
+        assert direct_loss <= 1e-20 * scale
+        assert 0.0 <= loss <= 1e-20 * scale
+
+    def test_phases_and_gain_match_finite_differences(self):
+        geom = small_geometry()
+        rng = np.random.default_rng(17)
+        pattern = generate_pattern(10, 12)
+        values = im2col(pattern, 2).values
+        labels = TrainingPair.make(pattern, rng.normal(size=(2, 2))).labels
+        moments = PatchMoments.of(values, labels)
+        model = OcuModel.random_init(geom, rng)
+        model.detection_gain = _init_gain(model, values, labels, None) * 1.5
+
+        def loss():
+            return moments.loss(model, transfer_partials(model))[0]
+
+        partials = transfer_partials(model)
+        grads = moments.gradients(model, partials, moments.loss(model, partials)[1])
+        fd = numeric_grad(loss, model.phases, lambda v: 1e-5)
+        assert_grad_close(grads.phases, fd, label="phases")
+
+        kappa = model.detection_gain
+        h = 1e-6 * kappa
+        model.detection_gain = kappa + h
+        f_plus = loss()
+        model.detection_gain = kappa - h
+        f_minus = loss()
+        model.detection_gain = kappa
+        assert grads.gain == pytest.approx((f_plus - f_minus) / (2 * h), rel=1e-6)
+
+    @pytest.mark.parametrize("name,stride", [("sobel_x", 1), ("identity", 1), ("sharpen", 2)])
+    def test_fit_history_matches_direct_replay(self, name, stride):
+        geom = OcuGeometry()
+        pattern = generate_pattern(1, 64)
+        kernel = STANDARD_KERNELS[name]
+        cfg = FitConfig(epochs=300, learning_rate=1e-3, seed=7)
+        proto = OcuModel.random_init(geom, np.random.default_rng(0))
+        result = fit_kernel(proto, kernel, pattern, cfg, stride=stride)
+
+        fs = propagation_matrices(geom)
+        values = im2col(pattern, 3, stride).values
+        labels = conv2d_reference(pattern, kernel, stride).ravel()
+        start = OcuModel.random_init(geom, np.random.Generator(np.random.PCG64(cfg.seed)))
+        start.detection_gain = _init_gain(start, values, labels, fs)
+        replay = direct_fit_history(start, values, labels, cfg, fs)
+
+        assert len(result.history) == len(replay) == cfg.epochs
+        for (epoch, loss, mse), (want_epoch, want_loss, want_mse) in zip(result.history, replay):
+            assert epoch == want_epoch
+            assert loss == pytest.approx(want_loss, rel=1e-9, abs=0.0)
+            assert mse == pytest.approx(want_mse, rel=1e-9, abs=0.0)
 
 
 class TestFit:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GEOMETRY_FIELDS, ConfigError, float_row
+from .config import (GEOMETRY_FIELDS, ConfigError, boolean, count, counts, float_row,
+                     natural, parse_key, pool_mode)
 from .optics import OcuGeometry, OcuModel
 
 FORMAT_NAME = "ocusim-checkpoint"
@@ -27,20 +28,6 @@ class Checkpoint:
     meta: dict[str, str]
     geometry: OcuGeometry | None
     arrays: dict[str, np.ndarray]
-
-
-def _field(path, fields: dict[str, str], key: str, convert, where: str = "", default=None):
-    """Parse a stored key = value; a missing or malformed value is a
-    ConfigError naming the key, prefixed by its section in ``where``."""
-    raw = fields.get(key)
-    if raw is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}: missing key {where}{key}")
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: key {where}{key} is malformed: {raw!r}") from None
 
 
 def _key_values(lines: list[str], i: int) -> tuple[dict[str, str], int]:
@@ -117,7 +104,7 @@ def read_checkpoint(path) -> Checkpoint:
         if header == "[geometry]":
             fields, i = _key_values(lines, i)
             geometry = OcuGeometry(**{
-                name: _field(path, fields, name, convert, "[geometry] ")
+                name: parse_key(path, f"[geometry] {name}", fields.get(name), convert)
                 for name, convert in GEOMETRY_FIELDS.items()})
         elif header.startswith("[array ") and header.endswith("]"):
             name = header[len("[array "):-1]
@@ -146,7 +133,7 @@ def load_ocu_model(path) -> tuple[OcuModel, dict]:
         raise ValueError(f"{path}: expected an ocu checkpoint, found {ckpt.kind!r}")
     if ckpt.geometry is None:
         raise ValueError(f"{path}: ocu checkpoint missing geometry")
-    kappa = _field(path, ckpt.meta, "kappa", float)
+    kappa = parse_key(path, "kappa", ckpt.meta.get("kappa"), float)
     if "phases" not in ckpt.arrays:
         raise ConfigError(f"{path}: missing array phases")
     return OcuModel(ckpt.geometry, ckpt.arrays["phases"], kappa), ckpt.meta
@@ -187,10 +174,10 @@ def load_network(path):
     ckpt = read_checkpoint(path)
     topo = {k[len("topo."):]: v for k, v in ckpt.meta.items() if k.startswith("topo.")}
 
-    def setting(key, convert=int, default=None):
-        return _field(path, topo, key, convert, "topo.", default)
+    def setting(key, convert=count, default=None):
+        return parse_key(path, f"topo.{key}", topo.get(key), convert, default)
 
-    optical = topo.get("optical", "true") == "true"
+    optical = setting("optical", boolean, True)
     if optical and ckpt.geometry is None:
         raise ConfigError(f"{path}: optical network checkpoint missing section [geometry]")
     if ckpt.kind == "classifier":
@@ -200,10 +187,10 @@ def load_network(path):
             channels=setting("channels"),
             image_size=setting("image_size"),
             n_classes=setting("n_classes"),
-            seed=setting("seed", default=0),
+            seed=setting("seed", natural, 0),
             optical=optical,
-            hidden=setting("hidden", lambda raw: tuple(int(v) for v in raw.split())),
-            pool_mode=topo.get("pool", "mean"),
+            hidden=setting("hidden", counts),
+            pool_mode=setting("pool", pool_mode, "mean"),
         )
     elif ckpt.kind == "denoiser":
         net = build_denoiser(
@@ -211,8 +198,8 @@ def load_network(path):
             input_kernels=setting("input_kernels"),
             middle_kernels=setting("middle_kernels"),
             in_channels=setting("in_channels", default=1),
-            middle_layers=setting("middle_layers", default=1),
-            seed=setting("seed", default=0),
+            middle_layers=setting("middle_layers", natural, 1),
+            seed=setting("seed", natural, 0),
             optical=optical,
         )
     else:

@@ -38,8 +38,8 @@ def _out_dir(args, cfg=None) -> Path:
     return path
 
 
-def _load_checkpoint(loader, path):
-    """Run a checkpoint loader; an unreadable checkpoint is a schema error (exit 2)."""
+def _load_input(loader, path):
+    """Run a file loader; an unreadable input file is a schema error (exit 2)."""
     from .config import ConfigError
 
     try:
@@ -82,14 +82,14 @@ def _holdout_image(cfg):
     if choice == "none":
         return None
     if choice == "contrast":
-        return synthetic_contrast_image(size, cfg.getint("fit", "holdout_seed", 5))
+        return synthetic_contrast_image(size, cfg.getnatural("fit", "holdout_seed", 5))
     if choice == "scene":
-        return synthetic_image(size, cfg.getint("fit", "holdout_seed", 11))
+        return synthetic_image(size, cfg.getnatural("fit", "holdout_seed", 11))
     path = Path(choice)
     if not path.is_file():
         raise ConfigError(f"{cfg.path}: key [fit] holdout file not found: {choice}")
     from .pgm import read_pgm
-    return read_pgm(path)
+    return _load_input(read_pgm, path)
 
 
 def cmd_fit_kernel(args) -> int:
@@ -109,14 +109,14 @@ def cmd_fit_kernel(args) -> int:
                 f"{cfg.path}: kernel {name} size {k.shape[0]} differs from {h}")
     geometry = geometry_from_config(cfg, num_inputs=h * h)
 
-    seed = args.seed if args.seed is not None else cfg.getint("fit", "seed", 7)
+    seed = args.seed if args.seed is not None else cfg.getnatural("fit", "seed", 7)
     fit_cfg = FitConfig(
         epochs=cfg.getcount("fit", "epochs", 4000),
         learning_rate=cfg.getpositive("fit", "learning_rate", 1e-3),
         seed=seed,
         restarts=cfg.getcount("fit", "restarts", 1),
     )
-    pattern = generate_pattern(cfg.getint("fit", "pattern_seed", 1),
+    pattern = generate_pattern(cfg.getnatural("fit", "pattern_seed", 1),
                                cfg.getcount("fit", "pattern_size", 128))
     stride = cfg.getcount("fit", "stride", 1)
     holdout = _holdout_image(cfg)
@@ -166,8 +166,8 @@ def cmd_convolve(args) -> int:
         raise ConfigError(f"image not found: {args.image}")
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
-    model, _ = _load_checkpoint(load_ocu_model, args.checkpoint)
-    img = read_pgm(args.image)
+    model, _ = _load_input(load_ocu_model, args.checkpoint)
+    img = _load_input(read_pgm, args.image)
     h2 = model.geometry.num_inputs
     h = int(round(h2 ** 0.5))
     if h * h != h2:
@@ -211,12 +211,12 @@ def _load_classification_dataset(cfg, split: str):
         classes = tuple(int(v) for v in cfg.get("dataset", "classes", "0 1 2 3").split())
         ds = load_cifar4(paths, classes, split=split)
     elif kind == "blobs":
-        count = cfg.getint("dataset", f"{split}_count", 512 if split == "train" else 128)
-        ds = synthetic_blobs(count, cfg.getint("dataset", "size", 8),
-                             seed=cfg.getint("dataset", "seed", 0) + (0 if split == "train" else 1))
+        count = cfg.getcount("dataset", f"{split}_count", 512 if split == "train" else 128)
+        ds = synthetic_blobs(count, cfg.getcount("dataset", "size", 8),
+                             seed=cfg.getnatural("dataset", "seed", 0) + (0 if split == "train" else 1))
     else:
         raise ConfigError(f"{cfg.path}: key [dataset] kind must be idx, cifar4, or blobs")
-    limit = cfg.getint("dataset", f"limit_{split}", 0)
+    limit = cfg.getnatural("dataset", f"limit_{split}", 0)
     if limit:
         ds.images = ds.images[:limit]
         ds.labels = ds.labels[:limit]
@@ -233,6 +233,7 @@ def cmd_train_classifier(args) -> int:
     from .checkpoint import save_network
     from .config import Config, ConfigError, geometry_from_config
     from .networks import TrainConfig, build_classifier, train_classifier
+    from .srp import write_history_csv
 
     cfg = Config.load(args.config)
     train = _load_classification_dataset(cfg, "train")
@@ -248,11 +249,9 @@ def cmd_train_classifier(args) -> int:
     kernel_size = cfg.getcount("network", "kernel_size", 3)
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
     hidden = cfg.getcounts("network", "hidden", (128, 64))
-    pool = cfg.get("network", "pool", "mean")
-    if pool not in ("mean", "max"):
-        raise ConfigError(f"{cfg.path}: key [network] pool must be mean or max, got {pool!r}")
-    seed = args.seed if args.seed is not None else cfg.getint("train", "seed", 0)
-    net_seed = cfg.getint("network", "seed", seed)
+    pool = cfg.getpool("network", "pool", "mean")
+    seed = args.seed if args.seed is not None else cfg.getnatural("train", "seed", 0)
+    net_seed = cfg.getnatural("network", "seed", seed)
     topo = {
         "kernels": cfg.getcount("network", "kernels", 4),
         "channels": channels,
@@ -274,7 +273,7 @@ def cmd_train_classifier(args) -> int:
         batch_size=cfg.getcount("train", "batch_size", 32),
         learning_rate=cfg.getpositive("train", "learning_rate", 1e-3),
         seed=seed,
-        eval_every=cfg.getint("train", "eval_every", 0),
+        eval_every=cfg.getnatural("train", "eval_every", 0),
     )
     result = train_classifier(net, train.images, train.labels,
                               test.images, test.labels, n_classes, train_cfg)
@@ -286,9 +285,7 @@ def cmd_train_classifier(args) -> int:
         "accuracy": repr(result.accuracy),
     })
     with open(out / "history.csv", "w") as f:
-        f.write("epoch,train_loss,test_accuracy\n")
-        for epoch, loss, acc in result.history:
-            f.write(f"{epoch},{loss!r},{acc!r}\n")
+        write_history_csv(result.history, f, "epoch,train_loss,test_accuracy")
     _write_confusion(out / "confusion.csv", result.confusion)
     print(f"test accuracy: {result.accuracy:.4f}")
     return 0
@@ -300,16 +297,16 @@ def _load_denoise_images(cfg, section: str, key_prefix: str):
 
     kind = cfg.get(section, f"{key_prefix}kind", "synthetic")
     if kind == "synthetic":
-        count = cfg.getint(section, f"{key_prefix}count", 40)
-        size = cfg.getint(section, f"{key_prefix}size", 180)
-        seed = cfg.getint(section, f"{key_prefix}seed", 21)
+        count = cfg.getcount(section, f"{key_prefix}count", 40)
+        size = cfg.getcount(section, f"{key_prefix}size", 180)
+        seed = cfg.getnatural(section, f"{key_prefix}seed", 21)
         return synthetic_corpus(count, size, seed)
     if kind == "pgm-dir":
         from .data import load_grayscale_dir
         directory = Path(cfg.require(section, f"{key_prefix}dir"))
         if not directory.is_dir():
             raise ConfigError(f"{cfg.path}: directory not found: {directory}")
-        resize = cfg.getint(section, f"{key_prefix}resize", 0)
+        resize = cfg.getnatural(section, f"{key_prefix}resize", 0)
         try:
             return load_grayscale_dir(directory, resize if resize else None)
         except ValueError as exc:
@@ -322,6 +319,7 @@ def cmd_train_denoiser(args) -> int:
     from .checkpoint import save_network
     from .config import Config, ConfigError, geometry_from_config
     from .networks import DenoiseTrainConfig, build_denoiser, train_denoiser
+    from .srp import write_history_csv
 
     cfg = Config.load(args.config)
     images = _load_denoise_images(cfg, "dataset", "")
@@ -330,12 +328,12 @@ def cmd_train_denoiser(args) -> int:
         raise ConfigError(f"{cfg.path}: key [network] kernel_size must be odd for the "
                           f"denoiser to keep the image size, got {kernel_size}")
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
-    seed = args.seed if args.seed is not None else cfg.getint("denoise", "seed", 0)
-    net_seed = cfg.getint("network", "seed", seed)
+    seed = args.seed if args.seed is not None else cfg.getnatural("denoise", "seed", 0)
+    net_seed = cfg.getnatural("network", "seed", seed)
     topo = {
         "input_kernels": cfg.getcount("network", "input_kernels", 8),
         "middle_kernels": cfg.getcount("network", "middle_kernels", 8),
-        "middle_layers": cfg.getint("network", "middle_layers", 1),
+        "middle_layers": cfg.getnatural("network", "middle_layers", 1),
         "in_channels": 1,
         "seed": net_seed,
         "optical": "true" if cfg.getbool("network", "optical", True) else "false",
@@ -345,7 +343,7 @@ def cmd_train_denoiser(args) -> int:
         middle_layers=topo["middle_layers"], seed=net_seed,
         optical=topo["optical"] == "true",
     )
-    sigma = cfg.getfloat("denoise", "sigma", 20.0)
+    sigma = cfg.getnonnegative("denoise", "sigma", 20.0)
     train_cfg = DenoiseTrainConfig(
         epochs=cfg.getcount("denoise", "epochs", 12),
         batch_size=cfg.getcount("denoise", "batch_size", 16),
@@ -362,9 +360,7 @@ def cmd_train_denoiser(args) -> int:
         "final_loss": repr(result.history[-1][1]),
     })
     with open(out / "history.csv", "w") as f:
-        f.write("epoch,train_loss\n")
-        for epoch, loss in result.history:
-            f.write(f"{epoch},{loss!r}\n")
+        write_history_csv(result.history, f, "epoch,train_loss")
     print(f"final training loss: {result.history[-1][1]:.6f}")
     return 0
 
@@ -377,7 +373,7 @@ def cmd_eval(args) -> int:
     ckpt_path = cfg.require("eval", "checkpoint")
     if not Path(ckpt_path).is_file():
         raise ConfigError(f"{cfg.path}: checkpoint not found: {ckpt_path}")
-    net, kind, topo, meta = _load_checkpoint(load_network, ckpt_path)
+    net, kind, topo, meta = _load_input(load_network, ckpt_path)
     out = _out_dir(args, cfg)
 
     if kind == "classifier":
@@ -395,8 +391,8 @@ def cmd_eval(args) -> int:
     from .networks import _denoised_images, _psnr_table
     from .pgm import write_pgm
     images = _load_denoise_images(cfg, "eval", "test_")
-    sigma = cfg.getfloat("eval", "sigma", 20.0)
-    seed = args.seed if args.seed is not None else cfg.getint("eval", "seed", 0)
+    sigma = cfg.getnonnegative("eval", "sigma", 20.0)
+    seed = args.seed if args.seed is not None else cfg.getnatural("eval", "seed", 0)
 
     def saved(denoised):
         for i, (img, noisy, estimate) in enumerate(denoised):
@@ -424,11 +420,11 @@ def cmd_perf(args) -> int:
         kernel_size=cfg.getcount("perf", "kernel_size", 3),
         channels=cfg.getcount("perf", "channels", 1),
         kernels=cfg.getcount("perf", "kernels", 1),
-        rate=cfg.getfloat("perf", "rate_gbaud", 100.0) * 1e9,
-        pixels=cfg.getfloat("perf", "pixels", 8e6),
+        rate=cfg.getpositive("perf", "rate_gbaud", 100.0) * 1e9,
+        pixels=cfg.getnonnegative("perf", "pixels", 8e6),
         bit_depth=cfg.getcount("perf", "bit_depth", 8),
-        energy_per_bit=cfg.getfloat("perf", "energy_fj_per_bit", 100.0) * 1e-15,
-        detector_power=cfg.getfloat("perf", "detector_power_mw", 100.0) * 1e-3,
+        energy_per_bit=cfg.getnonnegative("perf", "energy_fj_per_bit", 100.0) * 1e-15,
+        detector_power=cfg.getnonnegative("perf", "detector_power_mw", 100.0) * 1e-3,
     )
     rows = report_rows(spec)
     width = max(len(r[0]) for r in rows)
@@ -448,11 +444,11 @@ def cmd_export_geometry(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     from .checkpoint import read_checkpoint
-    ckpt = _load_checkpoint(read_checkpoint, args.checkpoint)
+    ckpt = _load_input(read_checkpoint, args.checkpoint)
     out = _out_dir(args)
     if ckpt.kind == "ocu":
         from .checkpoint import load_ocu_model
-        model, _ = _load_checkpoint(load_ocu_model, args.checkpoint)
+        model, _ = _load_input(load_ocu_model, args.checkpoint)
         path = out / "geometry.csv"
         with open(path, "w") as f:
             write_geometry_csv(model, f)
@@ -462,7 +458,7 @@ def cmd_export_geometry(args) -> int:
         from .checkpoint import load_network
         from .nn import OclLayer
         from .optics import OcuModel
-        net, _, _, _ = _load_checkpoint(load_network, args.checkpoint)
+        net, _, _, _ = _load_input(load_network, args.checkpoint)
         count = 0
         for li, layer in enumerate(net.layers):
             if not isinstance(layer, OclLayer):

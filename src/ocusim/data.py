@@ -249,17 +249,7 @@ def confusion(preds, labels, num_classes: int) -> np.ndarray:
 
 def _smooth_noise(rng: np.random.Generator, size: int, cells: int) -> np.ndarray:
     """Bilinearly upsampled coarse noise in [0, 1]."""
-    coarse = rng.random((cells + 1, cells + 1))
-    pos = np.linspace(0.0, cells, size)
-    i0 = np.clip(pos.astype(int), 0, cells - 1)
-    frac = pos - i0
-    rows = (
-        coarse[i0][:, i0] * np.outer(1 - frac, 1 - frac)
-        + coarse[i0 + 1][:, i0] * np.outer(frac, 1 - frac)
-        + coarse[i0][:, i0 + 1] * np.outer(1 - frac, frac)
-        + coarse[i0 + 1][:, i0 + 1] * np.outer(frac, frac)
-    )
-    return rows
+    return bilinear_resize(rng.random((cells + 1, cells + 1)), size)
 
 
 def synthetic_image(size: int, seed: int, grain: float = 0.15) -> np.ndarray:

@@ -35,6 +35,36 @@ def _seeded(seed, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *tags))))
 
 
+def _train_epochs(net: Sequential, n: int, cfg, order_rng, batch, loss_fn):
+    """Adam over shuffled minibatches of ``n`` samples; yields (epoch, mean loss).
+
+    ``batch(idx)`` returns the (input, target) of samples ``idx`` and
+    ``loss_fn(prediction, target)`` the loss and its gradient.  Callers wrap
+    the module's loss function in a lambda, so that its name is looked up on
+    every call and instrumentation that patches it at run time sees each
+    one.  The optimizer is built on the first ``next``, after the caller's
+    set-up.
+    """
+    opt = Adam(net.params(), lr=cfg.learning_rate)
+    for epoch in range(cfg.epochs):
+        perm = order_rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            x, target = batch(idx)
+            pred = net.forward(x, training=True)
+            if not np.all(np.isfinite(pred)):
+                raise TrainingDiverged(f"network output non-finite at epoch {epoch}")
+            loss, dpred = loss_fn(pred, target)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"training loss non-finite at epoch {epoch}")
+            loss_sum += loss * len(idx)
+            opt.zero_grad()
+            net.backward(dpred)
+            opt.step()
+        yield epoch, loss_sum / n
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
@@ -123,32 +153,18 @@ def train_classifier(
     cfg: TrainConfig,
 ) -> ClassifierResult:
     """End-to-end gradient training of all phases, gains, and dense weights."""
-    order_rng = _seeded(cfg.seed, 1)
     n = len(train_images)
-    first = train_images[:min(cfg.batch_size, n)]
-    calibrate_optical_layers(net, first)
-    opt = Adam(net.params(), lr=cfg.learning_rate)
+    calibrate_optical_layers(net, train_images[:min(cfg.batch_size, n)])
 
     history: list[tuple[int, float, float]] = []
-    for epoch in range(cfg.epochs):
-        perm = order_rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            scores = net.forward(train_images[idx], training=True)
-            if not np.all(np.isfinite(scores)):
-                raise TrainingDiverged(f"class scores non-finite at epoch {epoch}")
-            loss, dscores = softmax_cross_entropy(scores, train_labels[idx])
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"classification loss non-finite at epoch {epoch}")
-            loss_sum += loss * len(idx)
-            opt.zero_grad()
-            net.backward(dscores)
-            opt.step()
+    for epoch, loss in _train_epochs(
+            net, n, cfg, _seeded(cfg.seed, 1),
+            lambda idx: (train_images[idx], train_labels[idx]),
+            lambda scores, labels: softmax_cross_entropy(scores, labels)):
         test_acc = math.nan
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
             test_acc, _, _ = evaluate_classifier(net, test_images, test_labels, n_classes)
-        history.append((epoch, loss_sum / n, test_acc))
+        history.append((epoch, loss, test_acc))
 
     acc, conf, _ = evaluate_classifier(net, test_images, test_labels, n_classes)
     return ClassifierResult(net, history, acc, conf)
@@ -254,32 +270,18 @@ def train_denoiser(
     patches = crop_patches(train_images, cfg.patch, cfg.crops_per_image,
                            _seeded(cfg.seed, 10))[:, None]
     noise_rng = _seeded(cfg.seed, 11)
-    order_rng = _seeded(cfg.seed, 12)
     n = len(patches)
 
     first = add_awgn(patches[:min(cfg.batch_size, n)], sigma, noise_rng)
     calibrate_optical_layers(net, first.noisy)
     _match_output_scale(net, first.noisy, first.noise)
-    opt = Adam(net.params(), lr=cfg.learning_rate)
 
-    history: list[tuple[int, float]] = []
-    for epoch in range(cfg.epochs):
-        perm = order_rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            sample = add_awgn(patches[idx], sigma, noise_rng)
-            pred = net.forward(sample.noisy, training=True)
-            if not np.all(np.isfinite(pred)):
-                raise TrainingDiverged(f"residual prediction non-finite at epoch {epoch}")
-            loss, dpred = mse_loss(pred, sample.noise)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"denoiser loss non-finite at epoch {epoch}")
-            loss_sum += loss * len(idx)
-            opt.zero_grad()
-            net.backward(dpred)
-            opt.step()
-        history.append((epoch, loss_sum / n))
+    def batch(idx):
+        sample = add_awgn(patches[idx], sigma, noise_rng)
+        return sample.noisy, sample.noise
+
+    history = list(_train_epochs(net, n, cfg, _seeded(cfg.seed, 12), batch,
+                                 lambda pred, noise: mse_loss(pred, noise)))
     return DenoiserResult(net, history)
 
 

@@ -342,22 +342,19 @@ class BatchNormLayer(Layer):
         self.momentum = momentum
         self.eps = eps
 
+    _AXES = (0, 2, 3)   # statistics pool the batch and both spatial axes
+
     def params(self):
         return [self.gamma, self.beta]
 
-    def _axes(self, x):
-        return (0,) if x.ndim == 2 else (0, 2, 3)
-
-    def _expand(self, v, x):
-        return v if x.ndim == 2 else v[:, None, None]
-
     def forward(self, x, training=False):
-        axes = self._axes(x)
+        if x.ndim != 4:
+            raise ValueError("batch normalization expects (B, C, N, N) input")
         if training:
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs batch size >= 2 in training")
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = x.mean(axis=self._AXES)
+            var = x.var(axis=self._AXES)
             m = self.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
@@ -365,23 +362,22 @@ class BatchNormLayer(Layer):
             mean = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - self._expand(mean, x)) * self._expand(inv, x)
-        self._cache = (xhat, inv, training, x.shape)
-        return self._expand(self.gamma.value, x) * xhat + self._expand(self.beta.value, x)
+        xhat = (x - mean[:, None, None]) * inv[:, None, None]
+        self._cache = (xhat, inv, training)
+        return self.gamma.value[:, None, None] * xhat + self.beta.value[:, None, None]
 
     def backward(self, grad):
-        xhat, inv, training, shape = self._cache
-        axes = self._axes(grad)
-        self.gamma.grad += (grad * xhat).sum(axis=axes)
-        self.beta.grad += grad.sum(axis=axes)
-        gamma = self._expand(self.gamma.value, grad)
-        inv_e = self._expand(inv, grad)
+        xhat, inv, training = self._cache
+        self.gamma.grad += (grad * xhat).sum(axis=self._AXES)
+        self.beta.grad += grad.sum(axis=self._AXES)
+        gamma = self.gamma.value[:, None, None]
+        inv_e = inv[:, None, None]
         if not training:
             return grad * gamma * inv_e
-        m = grad.size // grad.shape[1] if grad.ndim == 4 else grad.shape[0]
+        m = grad.size // grad.shape[1]
         dxhat = grad * gamma
-        sum_dxhat = self._expand(dxhat.sum(axis=axes), grad)
-        sum_dxhat_x = self._expand((dxhat * xhat).sum(axis=axes), grad)
+        sum_dxhat = dxhat.sum(axis=self._AXES)[:, None, None]
+        sum_dxhat_x = (dxhat * xhat).sum(axis=self._AXES)[:, None, None]
         return (inv_e / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_x)
 
 

@@ -36,7 +36,10 @@ def read_pgm(path) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    width, height, maxval = (int(f) for f in fields)
+    try:
+        width, height, maxval = (int(f) for f in fields)
+    except ValueError:
+        raise ValueError(f"{path}: malformed or truncated PGM header") from None
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     payload = raw[pos:pos + width * height]

@@ -357,7 +357,8 @@ def evaluate_kernel_emulation(
     return EmulationReport(mse, pearson, predicted, ref)
 
 
-def write_history_csv(history, fileobj) -> None:
-    fileobj.write("epoch,loss,mse\n")
-    for epoch, loss, mse in history:
-        fileobj.write(f"{epoch},{loss!r},{mse!r}\n")
+def write_history_csv(history, fileobj, header: str = "epoch,loss,mse") -> None:
+    """One CSV row per history entry: the epoch, then the repr of each value."""
+    fileobj.write(header + "\n")
+    for epoch, *values in history:
+        fileobj.write(",".join([str(epoch), *map(repr, values)]) + "\n")

@@ -55,11 +55,7 @@ def im2col(img, h: int, s: int = 1) -> PatchMatrix:
     """Rearrange sliding H x H patches of an image into matrix columns."""
     img = _check_image(img)
     c, n, _ = img.shape
-    g = feature_dim(n, h, s)
-    windows = sliding_window_view(img, (h, h), axis=(1, 2))[:, ::s, ::s]
-    # (C, G, G, h, h) -> rows (C, h, h), columns (G, G)
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * h * h, g * g)
-    return PatchMatrix(np.ascontiguousarray(cols), n, h, s, c)
+    return PatchMatrix(im2col_batch(img[None], h, s), n, h, s, c)
 
 
 def im2col_batch(imgs: np.ndarray, h: int, s: int = 1) -> np.ndarray:

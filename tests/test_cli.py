@@ -433,10 +433,59 @@ class TestMalformedCheckpoint:
         self.rewrite(path, "topo.middle_layers = ", "topo.middle_layers = x")
         self.assert_names(path, "topo.middle_layers")
 
+    @pytest.mark.parametrize("key, bad", [
+        ("pool", "median"), ("optical", "maybe"), ("hidden", "0"),
+        ("kernels", "0"), ("n_classes", "0"), ("seed", "-1"),
+    ])
+    def test_bad_classifier_topology(self, tmp_path, key, bad):
+        from ocusim.checkpoint import save_network
+        from ocusim.networks import build_classifier
+        from ocusim.optics import OcuGeometry
+
+        geom = OcuGeometry(metaunits_per_layer=4)
+        topo = {"kernels": 1, "channels": 1, "image_size": 8, "n_classes": 2, "seed": 1,
+                "optical": "true", "hidden": "4", "pool": "mean"}
+        path = tmp_path / "clf.ckpt"
+        save_network(path, build_classifier(geom, 1, 1, 8, 2, seed=1, hidden=(4,)),
+                     "classifier", geom, topo)
+        self.rewrite(path, f"topo.{key} = ", f"topo.{key} = {bad}")
+        self.assert_names(path, f"topo.{key}")
+
+
+class TestMalformedImage:
+    """A PGM with a malformed header, given to convolve or as the fit hold-out,
+    exits 2 and names the file."""
+
+    def test_convolve_image(self, tmp_path):
+        from ocusim.checkpoint import save_ocu_model
+        from ocusim.optics import OcuGeometry, OcuModel
+
+        ckpt = tmp_path / "unit.ckpt"
+        save_ocu_model(ckpt, OcuModel.random_init(OcuGeometry(metaunits_per_layer=4),
+                                                  np.random.default_rng(0)))
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(b"P5\n8 x\n255\n")
+        proc = run_cli("convolve", "--checkpoint", str(ckpt), "--image", str(image),
+                       "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert str(image) in proc.stderr
+
+    def test_fit_holdout(self, tmp_path):
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(b"P5\n8")
+        cfg = tmp_path / "fit.ini"
+        cfg.write_text(FIT_CONFIG.format(out=tmp_path / "out")
+                       .replace("holdout = none", f"holdout = {image}"))
+        proc = run_cli("fit-kernel", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert str(image) in proc.stderr
+
 
 class TestBadNumbers:
-    """A count, size or stride below 1, an even denoiser kernel, a malformed list,
-    an unknown pool mode or a learning rate <= 0 exits 2 naming the key."""
+    """A count, size or stride below 1, a negative seed, limit or layer count, an
+    even denoiser kernel, a malformed list, an unknown pool mode, a rate <= 0, or
+    a noise level, pixel count or energy that is negative or not finite exits 2
+    naming the key."""
 
     @staticmethod
     def convolve_stride_zero(tmp_path):
@@ -476,6 +525,25 @@ class TestBadNumbers:
         "denoise_learning_rate": ("train-denoiser", DENOISE_CONFIG, "batch_size = 8",
                                   "batch_size = 8\nlearning_rate = -1",
                                   "[denoise] learning_rate"),
+        "limit_train": ("train-classifier", BLOBS_CONFIG, "train_count = 64",
+                        "train_count = 64\nlimit_train = -5", "[dataset] limit_train"),
+        "eval_every": ("train-classifier", BLOBS_CONFIG, "epochs = 2",
+                       "epochs = 2\neval_every = -1", "[train] eval_every"),
+        "blobs_count": ("train-classifier", BLOBS_CONFIG, "train_count = 64",
+                        "train_count = 0", "[dataset] train_count"),
+        "network_seed": ("train-classifier", BLOBS_CONFIG, "hidden = 8\nseed = 1",
+                         "hidden = 8\nseed = -1", "[network] seed"),
+        "middle_layers": ("train-denoiser", DENOISE_CONFIG, "middle_kernels = 2",
+                          "middle_kernels = 2\nmiddle_layers = -1", "[network] middle_layers"),
+        "corpus_count": ("train-denoiser", DENOISE_CONFIG, "count = 3", "count = 0",
+                         "[dataset] count"),
+        "sigma_negative": ("train-denoiser", DENOISE_CONFIG, "sigma = 20", "sigma = -5",
+                           "[denoise] sigma"),
+        "sigma_nan": ("train-denoiser", DENOISE_CONFIG, "sigma = 20", "sigma = nan",
+                      "[denoise] sigma"),
+        "perf_rate": ("perf", PERF_CONFIG, "rate_gbaud = 100", "rate_gbaud = 0",
+                      "[perf] rate_gbaud"),
+        "perf_pixels": ("perf", PERF_CONFIG, "pixels = 8e6", "pixels = -5", "[perf] pixels"),
     }
 
     @pytest.mark.parametrize("case", ["convolve_stride", *CASES])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -266,6 +267,20 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: synthetic_image(64, 7),
+         "b5c9390c27944e924fcea6ef5807cdf6fb1f5471fcdf04424ad674e05f67b47f"),
+        (lambda: synthetic_contrast_image(64, 5),
+         "8098d2e6e6d05d4dda348d0b189a222c67c9f36ef3fe719e73a49e6e80c95b4e"),
+        (lambda: synthetic_corpus(3, 48, 21),
+         "511a45bf75466c90f4555acc67a45e7a442432e3e9c7ab923c74eefe1f565bb2"),
+    ], ids=["image", "contrast", "corpus"])
+    def test_pixels_pinned(self, make, digest):
+        # the acceptance thresholds were set on exactly these arrays
+        img = make()
+        assert img.dtype == np.float64
+        assert hashlib.sha256(np.ascontiguousarray(img).tobytes()).hexdigest() == digest
+
 
 class TestGrayscaleDir:
     def test_center_crop_and_resize(self, tmp_path):
@@ -314,4 +329,12 @@ class TestPgm:
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(ValueError, match="truncated"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("raw", [b"P5\n8 x\n255\n", b"P5\n8"],
+                             ids=["non_numeric", "truncated"])
+    def test_bad_header_names_path(self, tmp_path, raw):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="bad.pgm: malformed or truncated PGM header"):
             read_pgm(path)

@@ -88,6 +88,13 @@ class TestDenoiser:
         return build_denoiser(geom, input_kernels=2, middle_kernels=2,
                               seed=seed, optical=optical)
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_reported(self):
+        cfg = DenoiseTrainConfig(epochs=3, batch_size=8, learning_rate=1e308, seed=0,
+                                 patch=12, crops_per_image=8)
+        with pytest.raises(TrainingDiverged):
+            train_denoiser(self._small_net(), synthetic_corpus(2, 16, 3), 20.0, cfg)
+
     def test_residual_identity_with_silent_output(self):
         net = self._small_net()
         noisy = np.random.default_rng(0).random((2, 1, 12, 12))

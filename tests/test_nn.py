@@ -334,6 +334,11 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             bn.forward(np.zeros((1, 2, 3, 3)), training=True)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_rejects_non_image_input(self, training):
+        with pytest.raises(ValueError, match="expects"):
+            BatchNormLayer(2).forward(np.zeros((4, 2)), training=training)
+
     def test_inference_uses_running_stats(self):
         rng = np.random.default_rng(12)
         bn = BatchNormLayer(1, momentum=1.0)

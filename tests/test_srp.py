@@ -409,6 +409,16 @@ class TestFit:
         assert lines[0] == "epoch,loss,mse"
         assert lines[1] == "0,1.5,0.25"
 
+    def test_history_csv_header_and_row_width(self, tmp_path):
+        path = tmp_path / "h.csv"
+        with open(path, "w") as f:
+            write_history_csv([(0, 0.5, float("nan")), (1, 0.25, 0.75)], f,
+                              "epoch,train_loss,test_accuracy")
+        assert path.read_text() == "epoch,train_loss,test_accuracy\n0,0.5,nan\n1,0.25,0.75\n"
+        with open(path, "w") as f:
+            write_history_csv([(0, 0.5)], f, "epoch,train_loss")
+        assert path.read_text() == "epoch,train_loss\n0,0.5\n"
+
 
 class TestEmulationReport:
     def test_perfect_model_reports_zero(self):

@@ -192,7 +192,7 @@ def cmd_convolve(args) -> int:
 
 
 def _load_classification_dataset(cfg, split: str):
-    from .config import ConfigError
+    from .config import ConfigError, class_ids, parse_key
     from .data import load_cifar4, load_idx, synthetic_blobs
 
     kind = cfg.require("dataset", "kind")
@@ -204,11 +204,12 @@ def _load_classification_dataset(cfg, split: str):
                 raise ConfigError(f"{cfg.path}: dataset file not found: {path}")
         ds = load_idx(images, labels, split)
     elif kind == "cifar4":
+        classes = parse_key(cfg.path, "[dataset] classes", cfg.get("dataset", "classes"),
+                            class_ids, (0, 1, 2, 3))
         paths = cfg.require("dataset", f"{split}_batches").split()
         for path in paths:
             if not Path(path).is_file():
                 raise ConfigError(f"{cfg.path}: dataset file not found: {path}")
-        classes = tuple(int(v) for v in cfg.get("dataset", "classes", "0 1 2 3").split())
         ds = load_cifar4(paths, classes, split=split)
     elif kind == "blobs":
         count = cfg.getcount("dataset", f"{split}_count", 512 if split == "train" else 128)
@@ -247,6 +248,11 @@ def cmd_train_classifier(args) -> int:
             f"{cfg.path}: key [network] channels = {cfg_channels} but dataset has {channels}")
 
     kernel_size = cfg.getcount("network", "kernel_size", 3)
+    if image_size <= kernel_size:   # the feature map must fit the 2x2 pool
+        key = "[dataset] size" if cfg.get("dataset", "kind") == "blobs" else "[network] kernel_size"
+        raise ConfigError(f"{cfg.path}: key {key}: {image_size}x{image_size} images are too "
+                          f"small for kernel_size {kernel_size} and the 2x2 pool; "
+                          f"they need at least {kernel_size + 1} pixels a side")
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
     hidden = cfg.getcounts("network", "hidden", (128, 64))
     pool = cfg.getpool("network", "pool", "mean")

@@ -43,6 +43,8 @@ finite_row = _checked(float_row, lambda v: bool(np.all(np.isfinite(v))))
 counts = _checked(lambda raw: tuple(int(v) for v in raw.split()),
                   lambda v: all(x >= 1 for x in v))
 pool_mode = _checked(str, lambda v: v in ("mean", "max"))
+class_ids = _checked(lambda raw: tuple(int(v) for v in raw.split()),   # CIFAR-10 classes
+                     lambda v: 0 < len(v) == len(set(v)) and all(0 <= x <= 9 for x in v))
 
 
 def boolean(raw: str) -> bool:
@@ -59,6 +61,7 @@ TYPE_NAMES = {
     float: "a number", positive: "a finite number > 0", nonnegative: "a finite number >= 0",
     float_row: "a list of numbers", finite_row: "a list of finite numbers",
     counts: "a list of integers >= 1", boolean: "a boolean", pool_mode: "mean or max",
+    class_ids: "a list of distinct class ids 0-9",
 }
 
 # every OcuGeometry field with the parser of its text form, by its annotation

@@ -161,12 +161,12 @@ def train_classifier(
             net, n, cfg, _seeded(cfg.seed, 1),
             lambda idx: (train_images[idx], train_labels[idx]),
             lambda scores, labels: softmax_cross_entropy(scores, labels)):
-        test_acc = math.nan
+        scored = None   # (accuracy, confusion) of this epoch's weights, if evaluated
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            test_acc, _, _ = evaluate_classifier(net, test_images, test_labels, n_classes)
-        history.append((epoch, loss, test_acc))
+            scored = evaluate_classifier(net, test_images, test_labels, n_classes)[:2]
+        history.append((epoch, loss, scored[0] if scored else math.nan))
 
-    acc, conf, _ = evaluate_classifier(net, test_images, test_labels, n_classes)
+    acc, conf = scored or evaluate_classifier(net, test_images, test_labels, n_classes)[:2]
     return ClassifierResult(net, history, acc, conf)
 
 

@@ -7,6 +7,8 @@ diffractive units, (kernels, channels) unit axes leading, run through the
 cascade and detection engines in optics that also serve a single SRP unit.
 The electrical Conv2dLayer walks the exact same im2col path with ordinary
 real-valued kernels, so optical/electrical comparisons share all plumbing.
+Windows, strides and reflection padding belong to tensorize: convolutions
+and pools slide through im2col_batch and scatter back through fold_batch.
 
 Shapes: images and feature maps are (B, C, N, N); dense activations (B, F).
 """
@@ -69,49 +71,14 @@ class Sequential(Layer):
 
 
 # ---------------------------------------------------------------------------
-# reflection padding helpers (denoiser keeps spatial size; classifier is unpadded)
-# ---------------------------------------------------------------------------
-
-def _reflect_index(n: int, pad: int) -> np.ndarray:
-    if pad == 0:
-        return np.arange(n)
-    if pad >= n:
-        raise ValueError("reflection pad must be smaller than the image")
-    return np.concatenate(
-        [np.arange(pad, 0, -1), np.arange(n), np.arange(n - 2, n - 2 - pad, -1)]
-    )
-
-def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    idx = _reflect_index(x.shape[-1], pad)
-    return x[..., idx, :][..., :, idx]
-
-
-def _reflect_pad_grad(grad: np.ndarray, pad: int, n: int) -> np.ndarray:
-    """Adjoint of _reflect_pad: scatter-add padded gradients back."""
-    if pad == 0:
-        return grad
-    if pad >= n:
-        raise ValueError("reflection pad must be smaller than the image")
-    # padded row pad - i mirrors row i (1 <= i <= pad), row pad+n-1 + i mirrors n-1-i
-    rows = grad[..., pad:pad + n, :].copy()
-    rows[..., 1:pad + 1, :] += grad[..., pad - 1::-1, :]
-    rows[..., n - 1 - pad:n - 1, :] += grad[..., 2 * pad + n - 1:pad + n - 1:-1, :]
-    out = rows[..., pad:pad + n].copy()
-    out[..., 1:pad + 1] += rows[..., pad - 1::-1]
-    out[..., n - 1 - pad:n - 1] += rows[..., 2 * pad + n - 1:pad + n - 1:-1]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # convolution layers
 # ---------------------------------------------------------------------------
 
 class _Convolution(Layer):
-    """Patch plumbing of the optical convolution and its electrical twin:
-    reflection padding, im2col columns and their adjoint.  A forward pass
-    first drops the previous call's cache, so two column arrays never coexist."""
+    """Patch plumbing of the optical convolution and its electrical twin: the
+    im2col columns of the reflect-padded input and their adjoint.  A forward
+    pass first drops the previous call's cache, so two column arrays never
+    coexist."""
 
     def __init__(self, kernels: int, channels: int, kernel_size: int, stride: int, pad: int):
         if min(kernels, channels, kernel_size) < 1:
@@ -131,13 +98,11 @@ class _Convolution(Layer):
     def _columns(self, x):
         """(C*H^2, B*G^2) patch columns of the padded input, its shape checked."""
         self.out_shape(x.shape)
-        return im2col_batch(_reflect_pad(x, self.pad), self.h, self.stride)
+        return im2col_batch(x, self.h, self.stride, self.pad)
 
     def _input_grad(self, dcols, in_shape):
         """Adjoint of _columns: fold (C*H^2, B*G^2) gradients onto the input."""
-        n_pad = in_shape[-1] + 2 * self.pad
-        dpadded = fold_batch(dcols, (in_shape[0], self.c, n_pad, n_pad), self.h, self.stride)
-        return _reflect_pad_grad(dpadded, self.pad, in_shape[-1])
+        return fold_batch(dcols, in_shape, self.h, self.stride, self.pad)
 
 
 class OclLayer(_Convolution):
@@ -289,42 +254,35 @@ class Pool2dLayer(Layer):
         g = feature_dim(n, self.window, self.stride)
         return (b, c, g, g)
 
-    def _windows(self, x):
-        g = feature_dim(x.shape[-1], self.window, self.stride)
-        w, s = self.window, self.stride
-        stack = np.stack([
-            x[..., i:i + s * g:s, j:j + s * g:s]
-            for i in range(w) for j in range(w)
-        ])
-        return stack, g
-
     def forward(self, x, training=False):
         if self.window > x.shape[-1]:
             raise ValueError("pool window larger than feature map")
-        stack, g = self._windows(x)
+        b, c, g, _ = self.out_shape(x.shape)
+        # one window per column, its w^2 taps down the rows; channel-major, so
+        # a convolution's (B, C, N, N) view of its (C, B, N, N) output is not copied
+        n = x.shape[-1]
+        taps = im2col_batch(x.transpose(1, 0, 2, 3).reshape(c * b, 1, n, n),
+                            self.window, self.stride)
         if self.mode == "mean":
-            out = stack.mean(axis=0)
+            out = taps.mean(axis=0)
             self._cache = (x.shape, None)
         else:
-            idx = stack.argmax(axis=0)
-            out = np.take_along_axis(stack, idx[None], axis=0)[0]
+            idx = taps.argmax(axis=0)
+            out = np.take_along_axis(taps, idx[None], axis=0)[0]
             self._cache = (x.shape, idx)
-        return out
+        return out.reshape(c, b, g, g).transpose(1, 0, 2, 3)
 
     def backward(self, grad):
         in_shape, idx = self._cache
-        w, s = self.window, self.stride
-        g = grad.shape[-1]
-        out = np.zeros(in_shape, dtype=grad.dtype)
+        w = self.window
+        b, c, n, _ = in_shape
+        flat = grad.transpose(1, 0, 2, 3).reshape(1, -1)
         if self.mode == "mean":
-            share = grad / (w * w)
-            for i in range(w):
-                for j in range(w):
-                    out[..., i:i + s * g:s, j:j + s * g:s] += share
+            dtaps = np.broadcast_to(flat / (w * w), (w * w, flat.size))
         else:
-            for k, (i, j) in enumerate((i, j) for i in range(w) for j in range(w)):
-                out[..., i:i + s * g:s, j:j + s * g:s] += grad * (idx == k)
-        return out
+            dtaps = flat * (idx == np.arange(w * w)[:, None])
+        dx = fold_batch(dtaps, (c * b, 1, n, n), w, self.stride)
+        return dx.reshape(c, b, n, n).transpose(1, 0, 2, 3)
 
 
 class BatchNormLayer(Layer):

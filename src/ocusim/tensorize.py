@@ -4,8 +4,11 @@ Patches are laid out so that a flattened kernel row-vector times the patch
 matrix reproduces the sliding-window convolution: column m holds the pixels
 under the window at sliding index m (row-major scan), and within a column
 the channels form contiguous blocks, each block row-major over the window.
-No padding is applied anywhere in this module; non-square images are
-rejected rather than padded.
+This module is the one window primitive: every layer that slides a window
+(convolution, pooling) goes through im2col_batch and its adjoint fold_batch.
+The only padding is reflection (the edge pixel is not repeated, as numpy's
+"reflect" mode), applied by im2col_batch and folded back by fold_batch;
+non-square images are rejected.
 """
 
 from __future__ import annotations
@@ -58,11 +61,23 @@ def im2col(img, h: int, s: int = 1) -> PatchMatrix:
     return PatchMatrix(im2col_batch(img[None], h, s), n, h, s, c)
 
 
-def im2col_batch(imgs: np.ndarray, h: int, s: int = 1) -> np.ndarray:
-    """Batched im2col: (B, C, N, N) -> (C*H^2, B*G^2), batch-major columns."""
+def _check_pad(n: int, pad: int) -> None:
+    if not 0 <= pad < n:
+        raise ValueError(f"reflection pad must be in [0, {n}) for a {n}x{n} image, got {pad}")
+
+
+def im2col_batch(imgs: np.ndarray, h: int, s: int = 1, pad: int = 0) -> np.ndarray:
+    """Batched im2col: (B, C, N, N) -> (C*H^2, B*G^2), batch-major columns.
+
+    The images are first reflect-padded by ``pad`` pixels on every side, so
+    G = floor((N + 2 pad - H)/S) + 1.
+    """
     imgs = np.asarray(imgs, dtype=float)
     if imgs.ndim != 4 or imgs.shape[2] != imgs.shape[3]:
         raise ValueError("batch must be (B, C, N, N) with square images")
+    if pad:
+        _check_pad(imgs.shape[-1], pad)
+        imgs = np.pad(imgs, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
     b, c, n, _ = imgs.shape
     g = feature_dim(n, h, s)
     windows = sliding_window_view(imgs, (h, h), axis=(2, 3))[:, :, ::s, ::s]
@@ -71,21 +86,34 @@ def im2col_batch(imgs: np.ndarray, h: int, s: int = 1) -> np.ndarray:
     return np.ascontiguousarray(cols)
 
 
-def fold_batch(cols: np.ndarray, batch_shape: tuple, h: int, s: int = 1) -> np.ndarray:
-    """Adjoint of im2col_batch: scatter-add columns back onto images.
+def fold_batch(cols: np.ndarray, batch_shape: tuple, h: int, s: int = 1,
+               pad: int = 0) -> np.ndarray:
+    """Adjoint of im2col_batch: scatter-add columns back onto the unpadded
+    (B, C, N, N) images of ``batch_shape``.
 
     Used for gradient flow through patch extraction; overlapping windows
-    accumulate.
+    accumulate, and each reflected border pixel adds onto the pixel it mirrors.
     """
     b, c, n, _ = batch_shape
-    g = feature_dim(n, h, s)
+    _check_pad(n, pad)
+    m = n + 2 * pad
+    g = feature_dim(m, h, s)
     blocks = cols.reshape(c, h, h, b, g, g)
-    out = np.zeros(batch_shape, dtype=cols.dtype)
+    padded = np.zeros((b, c, m, m), dtype=cols.dtype)
     for ki in range(h):
         i_max = ki + s * g
         for kj in range(h):
             j_max = kj + s * g
-            out[:, :, ki:i_max:s, kj:j_max:s] += blocks[:, ki, kj].transpose(1, 0, 2, 3)
+            padded[:, :, ki:i_max:s, kj:j_max:s] += blocks[:, ki, kj].transpose(1, 0, 2, 3)
+    if pad == 0:
+        return padded
+    # padded row pad - i mirrors row i (1 <= i <= pad), row pad+n-1 + i mirrors n-1-i
+    rows = padded[..., pad:pad + n, :].copy()
+    rows[..., 1:pad + 1, :] += padded[..., pad - 1::-1, :]
+    rows[..., n - 1 - pad:n - 1, :] += padded[..., 2 * pad + n - 1:pad + n - 1:-1, :]
+    out = rows[..., pad:pad + n].copy()
+    out[..., 1:pad + 1] += rows[..., pad - 1::-1]
+    out[..., n - 1 - pad:n - 1] += rows[..., 2 * pad + n - 1:pad + n - 1:-1]
     return out
 
 

@@ -132,11 +132,26 @@ def fd_check_network(net_proto, x, y, loss, rel=1e-4, abs_floor=1e-8):
         assert_grad_close(analytic[i], fd, rel, abs_floor, label=f"param {i} ({p.name})")
 
 
+def reflect_sources(n, pad):
+    """The source pixel of each index of a side of length n reflect-padded by pad."""
+    return [pad - i for i in range(pad)] + list(range(n)) + [n - 2 - i for i in range(pad)]
+
+
+def reflect_pad_loop(x, pad):
+    """Reflection padding of the last two axes, one output pixel at a time."""
+    idx = reflect_sources(x.shape[-1], pad)
+    out = np.empty(x.shape[:-2] + (len(idx), len(idx)), dtype=x.dtype)
+    for r, src_r in enumerate(idx):
+        for c, src_c in enumerate(idx):
+            out[..., r, c] = x[..., src_r, src_c]
+    return out
+
+
 def reflect_pad_grad_loop(grad, pad, n):
     """Adjoint of reflection padding by per-row and per-column scatter-adds."""
     if pad == 0:
         return grad
-    idx = [pad - i for i in range(pad)] + list(range(n)) + [n - 2 - i for i in range(pad)]
+    idx = reflect_sources(n, pad)
     rows = np.zeros(grad.shape[:-2] + (n, grad.shape[-1]), dtype=grad.dtype)
     for src, dst in enumerate(idx):
         rows[..., dst, :] += grad[..., src, :]
@@ -229,3 +244,42 @@ def direct_fit_history(model, values, labels, cfg, fs):
         model.detection_gain = float(np.exp(log_gain.value))
         history.append((epoch, loss, mse))
     return history
+
+
+def pool_loop(x, w, s, mode):
+    """Window pooling of (B, C, N, N) maps one window at a time: the output and
+    the first arg-max tap of each window (taps row-major; None for "mean")."""
+    b, c, n, _ = x.shape
+    g = (n - w) // s + 1
+    out = np.empty((b, c, g, g))
+    arg = np.zeros((b, c, g, g), dtype=int)
+    for i in range(g):
+        for j in range(g):
+            taps = x[:, :, i * s:i * s + w, j * s:j * s + w].reshape(b, c, w * w)
+            acc, best = taps[..., 0].copy(), np.zeros((b, c), dtype=int)
+            for t in range(1, w * w):
+                if mode == "mean":
+                    acc = acc + taps[..., t]
+                else:
+                    better = taps[..., t] > acc
+                    acc = np.where(better, taps[..., t], acc)
+                    best = np.where(better, t, best)
+            out[:, :, i, j] = acc / (w * w) if mode == "mean" else acc
+            arg[:, :, i, j] = best
+    return out, (None if mode == "mean" else arg)
+
+
+def pool_grad_loop(grad, in_shape, w, s, arg):
+    """Adjoint of pool_loop: each window's gradient back onto its taps, tap by
+    tap in row-major order (shared by every window, so overlaps add in the
+    same order as any tap-major scatter)."""
+    g = grad.shape[-1]
+    dx = np.zeros(in_shape)
+    for t in range(w * w):
+        ki, kj = divmod(t, w)
+        for i in range(g):
+            for j in range(g):
+                share = grad[:, :, i, j] / (w * w) if arg is None else \
+                    np.where(arg[:, :, i, j] == t, grad[:, :, i, j], 0.0)
+                dx[:, :, i * s + ki, j * s + kj] += share
+    return dx

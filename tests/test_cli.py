@@ -483,9 +483,10 @@ class TestMalformedImage:
 
 class TestBadNumbers:
     """A count, size or stride below 1, a negative seed, limit or layer count, an
-    even denoiser kernel, a malformed list, an unknown pool mode, a rate <= 0, or
-    a noise level, pixel count or energy that is negative or not finite exits 2
-    naming the key."""
+    even denoiser kernel, a malformed list, an unknown pool mode, a rate <= 0, a
+    noise level, pixel count or energy that is negative or not finite, a class id
+    list that is not distinct ids 0-9, or classifier images too small for the
+    kernel and pool exits 2 naming the key."""
 
     @staticmethod
     def convolve_stride_zero(tmp_path):
@@ -544,6 +545,11 @@ class TestBadNumbers:
         "perf_rate": ("perf", PERF_CONFIG, "rate_gbaud = 100", "rate_gbaud = 0",
                       "[perf] rate_gbaud"),
         "perf_pixels": ("perf", PERF_CONFIG, "pixels = 8e6", "pixels = -5", "[perf] pixels"),
+        "cifar_classes": ("train-classifier", BLOBS_CONFIG, "kind = blobs",
+                          "kind = cifar4\ntrain_batches = a.bin\ntest_batches = b.bin\n"
+                          "classes = 0 x", "[dataset] classes"),
+        "blobs_size_below_kernel": ("train-classifier", BLOBS_CONFIG, "size = 8", "size = 2",
+                                    "[dataset] size"),
     }
 
     @pytest.mark.parametrize("case", ["convolve_stride", *CASES])

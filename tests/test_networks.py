@@ -35,6 +35,27 @@ class TestClassifier:
         assert train_acc >= 0.99
         assert result.accuracy >= 0.95
 
+    def test_last_periodic_evaluation_is_the_result(self, monkeypatch):
+        # eval_every dividing epochs scores the test set once per period, not once more
+        from ocusim import networks
+        train = synthetic_blobs(32, 8, seed=1)
+        test = synthetic_blobs(16, 8, seed=2)
+        calls = []
+        evaluate = networks.evaluate_classifier
+        monkeypatch.setattr(networks, "evaluate_classifier",
+                            lambda *a, **k: calls.append(1) or evaluate(*a, **k))
+        results = []
+        for eval_every in (2, 0):
+            calls.clear()
+            net = build_classifier(blob_geometry(8), 1, 1, 8, 2, seed=0, hidden=(4,))
+            cfg = TrainConfig(epochs=4, batch_size=16, seed=0, eval_every=eval_every)
+            results.append(train_classifier(net, train.images, train.labels,
+                                            test.images, test.labels, 2, cfg))
+            assert len(calls) == (2 if eval_every else 1)
+        periodic, final_only = results
+        assert periodic.history[-1][2] == periodic.accuracy == final_only.accuracy
+        assert np.array_equal(periodic.confusion, final_only.confusion)
+
     def test_untrained_accuracy_is_chance(self):
         # fixed random network on class-balanced data scores ~1/n_classes
         rng = np.random.default_rng(3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ocusim import nn, optics
+from ocusim import optics
 from ocusim.nn import (
     BatchNormLayer,
     Conv2dLayer,
@@ -25,12 +25,14 @@ from ocusim.optics import (
     transfer_partials,
 )
 from ocusim.srp import conv2d_reference
-from ocusim.tensorize import im2col
+from ocusim.tensorize import fold_batch, im2col
 
 from helpers import (
     complex_ocu_vjp,
     fd_check_network,
     naive_patch_columns,
+    pool_grad_loop,
+    pool_loop,
     reflect_pad_grad_loop,
 )
 
@@ -233,25 +235,34 @@ class TestOclLayerOracle:
 
 
 class TestReflectPadGrad:
+    """fold_batch at a 1x1 window places each padded pixel once, so what is
+    left of it is the adjoint of reflection padding alone."""
+
+    @staticmethod
+    def pad_grad(grad, pad, n):
+        b, c = grad.shape[:2]
+        cols = grad.transpose(1, 0, 2, 3).reshape(c, -1)
+        return fold_batch(cols, (b, c, n, n), 1, pad=pad)
+
     def test_pad_one_is_bitwise_equal_to_loops(self):
         rng = np.random.default_rng(40)
         for n in (2, 3, 6):
             grad = rng.standard_normal((2, 3, n + 2, n + 2))
-            assert np.array_equal(nn._reflect_pad_grad(grad, 1, n),
+            assert np.array_equal(self.pad_grad(grad, 1, n),
                                   reflect_pad_grad_loop(grad, 1, n))
 
     def test_every_pad_matches_loops(self):
         rng = np.random.default_rng(41)
         for n in range(2, 8):
             for pad in range(n):
-                grad = rng.standard_normal((2, n + 2 * pad, n + 2 * pad))
-                np.testing.assert_allclose(nn._reflect_pad_grad(grad, pad, n),
+                grad = rng.standard_normal((1, 2, n + 2 * pad, n + 2 * pad))
+                np.testing.assert_allclose(self.pad_grad(grad, pad, n),
                                            reflect_pad_grad_loop(grad, pad, n),
                                            rtol=0, atol=1e-14 * np.abs(grad).max())
 
     def test_rejects_pad_not_below_size(self):
         with pytest.raises(ValueError):
-            nn._reflect_pad_grad(np.zeros((1, 7, 7)), 3, 3)
+            fold_batch(np.zeros((1, 49)), (1, 1, 3, 3), 1, pad=3)
 
 
 class TestConv2dLayer:
@@ -299,6 +310,21 @@ class TestPool:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             Pool2dLayer(2, 2, "median")
+
+    @pytest.mark.parametrize("mode", ["mean", "max"])
+    @pytest.mark.parametrize("window,stride,n", [(2, 2, 8), (2, 2, 7), (3, 2, 7),
+                                                 (3, 2, 8), (2, 1, 6)])
+    def test_bitwise_equal_to_loops(self, mode, window, stride, n):
+        rng = np.random.default_rng(100 * window + 10 * stride + n)
+        # a coarse grid of values, so max windows hold ties
+        x = np.round(rng.standard_normal((2, 3, n, n)), 1)
+        layer = Pool2dLayer(window, stride, mode)
+        out = layer.forward(x)
+        expected, arg = pool_loop(x, window, stride, mode)
+        assert np.array_equal(out, expected)
+        grad = rng.standard_normal(out.shape)
+        assert np.array_equal(layer.backward(grad),
+                              pool_grad_loop(grad, x.shape, window, stride, arg))
 
 
 class TestBatchNorm:

@@ -13,7 +13,7 @@ from ocusim.tensorize import (
     im2col_batch,
 )
 
-from helpers import naive_patch_columns
+from helpers import naive_patch_columns, reflect_pad_loop
 
 
 class TestFeatureDim:
@@ -82,6 +82,23 @@ class TestIm2col:
                                   im2col(imgs[b], 3).values)
 
 
+class TestReflectPad:
+    def test_equals_im2col_of_loop_padding(self):
+        rng = np.random.default_rng(6)
+        for n in range(2, 7):
+            x = rng.standard_normal((2, 3, n, n))
+            for pad in range(n):
+                h = min(3, n + 2 * pad)
+                for s in (1, 2, 3):
+                    assert np.array_equal(im2col_batch(x, h, s, pad),
+                                          im2col_batch(reflect_pad_loop(x, pad), h, s))
+
+    @pytest.mark.parametrize("pad", [-1, 4, 5])
+    def test_rejects_pad_outside_image(self, pad):
+        with pytest.raises(ValueError):
+            im2col_batch(np.zeros((1, 1, 4, 4)), 3, 1, pad)
+
+
 class TestConvEquivalence:
     def test_matrix_path_equals_reference(self):
         rng = np.random.default_rng(3)
@@ -141,8 +158,9 @@ class TestFold:
         # <fold(c), x> == <c, im2col(x)> makes fold the exact gradient
         rng = np.random.default_rng(5)
         x = rng.random((2, 3, 6, 6))
-        cols = im2col_batch(x, 3, 2)
-        c = rng.random(cols.shape)
-        lhs = np.sum(fold_batch(c, x.shape, 3, 2) * x)
-        rhs = np.sum(c * cols)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        for pad in (0, 1, 2, 5):
+            cols = im2col_batch(x, 3, 2, pad)
+            c = rng.random(cols.shape)
+            lhs = np.sum(fold_batch(c, x.shape, 3, 2, pad) * x)
+            rhs = np.sum(c * cols)
+            assert lhs == pytest.approx(rhs, rel=1e-12)

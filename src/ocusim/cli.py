@@ -213,7 +213,10 @@ def _load_classification_dataset(cfg, split: str):
         ds = load_cifar4(paths, classes, split=split)
     elif kind == "blobs":
         count = cfg.getcount("dataset", f"{split}_count", 512 if split == "train" else 128)
-        ds = synthetic_blobs(count, cfg.getcount("dataset", "size", 8),
+        size = cfg.getcount("dataset", "size", 8)
+        if size < 2:
+            raise ConfigError(f"{cfg.path}: key [dataset] size must be >= 2, got {size}")
+        ds = synthetic_blobs(count, size,
                              seed=cfg.getnatural("dataset", "seed", 0) + (0 if split == "train" else 1))
     else:
         raise ConfigError(f"{cfg.path}: key [dataset] kind must be idx, cifar4, or blobs")
@@ -385,6 +388,13 @@ def cmd_eval(args) -> int:
     if kind == "classifier":
         from .networks import evaluate_classifier
         test = _load_classification_dataset(cfg, "test")
+        got = test.images.shape[1:]
+        want = (int(topo["channels"]), int(topo["image_size"]), int(topo["image_size"]))
+        if got != want:
+            blobs = cfg.get("dataset", "kind") == "blobs" and got[1:] != want[1:]
+            raise ConfigError(f"{cfg.path}: {'key [dataset] size: ' if blobs else ''}dataset "
+                              f"images are {got} (channels, size, size), but the checkpoint "
+                              f"was trained on {want}")
         n_classes = int(topo["n_classes"])
         acc, conf, _ = evaluate_classifier(net, test.images, test.labels, n_classes)
         _write_confusion(out / "confusion.csv", conf)

@@ -294,6 +294,8 @@ def synthetic_corpus(count: int, size: int, seed: int = 0) -> np.ndarray:
 
 def synthetic_blobs(count: int, size: int = 8, seed: int = 0) -> LabeledDataset:
     """Two linearly separable classes: a bright blob in opposite corners."""
+    if size < 2:
+        raise ValueError(f"blob images need at least 2 pixels a side, got {size}")
     rng = _rng(np.random.SeedSequence((0xB10B, seed)))
     yy, xx = np.mgrid[0:size, 0:size] / (size - 1)
     centers = ((0.25, 0.25), (0.75, 0.75))

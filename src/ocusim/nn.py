@@ -5,10 +5,11 @@ accumulates parameter gradients into Param objects and returns the gradient
 w.r.t. its input.  The optical convolution layer (OclLayer) is a bank of
 diffractive units, (kernels, channels) unit axes leading, run through the
 cascade and detection engines in optics that also serve a single SRP unit.
-The electrical Conv2dLayer walks the exact same im2col path with ordinary
+The electrical Conv2dLayer walks the exact same patch columns with ordinary
 real-valued kernels, so optical/electrical comparisons share all plumbing.
 Windows, strides and reflection padding belong to tensorize: convolutions
-and pools slide through im2col_batch and scatter back through fold_batch.
+walk a column source (tensorize.windows) block by block, pools slide
+through im2col_batch and scatter back through fold_batch.
 
 Shapes: images and feature maps are (B, C, N, N); dense activations (B, F).
 """
@@ -19,10 +20,10 @@ import math
 
 import numpy as np
 
-from .optics import (OcuGeometry, bank_detect, bank_unit_outputs, bank_vjp, propagation_matrices,
-                     quadrature_rows, stacked_transfer_partials)
+from .optics import (OcuGeometry, bank_detect, bank_unit_outputs, bank_vjp, block_width,
+                     propagation_matrices, quadrature_rows, stacked_transfer_partials)
 from .optim import Param
-from .tensorize import feature_dim, fold_batch, im2col_batch
+from .tensorize import feature_dim, fold_batch, im2col_batch, windows
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,10 +76,13 @@ class Sequential(Layer):
 # ---------------------------------------------------------------------------
 
 class _Convolution(Layer):
-    """Patch plumbing of the optical convolution and its electrical twin: the
-    im2col columns of the reflect-padded input and their adjoint.  A forward
-    pass first drops the previous call's cache, so two column arrays never
-    coexist."""
+    """Patch plumbing of the optical convolution and its electrical twin: a
+    column source (tensorize.windows) over the windows of the reflect-padded
+    input, walked block by block in forward and backward.  At stride 1 the
+    source keeps only the padded input, 9x smaller than the patch matrix of
+    a 3x3 window, and the forward cache holds it; at stride > 1 it holds the
+    whole patch matrix.  A forward pass first drops the previous call's
+    cache, so two sources never coexist."""
 
     def __init__(self, kernels: int, channels: int, kernel_size: int, stride: int, pad: int):
         if min(kernels, channels, kernel_size) < 1:
@@ -95,14 +99,10 @@ class _Convolution(Layer):
         g = feature_dim(n + 2 * self.pad, self.h, self.stride)
         return (b, self.q, g, g)
 
-    def _columns(self, x):
-        """(C*H^2, B*G^2) patch columns of the padded input, its shape checked."""
+    def _windows(self, x):
+        """Column source of the windows of the padded input, its shape checked."""
         self.out_shape(x.shape)
-        return im2col_batch(x, self.h, self.stride, self.pad)
-
-    def _input_grad(self, dcols, in_shape):
-        """Adjoint of _columns: fold (C*H^2, B*G^2) gradients onto the input."""
-        return fold_batch(dcols, in_shape, self.h, self.stride, self.pad)
+        return windows(x, self.h, self.stride, self.pad)
 
 
 class OclLayer(_Convolution):
@@ -116,9 +116,10 @@ class OclLayer(_Convolution):
     unit treats as positive (a wiring choice fixed at calibration so no
     unit starts with an always-negative, ReLU-dead output).
 
-    The forward cache holds the patch columns, the bank partials and the
-    quadrature rows (optics.quadrature_rows); the detection engine
-    recomputes each block's fields from them in backward.
+    The forward cache holds the column source (the padded input at stride
+    1), the bank partials and the quadrature rows (optics.quadrature_rows);
+    the detection engine recomputes each block's columns and fields from
+    them in backward.
     """
 
     def __init__(self, geometry: OcuGeometry, kernels: int, channels: int,
@@ -142,37 +143,34 @@ class OclLayer(_Convolution):
         return np.exp(self.log_gain.value)
 
     def _operators(self, x):
-        """Patch columns (C, H^2, n), bank partials and quadratures (C, 4q, H^2)."""
-        cols = self._columns(x).reshape(self.c, self.h * self.h, -1)
+        """Column source of x, bank partials and quadratures (C, 4q, H^2)."""
+        src = self._windows(x)
         partials = stacked_transfer_partials(self.phases.value, self.fs)
-        return cols, partials, quadrature_rows(partials.total)
+        return src, partials, quadrature_rows(partials.total)
 
     def forward(self, x, training=False):
-        b, q, g, _ = self.out_shape(x.shape)
         self._cache = None
-        cols, partials, quad = self._operators(x)
-        fm = bank_detect(quad, cols, self.gains() * self.port_sign)
-        self._cache = (x.shape, cols, partials, quad)
-        return fm.reshape(q, b, g, g).transpose(1, 0, 2, 3)
+        src, partials, quad = self._operators(x)
+        fm = src.crop(bank_detect(quad, src, self.gains() * self.port_sign))
+        self._cache = (src, partials, quad)
+        return fm.transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
-        in_shape, cols, partials, quad = self._cache
-        gq = grad.transpose(1, 0, 2, 3).reshape(self.q, -1)
+        src, partials, quad = self._cache
+        gq = src.spread(grad.transpose(1, 0, 2, 3))
         eff = self.gains() * self.port_sign
-        grads = bank_vjp(partials, quad, cols, eff, gq, need_input_grad)
+        grads = bank_vjp(partials, quad, src, eff, gq, need_input_grad)
         self.log_gain.grad += eff * grads.gain
         self.phases.grad += grads.phases
-        if not need_input_grad:
-            return None
-        return self._input_grad(grads.patches.reshape(self.c * self.h * self.h, -1), in_shape)
+        return grads.patches
 
     def unit_outputs(self, x: np.ndarray) -> np.ndarray:
         """|R+|^2 - |R-|^2 of every unit, before gain and port sign: (q, C, n).
 
         Column n runs over the batch-major patch positions of ``x``.
         """
-        cols, _, quad = self._operators(x)
-        return bank_unit_outputs(quad, cols)
+        src, _, quad = self._operators(x)
+        return src.crop(bank_unit_outputs(quad, src)).reshape(self.q, self.c, -1)
 
     def calibrate_gains(self, x: np.ndarray) -> None:
         """Fix port polarity and set each unit's gain to a useful scale.
@@ -208,22 +206,36 @@ class Conv2dLayer(_Convolution):
     def params(self):
         return [self.weight, self.bias]
 
+    def _blocks(self, src):
+        """(column slice, (C*H^2, width) patch block) over the source's blocks."""
+        rows = self.c * self.h * self.h
+        for blk, cols in src.blocks(block_width(rows)):
+            yield blk, cols.reshape(rows, -1)
+
     def forward(self, x, training=False):
-        b, q, g, _ = self.out_shape(x.shape)
         self._cache = None
-        cols = self._columns(x)
-        fm = self.weight.value.reshape(q, -1) @ cols + self.bias.value[:, None]
-        self._cache = (x.shape, cols)
-        return fm.reshape(q, b, g, g).transpose(1, 0, 2, 3)
+        src = self._windows(x)
+        w = self.weight.value.reshape(self.q, -1)
+        fm = np.empty((self.q, src.n))
+        for blk, cols in self._blocks(src):
+            fm[:, blk] = w @ cols
+        fm = src.crop(fm) + self.bias.value[:, None, None, None]
+        self._cache = src
+        return fm.transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
-        in_shape, cols = self._cache
-        gq = grad.transpose(1, 0, 2, 3).reshape(self.q, -1)
-        self.weight.grad += (gq @ cols.T).reshape(self.weight.value.shape)
-        self.bias.grad += gq.sum(axis=1)
-        if not need_input_grad:
-            return None
-        return self._input_grad(self.weight.value.reshape(self.q, -1).T @ gq, in_shape)
+        src = self._cache
+        gq = grad.transpose(1, 0, 2, 3)
+        self.bias.grad += gq.sum(axis=(1, 2, 3))
+        gq = src.spread(gq)
+        w = self.weight.value.reshape(self.q, -1)
+        dw = np.zeros(w.shape)
+        for blk, cols in self._blocks(src):
+            dw += gq[:, blk] @ cols.T
+            if need_input_grad:
+                src.add_grad(blk, (w.T @ gq[:, blk]).reshape(self.c, self.h * self.h, -1))
+        self.weight.grad += dw.reshape(self.weight.value.shape)
+        return src.gradient() if need_input_grad else None
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ Conventions:
       (stacked_transfer_partials, phase_adjoint) broadcasts over them
     * the one detection engine (bank_detect, bank_vjp) serves the
       optical convolution layer and SRP, one unit being a 1x1 bank; it
-      applies 4 real quadrature rows per unit to blocks of real patch
-      columns.  ocu_forward/balanced_detect are the complex reference.
+      applies 4 real quadrature rows per unit to the blocks of a column
+      source (tensorize): a plain (C, H^2, n) patch array, or the windows
+      of a padded batch streamed without a patch matrix.
+      ocu_forward/balanced_detect are the complex reference.
     * the obliquity angle uses cos(theta) = |dx| / r so the factor
       (1 + cos theta)/2 peaks on axis (declared deviation from the
       sign-ambiguous textbook form; validated by the symmetry tests)
@@ -32,6 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tensorize import Columns
 
 TWO_PI = 2.0 * math.pi
 
@@ -327,7 +331,9 @@ def balanced_detect(response: np.ndarray, gain: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Detection walks the patch columns in blocks whose (C, 4q, width) float64
-# field array takes about this many bytes, so a block's fields stay in L2 cache.
+# field array takes about this many bytes, so a block's fields stay in L2 cache;
+# the electrical twin sizes its (C*H^2, width) patch blocks the same way.  A
+# streamed source rounds the width to whole padded image rows.
 BLOCK_BYTES = 1 << 20
 
 # detector sign of a unit's four quadrature rows: port+ re/im, port- re/im
@@ -338,7 +344,7 @@ _PORT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 class OcuGradients:
     phases: np.ndarray        # (..., M-1, V)
     gain: float | np.ndarray  # dJ/d signed gain, (...)
-    patches: np.ndarray | None  # dJ/d patch matrix, (H^2, n) or (C, H^2, n)
+    patches: np.ndarray | None  # dJ/d the column source's input, see bank_vjp
 
 
 def quadrature_rows(total: np.ndarray) -> np.ndarray:
@@ -356,34 +362,51 @@ def _row_weights(gains: np.ndarray) -> np.ndarray:
     return (_PORT_SIGNS[None, :, None] * eff[:, None, :]).reshape(eff.shape[0], -1)
 
 
-def _block_fields(cols, quad):
-    """Yield (column slice, (C, 4q, width) real fields) over fixed blocks."""
-    n = cols.shape[-1]
-    width = max(1, BLOCK_BYTES // (8 * quad.shape[0] * quad.shape[1]))
-    for start in range(0, n, width):
-        blk = slice(start, min(start + width, n))
-        yield blk, np.matmul(quad, cols[:, :, blk])
+def block_width(rows: int) -> int:
+    """Columns of a block whose (rows, width) float64 array takes BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * rows))
 
 
-def bank_detect(quad: np.ndarray, cols: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _source(cols):
+    """A real (C, H^2, n) patch array as a column source; a source as it is."""
+    return Columns(cols) if isinstance(cols, np.ndarray) else cols
+
+
+def _block_fields(src, quad):
+    """Yield (column slice, (C, H^2, width) patches, (C, 4q, width) real
+    fields) over the blocks of column source ``src``.  The fields of every
+    block are written into one array, valid until the next block is yielded:
+    a fresh array per block can cost more in page faults than the product."""
+    width = block_width(quad.shape[0] * quad.shape[1])
+    fields = None
+    for blk, cols in src.blocks(width):
+        if fields is None:
+            fields = np.empty(quad.shape[:2] + cols.shape[-1:])
+        yield blk, cols, np.matmul(quad, cols, out=fields[:, :, :cols.shape[-1]])
+
+
+def bank_detect(quad: np.ndarray, cols, gains: np.ndarray) -> np.ndarray:
     """Balanced detection of a bank, summed over channels: (q, n), from its
-    quadrature rows, real patch columns (C, H^2, n) and (q, C) signed gains."""
+    quadrature rows, real patch columns (C, H^2, n) or a column source of n
+    columns, and (q, C) signed gains."""
     c, q = quad.shape[0], quad.shape[1] // 4
+    src = _source(cols)
     # gain-weighted sum over channels and quadratures, one gemv per kernel
     wt = np.ascontiguousarray(_row_weights(gains).reshape(-1, q).T)[:, None, :]
-    out = np.empty((q, cols.shape[-1]))
-    for blk, f in _block_fields(cols, quad):
+    out = np.empty((q, src.n))
+    for blk, _, f in _block_fields(src, quad):
         np.square(f, out=f)
         f = f.reshape(4 * c, q, -1).transpose(1, 0, 2)
         out[:, blk] = np.matmul(wt, f)[:, 0]
     return out
 
 
-def bank_unit_outputs(quad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def bank_unit_outputs(quad: np.ndarray, cols) -> np.ndarray:
     """|R+|^2 - |R-|^2 of every unit, before gain and sign: (q, C, n)."""
     c, q = quad.shape[0], quad.shape[1] // 4
-    out = np.empty((c, q, cols.shape[-1]))
-    for blk, f in _block_fields(cols, quad):
+    src = _source(cols)
+    out = np.empty((c, q, src.n))
+    for blk, _, f in _block_fields(src, quad):
         f = f.reshape(c, 4, q, -1)
         out[:, :, blk] = (f[:, 0] ** 2 + f[:, 1] ** 2) - (f[:, 2] ** 2 + f[:, 3] ** 2)
     return out.transpose(1, 0, 2)
@@ -405,24 +428,29 @@ def phase_adjoint(partials: TransferPartials, s: np.ndarray) -> np.ndarray:
     return dphases
 
 
-def bank_vjp(partials: TransferPartials, quad: np.ndarray, cols: np.ndarray,
+def bank_vjp(partials: TransferPartials, quad: np.ndarray, cols,
              gains: np.ndarray, grad: np.ndarray, need_patch_grad: bool = True) -> OcuGradients:
     """Exact adjoint of bank_detect for the output gradient ``grad`` (q, n); the
-    phase and gain gradients take the unit axes of ``partials``, if any."""
+    phase and gain gradients take the unit axes of ``partials``, if any.
+
+    The patch gradient is with respect to the input of the column source:
+    the (C, H^2, n) array itself when ``cols`` is one, else the source's
+    ``gradient()``, such as the input batch of streamed windows.
+    """
     c, q, h2 = quad.shape[0], quad.shape[1] // 4, quad.shape[2]
+    src = _source(cols)
     wt2 = 2.0 * _row_weights(gains)
 
     # The field adjoint is rbar = 2 w g f for row weight w.  Per block,
     # f becomes u = g f in place; s0 = cols . u^T and dcols = (2 w quad)^T . u.
     s0 = np.zeros((c, h2, 4 * q))
-    dcols = np.empty(cols.shape) if need_patch_grad else None
     quad_w = (wt2[:, :, None] * quad).transpose(0, 2, 1)
-    for blk, u in _block_fields(cols, quad):
+    for blk, block, u in _block_fields(src, quad):
         per_kernel = u.reshape(c, 4, q, -1)
         per_kernel *= grad[:, blk]
-        s0 += np.matmul(cols[:, :, blk], u.transpose(0, 2, 1))
+        s0 += np.matmul(block, u.transpose(0, 2, 1))
         if need_patch_grad:
-            dcols[:, :, blk] = np.matmul(quad_w, u)
+            src.add_grad(blk, np.matmul(quad_w, u))
 
     # sum_n g f^2 of a row is its quad row dotted with its s0 column
     gf2 = np.einsum("crh,chr->cr", quad, s0).reshape(c, 4, q)
@@ -432,6 +460,7 @@ def bank_vjp(partials: TransferPartials, quad: np.ndarray, cols: np.ndarray,
     # complex patch reduction S[m, c, :, port] = sum_n cols (rbar_re + j rbar_im)
     s = (s0 * wt2[:, None, :]).reshape(c, h2, 2, 2, q)
     s = (s[:, :, :, 0] + 1j * s[:, :, :, 1]).transpose(3, 0, 1, 2).reshape(lead + (h2, 2))
+    dcols = src.gradient() if need_patch_grad else None
     return OcuGradients(phase_adjoint(partials, s), dgain, dcols)
 
 

@@ -290,6 +290,51 @@ dir = {tmp_path / 'evalout'}
         assert (geo_out / "geometry_layer0_ock0_ocu0.csv").is_file()
 
 
+class TestEvalDatasetMismatch:
+    """eval of a classifier on images unlike its training images exits 2:
+    blobs of another size name [dataset] size, other datasets their shape."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("clf")
+        cfg = out / "train.ini"
+        cfg.write_text(BLOBS_CONFIG.format(out=out))
+        proc = run_cli("train-classifier", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        return out / "classifier.ckpt"
+
+    @staticmethod
+    def run_eval(tmp_path, checkpoint, dataset):
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\ncheckpoint = {checkpoint}\n\n[dataset]\n{dataset}\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        return run_cli("eval", "--config", str(cfg))
+
+    def test_blobs_of_another_size(self, tmp_path, checkpoint):
+        proc = self.run_eval(tmp_path, checkpoint, "kind = blobs\ntest_count = 8\nsize = 10\n")
+        assert proc.returncode == 2, proc.stderr
+        assert "[dataset] size" in proc.stderr
+        assert "(1, 10, 10)" in proc.stderr and "(1, 8, 8)" in proc.stderr
+
+    def test_idx_images_of_another_size(self, tmp_path, checkpoint):
+        from test_data import make_idx_images, make_idx_labels
+
+        make_idx_images(tmp_path / "img.idx", np.zeros((3, 10, 10)))
+        make_idx_labels(tmp_path / "lbl.idx", np.zeros(3))
+        proc = self.run_eval(tmp_path, checkpoint,
+                             f"kind = idx\ntest_images = {tmp_path / 'img.idx'}\n"
+                             f"test_labels = {tmp_path / 'lbl.idx'}\n")
+        assert proc.returncode == 2, proc.stderr
+        assert "(1, 10, 10)" in proc.stderr and "(1, 8, 8)" in proc.stderr
+
+    def test_one_pixel_blobs(self, tmp_path, checkpoint):
+        # rejected before synthetic_blobs would divide by size - 1
+        proc = self.run_eval(tmp_path, checkpoint, "kind = blobs\nsize = 1\n")
+        assert proc.returncode == 2, proc.stderr
+        assert "[dataset] size" in proc.stderr
+        assert "Warning" not in proc.stderr
+
+
 class TestDenoiserPipeline:
     def test_train_then_eval(self, tmp_path):
         out = tmp_path / "dn"
@@ -485,8 +530,9 @@ class TestBadNumbers:
     """A count, size or stride below 1, a negative seed, limit or layer count, an
     even denoiser kernel, a malformed list, an unknown pool mode, a rate <= 0, a
     noise level, pixel count or energy that is negative or not finite, a class id
-    list that is not distinct ids 0-9, or classifier images too small for the
-    kernel and pool exits 2 naming the key."""
+    list that is not distinct ids 0-9, blob images under 2 pixels a side, or
+    classifier images too small for the kernel and pool exits 2 naming the key,
+    with no warning printed first."""
 
     @staticmethod
     def convolve_stride_zero(tmp_path):
@@ -550,6 +596,8 @@ class TestBadNumbers:
                           "classes = 0 x", "[dataset] classes"),
         "blobs_size_below_kernel": ("train-classifier", BLOBS_CONFIG, "size = 8", "size = 2",
                                     "[dataset] size"),
+        "blobs_size_one": ("train-classifier", BLOBS_CONFIG, "size = 8", "size = 1",
+                           "[dataset] size"),
     }
 
     @pytest.mark.parametrize("case", ["convolve_stride", *CASES])
@@ -565,3 +613,4 @@ class TestBadNumbers:
             proc = run_cli(command, "--config", str(cfg))
         assert proc.returncode == 2, proc.stderr
         assert key in proc.stderr
+        assert "Warning" not in proc.stderr

@@ -263,6 +263,15 @@ class TestSynthetic:
         predicted = (bottom_right > top_left).astype(int)
         assert np.array_equal(predicted, ds.labels)
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_blobs_reject_images_below_two_pixels(self, size):
+        # the blob coordinates divide by size - 1
+        with pytest.raises(ValueError, match="at least 2 pixels"):
+            synthetic_blobs(4, size)
+
+    def test_smallest_blobs_are_finite(self):
+        assert np.all(np.isfinite(synthetic_blobs(4, 2).images))
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=int))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,15 @@ from ocusim.optics import (
     OcuGeometry,
     OcuModel,
     balanced_detect,
+    bank_detect,
+    bank_vjp,
     ocu_forward,
+    quadrature_rows,
+    stacked_transfer_partials,
     transfer_partials,
 )
 from ocusim.srp import conv2d_reference
-from ocusim.tensorize import fold_batch, im2col
+from ocusim.tensorize import fold_batch, im2col, im2col_batch
 
 from helpers import (
     complex_ocu_vjp,
@@ -220,18 +225,114 @@ class TestOclLayerOracle:
     def test_blocked_layer_matches_units(self, q, c, stride, pad, monkeypatch):
         layer, rng = random_ocl(q, c, stride, pad, seed=10 * q + c + stride + pad)
         x = rng.random((2, c, 5, 5))
-        n_cols = 2 * ((5 + 2 * pad - 3) // stride + 1) ** 2
-        ragged = next(w for w in range(4, n_cols) if n_cols % w)
-        # block widths: beyond the columns, exactly one block, and not a divisor
-        for width, need in ((n_cols + 5, True), (n_cols, True), (ragged, True), (ragged, False)):
+        if stride == 1:
+            # streamed blocks of whole padded rows: all in one block, one row,
+            # and four rows (a block straddles the two images, the last is ragged)
+            side = 5 + 2 * pad
+            widths = (2 * side * side, side, 4 * side)
+        else:
+            # whole-matrix columns: beyond the columns, exactly one block, not a divisor
+            n_cols = 2 * ((5 + 2 * pad - 3) // stride + 1) ** 2
+            widths = (n_cols + 5, n_cols, next(w for w in range(4, n_cols) if n_cols % w))
+        for width in widths:
             monkeypatch.setattr(optics, "BLOCK_BYTES", width * 8 * c * 4 * q)
-            check_against_oracle(layer, x, need_input_grad=need)
+            check_against_oracle(layer, x)
+        check_against_oracle(layer, x, need_input_grad=False)   # at the last width
 
     def test_default_block_width_over_many_blocks(self):
-        # 600 columns at 8x8 span two blocks of the 1 MB default, the second partial
+        # 600 windows (838 padded-grid columns) at 8x8 span two blocks of the
+        # 1 MB default, the second partial
         layer, rng = random_ocl(8, 8, 1, 1, seed=3)
         assert optics.BLOCK_BYTES // (8 * 8 * 4 * 8) < 600
         check_against_oracle(layer, rng.random((6, 8, 10, 10)))
+
+
+class TestStreamedLayers:
+    """At stride 1 both convolutions stream their columns from the padded
+    input; outputs and every gradient equal the whole-matrix path
+    (im2col_batch, fold_batch) to round-off, over row-block widths."""
+
+    @staticmethod
+    def whole_matrix(layer, x, grad):
+        """Output, input gradient and parameter gradients from the whole patch matrix."""
+        b, c, n, _ = x.shape
+        h, q = layer.h, layer.q
+        cols = im2col_batch(x, h, 1, layer.pad)
+        g = layer.out_shape(x.shape)[-1]
+        gq = grad.transpose(1, 0, 2, 3).reshape(q, -1)
+        if isinstance(layer, OclLayer):
+            partials = stacked_transfer_partials(layer.phases.value, layer.fs)
+            quad = quadrature_rows(partials.total)
+            eff = layer.gains() * layer.port_sign
+            out = bank_detect(quad, cols.reshape(c, h * h, -1), eff)
+            grads = bank_vjp(partials, quad, cols.reshape(c, h * h, -1), eff, gq)
+            dcols = grads.patches.reshape(c * h * h, -1)
+            params = (grads.phases, eff * grads.gain)
+        else:
+            w = layer.weight.value.reshape(q, -1)
+            out = w @ cols + layer.bias.value[:, None]
+            dcols = w.T @ gq
+            params = ((gq @ cols.T).reshape(layer.weight.value.shape), gq.sum(axis=1))
+        dx = fold_batch(dcols, x.shape, h, 1, layer.pad)
+        return out.reshape(q, b, g, g).transpose(1, 0, 2, 3), dx, params
+
+    @pytest.mark.parametrize("optical", [True, False])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_equals_whole_matrix(self, optical, pad, monkeypatch):
+        rng = np.random.default_rng(70 + pad)
+        if optical:
+            layer, _ = random_ocl(2, 3, 1, pad, seed=80 + pad)
+            rows_per_col = 3 * 4 * 2
+        else:
+            layer = Conv2dLayer(2, 3, 3, rng, pad=pad)
+            layer.bias.value[...] = rng.normal(size=2)
+            rows_per_col = 3 * 9
+        x = rng.random((2, 3, 6, 6))
+        side = 6 + 2 * pad
+        for rows in (2 * side, 1, 4):       # one block, one row, straddling images
+            monkeypatch.setattr(optics, "BLOCK_BYTES", rows * side * 8 * rows_per_col)
+            out = layer.forward(x, training=True)
+            grad = rng.standard_normal(out.shape)
+            for p in layer.params():
+                p.zero_grad()
+            dx = layer.backward(grad)
+            ref_out, ref_dx, ref_params = self.whole_matrix(layer, x, grad)
+            assert_rel_close(out, ref_out, label="output")
+            assert_rel_close(dx, ref_dx, label="input")
+            for p, ref in zip(layer.params(), ref_params):
+                assert_rel_close(p.grad, ref, label=p.name)
+
+
+class TestStreamedMemory:
+    """At stride 1 an 8x8 OclLayer on a 256x256 image never builds its
+    (C*H^2, B*G^2) patch matrix, and its cache keeps only the padded input."""
+
+    @staticmethod
+    def held_arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from TestStreamedMemory.held_arrays(item)
+        elif hasattr(obj, "__dict__"):
+            yield from TestStreamedMemory.held_arrays(list(vars(obj).values()))
+
+    def test_forward_below_patch_matrix(self):
+        geom = OcuGeometry(metaunits_per_layer=50, num_layers=3)
+        layer = OclLayer(geom, 8, 8, np.random.default_rng(0), pad=1)
+        x = np.random.default_rng(1).random((1, 8, 256, 256))
+        patch_matrix = 8 * 9 * 256 * 256 * 8        # 37.7 MB
+        padded_input = 8 * 258 * 258 * 8            # 4.3 MB
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            layer.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_matrix
+        sizes = [a.nbytes for a in self.held_arrays(layer._cache)]
+        assert max(sizes) == padded_input
 
 
 class TestReflectPadGrad:

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from ocusim.srp import conv2d_reference
 from ocusim.tensorize import (
+    PaddedWindows,
     PatchMatrix,
     col2im,
     feature_dim,
     fold_batch,
     im2col,
     im2col_batch,
+    windows,
 )
 
 from helpers import naive_patch_columns, reflect_pad_loop
@@ -164,3 +166,71 @@ class TestFold:
             lhs = np.sum(fold_batch(c, x.shape, 3, 2, pad) * x)
             rhs = np.sum(c * cols)
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestPaddedWindows:
+    """The streamed stride-1 source gives exactly the columns of im2col_batch,
+    and its gradient equals fold_batch's to round-off."""
+
+    @staticmethod
+    def walk(src, width, dcols):
+        """Block spans and the cropped (C, H^2, B*G^2) columns of one walk,
+        each block's share of ``dcols`` added back as its gradient."""
+        c, h2 = src.buffer.shape[0], src.h ** 2
+        grid = np.zeros((c, h2, src.n))
+        grad = src.spread(dcols.reshape(c, h2, src.shape[0], src.grid, src.grid))
+        spans = []
+        for blk, block in src.blocks(width):
+            grid[:, :, blk] = block
+            spans.append((blk.start, blk.stop))
+            src.add_grad(blk, grad[:, :, blk])
+        return spans, src.crop(grid).reshape(c, h2, -1)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_equals_im2col_and_fold(self, h, pad):
+        rng = np.random.default_rng(50 + 10 * h + pad)
+        x = rng.random((2, 3, 5, 5))
+        src = windows(x, h, 1, pad)
+        assert isinstance(src, PaddedWindows)
+        side = 5 + 2 * pad
+        image = side * side
+        expected = im2col_batch(x, h, 1, pad)
+        dcols = rng.standard_normal(expected.shape)
+        folded = fold_batch(dcols, x.shape, h, 1, pad)
+        # one block, a row per block, and four rows per block: the last block
+        # ragged and one block straddling the two images
+        for rows in (2 * side, 1, 4):
+            spans, cols = self.walk(src, rows * side, dcols)
+            assert np.array_equal(cols, expected.reshape(3, h * h, -1))
+            assert spans[0][0] == 0
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            assert all(stop - start == rows * side for start, stop in spans[:-1])
+            if rows == 4:
+                assert spans[-1][1] - spans[-1][0] < rows * side
+                assert any(start < image < stop for start, stop in spans)
+            grad = src.gradient()
+            assert grad.shape == x.shape
+            assert np.max(np.abs(grad - folded)) <= 1e-12 * np.max(np.abs(folded))
+
+    def test_width_rounds_to_whole_rows(self):
+        src = windows(np.zeros((1, 1, 6, 6)), 3, 1, 1)     # rows of 8 columns
+        for width, expected in ((1, 8), (11, 8), (12, 16), (19, 16)):
+            (blk, block), *_ = src.blocks(width)
+            assert blk.stop - blk.start == block.shape[-1] == expected
+
+    def test_rejects_bad_pad(self):
+        for pad in (-1, 4, 5):
+            with pytest.raises(ValueError):
+                windows(np.zeros((1, 1, 4, 4)), 3, 1, pad)
+
+    def test_strided_windows_keep_the_whole_matrix(self):
+        rng = np.random.default_rng(60)
+        x = rng.random((2, 2, 7, 7))
+        src = windows(x, 3, 2, 1)
+        assert not isinstance(src, PaddedWindows)
+        cols = im2col_batch(x, 3, 2, 1)
+        assert np.array_equal(src.values.reshape(cols.shape), cols)
+        for blk, block in src.blocks(7):
+            src.add_grad(blk, 2.0 * block)
+        assert np.array_equal(src.gradient(), fold_batch(2.0 * cols, x.shape, 3, 2, 1))

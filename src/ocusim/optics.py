@@ -21,7 +21,12 @@ Conventions:
       applies 4 real quadrature rows per unit to the blocks of a column
       source (tensorize): a plain (C, H^2, n) patch array, or the windows
       of a padded batch streamed without a patch matrix.
-      ocu_forward/balanced_detect are the complex reference.
+      ocu_forward/balanced_detect are the single-unit reference: ocu_forward
+      multiplies the real patches by the rows [Re T; Im T] of the collapsed
+      matrix T in one real product and returns the complex response
+    * the diffraction matrices depend only on the geometry, so
+      propagation_matrices computes them once per geometry object and
+      keeps them read-only for as long as that object lives
     * the obliquity angle uses cos(theta) = |dx| / r so the factor
       (1 + cos theta)/2 peaks on axis (declared deviation from the
       sign-ambiguous textbook form; validated by the symmetry tests)
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +56,9 @@ class OcuGeometry:
 
     ``num_layers`` counts planes including the output plane, so the device
     has ``num_layers - 1`` metalines.  ``slot_height`` is recorded for
-    fabrication export but plays no role in the 2-D slab model.
+    fabrication export but plays no role in the 2-D slab model.  The port
+    position arrays are private read-only copies, so the diffraction
+    matrices memoized per geometry object cannot go stale.
     """
 
     wavelength: float = 1.55e-6
@@ -90,21 +98,15 @@ class OcuGeometry:
             pitch = self.aperture / (self.num_inputs + 1)
             ports = (np.arange(self.num_inputs) - (self.num_inputs - 1) / 2) * pitch
             object.__setattr__(self, "input_positions", ports)
-        else:
-            object.__setattr__(
-                self, "input_positions",
-                np.asarray(self.input_positions, dtype=float),
-            )
         if self.output_positions is None:
             object.__setattr__(
                 self, "output_positions",
                 np.array([+self.aperture / 4, -self.aperture / 4]),
             )
-        else:
-            object.__setattr__(
-                self, "output_positions",
-                np.asarray(self.output_positions, dtype=float),
-            )
+        for name in ("input_positions", "output_positions"):
+            pos = np.array(getattr(self, name), dtype=float)
+            pos.setflags(write=False)
+            object.__setattr__(self, name, pos)
         if len(self.input_positions) != self.num_inputs:
             raise ValueError("input_positions length must equal num_inputs")
         if len(self.output_positions) != 2:
@@ -202,16 +204,29 @@ def phase_mask_matrix(phases) -> np.ndarray:
     return np.diag(np.exp(1j * phases))
 
 
+# propagation_matrices' memo: geometry object -> its read-only matrices,
+# dropped when the geometry is (OcuGeometry hashes by identity)
+_PROPAGATION = weakref.WeakKeyDictionary()
+
+
 def propagation_matrices(geom: OcuGeometry) -> list[np.ndarray]:
     """All plane-to-plane diffraction matrices [F1, ..., FM].
 
-    F1 is (V, H^2), interior matrices are (V, V), and FM is (2, V).
+    F1 is (V, H^2), interior matrices are (V, V), and FM is (2, V).  They
+    are computed on the first call for a geometry object and then shared:
+    every call returns a fresh list of the same read-only arrays.
     """
-    planes = layout_positions(geom)
-    return [
-        diffraction_matrix(planes[i], planes[i + 1], geom)
-        for i in range(len(planes) - 1)
-    ]
+    mats = _PROPAGATION.get(geom)
+    if mats is None:
+        planes = layout_positions(geom)
+        mats = tuple(
+            diffraction_matrix(planes[i], planes[i + 1], geom)
+            for i in range(len(planes) - 1)
+        )
+        for m in mats:
+            m.setflags(write=False)
+        _PROPAGATION[geom] = mats
+    return list(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +321,24 @@ def ocu_forward(model: OcuModel, patches, fs: list[np.ndarray] | None = None) ->
 
     ``patches`` has H^2 rows (real, nonnegative amplitude encoding) and one
     column per sliding position; the result is the (2, n) complex response
-    at the two output ports.
+    at the two output ports.  The product is real: the (4, H^2) rows
+    [Re T; Im T] of the collapsed matrix T times the patches, one gemm,
+    whose rows become the real and imaginary parts of the response.
     """
     values = np.asarray(patches)
+    if np.iscomplexobj(values):
+        raise ValueError("patch matrix must be real")
     if values.ndim != 2 or values.shape[0] != model.geometry.num_inputs:
         raise ValueError(
             f"patch matrix must have {model.geometry.num_inputs} rows, "
             f"got shape {values.shape}"
         )
-    return ocu_transfer(model, fs) @ values
+    total = ocu_transfer(model, fs)
+    fields = np.concatenate([total.real, total.imag]) @ values
+    response = np.empty((2, values.shape[1]), dtype=complex)
+    response.real = fields[:2]
+    response.imag = fields[2:]
+    return response
 
 
 def balanced_detect(response: np.ndarray, gain: float) -> np.ndarray:

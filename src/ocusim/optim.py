@@ -27,7 +27,10 @@ class Adam:
     """Adaptive moment estimation with bias correction.
 
     Updates are applied in the fixed order the parameters were registered,
-    so a run is bitwise reproducible for a given seed and thread count.
+    so a run is bitwise reproducible for a given seed and thread count.  A
+    step works in place, in two scratch arrays per parameter, and performs
+    the same floating-point operations in the same order as the expression
+    m_hat = m / bias1; value -= lr * m_hat / (sqrt(v / bias2) + eps).
     """
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
@@ -40,6 +43,8 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
+        self._scratch = [(np.empty_like(p.value), np.empty_like(p.value))
+                         for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -50,10 +55,19 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        for p, m, v, (num, den) in zip(self.params, self._m, self._v, self._scratch):
             g = p.grad
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(1 - b1, g, out=num)
+            m += num
             v *= b2
-            v += (1 - b2) * g * g
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            np.multiply(1 - b2, g, out=num)
+            num *= g
+            v += num
+            np.divide(m, bias1, out=num)
+            num *= self.lr
+            np.divide(v, bias2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.value -= num

@@ -63,8 +63,12 @@ def conv2d_reference(img, kernel, stride: int = 1, flip: bool = False) -> np.nda
     """Direct sliding-window convolution, the independent oracle.
 
     Correlation convention (no kernel flip) unless ``flip`` is set; valid
-    placements only, no padding.  Deliberately written as an explicit loop
-    so it shares nothing with the im2col matrix path it cross-checks.
+    placements only, no padding.  Deliberately written as explicit loops
+    over output rows and kernel taps, with no window view, so it shares
+    nothing with the im2col matrix path it cross-checks.  Each tap's
+    products for one output row fill a column of a (G, h^2) buffer whose
+    rows are then summed, so every output is the sum of its window's
+    products in the order a per-pixel np.sum takes them.
     """
     img = np.asarray(img, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
@@ -78,10 +82,14 @@ def conv2d_reference(img, kernel, stride: int = 1, flip: bool = False) -> np.nda
     gi = feature_dim(img.shape[0], h, stride)
     gj = feature_dim(img.shape[1], h, stride)
     out = np.empty((gi, gj), dtype=float)
+    products = np.empty((gj, h * h))
+    span = stride * (gj - 1) + 1
     for i in range(gi):
-        for j in range(gj):
-            window = img[i * stride:i * stride + h, j * stride:j * stride + h]
-            out[i, j] = float(np.sum(window * kernel))
+        for a in range(h):
+            row = img[i * stride + a]
+            for b in range(h):
+                np.multiply(row[b:b + span:stride], kernel[a, b], out=products[:, a * h + b])
+        products.sum(axis=-1, out=out[i])
     return out
 
 

@@ -56,6 +56,39 @@ def naive_chain(mats):
     return out
 
 
+def conv2d_pixel_loop(img, kernel, stride=1, flip=False):
+    """Valid correlation one output pixel at a time: the sum of each window
+    times the kernel (flipped if ``flip``), the oracle of
+    srp.conv2d_reference's row-and-tap loop."""
+    img = np.asarray(img, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    if flip:
+        kernel = kernel[::-1, ::-1]
+    h = kernel.shape[0]
+    gi = (img.shape[0] - h) // stride + 1
+    gj = (img.shape[1] - h) // stride + 1
+    out = np.empty((gi, gj))
+    for i in range(gi):
+        for j in range(gj):
+            window = img[i * stride:i * stride + h, j * stride:j * stride + h]
+            out[i, j] = float(np.sum(window * kernel))
+    return out
+
+
+def adam_expression_step(values, grads, ms, vs, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    """One Adam step (step number ``t``) written as whole-array expressions,
+    the oracle of optim.Adam's in-place step; updates every array in place."""
+    b1, b2 = betas
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for p, g, m, v in zip(values, grads, ms, vs):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
 def naive_patch_columns(img, h, s):
     """Brute-force patch enumeration: channel-major rows, row-major scan."""
     img = np.asarray(img, dtype=float)

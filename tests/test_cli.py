@@ -4,7 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+from ocusim.checkpoint import load_ocu_model
+from ocusim.optics import bank_detect, quadrature_rows, transfer_partials
 from ocusim.pgm import read_pgm, write_pgm
+from ocusim.tensorize import im2col
 
 
 def run_cli(*argv, cwd=None):
@@ -208,6 +211,14 @@ class TestConvolveCommand:
         fm = np.array([[float(v) for v in line.split(",")]
                        for line in (out / "feature_map.csv").read_text().splitlines()])
         assert fm.shape == (10, 10)
+        # the map is the checkpoint's unit detected on the image as read back,
+        # through the detection engine rather than the CLI's reference path
+        model, _ = load_ocu_model(checkpoint)
+        cols = im2col(read_pgm(img_path), 3).values
+        quad = quadrature_rows(transfer_partials(model).total)
+        expected = bank_detect(quad, cols[None], np.full((1, 1), model.detection_gain))[0]
+        assert np.abs(expected).max() > 0
+        assert np.abs(fm.ravel() - expected).max() <= 1e-12 * np.abs(expected).max()
         assert (out / "feature_map.pgm").is_file()
         assert read_pgm(out / "feature_map.pgm").shape == (10, 10)
 

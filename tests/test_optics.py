@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -74,6 +76,15 @@ class TestGeometry:
     def test_rejects_single_plane(self):
         with pytest.raises(ValueError):
             OcuGeometry(num_layers=1)
+
+    def test_port_positions_are_read_only_copies(self):
+        ports = np.linspace(-1e-4, 1e-4, 9)
+        geom = OcuGeometry(input_positions=ports)
+        ports[0] = 0.0
+        assert geom.input_positions[0] == -1e-4
+        for pos in (geom.input_positions, geom.output_positions):
+            with pytest.raises(ValueError):
+                pos[0] = 0.0
 
 
 class TestSlotLength:
@@ -184,6 +195,51 @@ class TestDiffraction:
             diffraction_matrix([(0.0, 0.0)], [(0.0, 0.0)], geom)
 
 
+class TestPropagationMatrices:
+    @staticmethod
+    def fresh(geom):
+        planes = layout_positions(geom)
+        return [diffraction_matrix(a, b, geom) for a, b in zip(planes, planes[1:])]
+
+    def test_equal_to_fresh_diffraction_matrices(self):
+        for geom in (OcuGeometry(), small_geometry(v=6, inputs=4, layers=4)):
+            for _ in range(2):     # the computing call, then the memoized one
+                got = propagation_matrices(geom)
+                expected = self.fresh(geom)
+                assert len(got) == len(expected) == geom.num_layers
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b)
+
+    def test_arrays_read_only_list_fresh(self):
+        geom = small_geometry()
+        fs = propagation_matrices(geom)
+        for m in fs:
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+        fs.pop()
+        again = propagation_matrices(geom)
+        assert again is not fs and len(again) == geom.num_layers
+        assert all(a is b for a, b in zip(fs, again))
+
+    def test_equal_but_distinct_geometries(self):
+        near = small_geometry(v=5)
+        far = small_geometry(v=5, layer_gap=90e-6)
+        twin = small_geometry(v=5)
+        for geom in (near, far, twin):
+            for a, b in zip(propagation_matrices(geom), self.fresh(geom)):
+                assert np.array_equal(a, b)
+        assert not np.array_equal(propagation_matrices(near)[0], propagation_matrices(far)[0])
+        assert propagation_matrices(twin)[0] is not propagation_matrices(near)[0]
+
+    def test_memo_dropped_with_geometry(self):
+        geom = small_geometry(v=7)
+        propagation_matrices(geom)
+        ref = weakref.ref(geom)
+        del geom
+        gc.collect()
+        assert ref() is None
+
+
 class TestPhaseMask:
     def test_zero_phases_identity(self):
         assert np.array_equal(phase_mask_matrix(np.zeros(4)), np.eye(4))
@@ -252,6 +308,26 @@ class TestCascade:
         model = OcuModel.random_init(geom, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ocu_forward(model, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("geom", [OcuGeometry(), small_geometry(v=6, inputs=4, layers=4),
+                                      small_geometry(v=3, inputs=1, layers=2)])
+    def test_real_product_matches_complex_product(self, geom):
+        rng = np.random.default_rng(6)
+        model = OcuModel.random_init(geom, rng)
+        expected_rows = ocu_transfer(model)
+        for n in (0, 1, 5, 257):
+            patches = rng.random((geom.num_inputs, n))
+            got = ocu_forward(model, patches)
+            expected = expected_rows @ patches.astype(complex)
+            assert got.shape == (2, n) and got.dtype == complex
+            scale = max(np.abs(expected).max(initial=0.0), 1e-300)
+            assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * scale
+
+    def test_rejects_complex_patches(self):
+        geom = small_geometry()
+        model = OcuModel.random_init(geom, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="real"):
+            ocu_forward(model, np.ones((4, 3), dtype=complex))
 
     def test_split_composition(self):
         geom = small_geometry(v=6, inputs=4, layers=4)

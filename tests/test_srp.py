@@ -30,7 +30,7 @@ from ocusim.srp import (
 )
 from ocusim.tensorize import im2col
 
-from helpers import assert_grad_close, direct_fit_history, numeric_grad
+from helpers import assert_grad_close, conv2d_pixel_loop, direct_fit_history, numeric_grad
 
 
 def small_geometry():
@@ -70,6 +70,18 @@ class TestConvReference:
         kernel = rng.normal(size=(3, 3))
         assert np.array_equal(conv2d_reference(img, kernel, flip=True),
                               conv2d_reference(img, kernel[::-1, ::-1]))
+
+    def test_matches_pixel_loop_bitwise(self):
+        rng = np.random.default_rng(6)
+        square, wide = rng.random((23, 23)), rng.random((17, 26))
+        cases = [(square, STANDARD_KERNELS[name], s) for name in KERNEL_SUITE for s in (1, 2)]
+        cases += [(img, rng.normal(size=(h, h)), s)
+                  for img in (square, wide) for h in (1, 2, 3, 5) for s in (1, 2, 3)]
+        for img, kernel, stride in cases:
+            for flip in (False, True):
+                got = conv2d_reference(img, kernel, stride, flip)
+                assert np.array_equal(got, conv2d_pixel_loop(img, kernel, stride, flip)), \
+                    (kernel.shape, stride, flip)
 
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,13 @@ files in the exact distribution formats (IDX, CIFAR-10 binary batches).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -133,8 +135,8 @@ class NoisySample:
 
 def add_awgn(img, sigma: float, seed_or_rng=0) -> NoisySample:
     """Additive Gaussian noise of ``sigma`` gray levels (0-255 convention)."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma!r}")
     img = np.asarray(img, dtype=float)
     rng = _rng(seed_or_rng)
     if sigma == 0.0:
@@ -142,6 +144,20 @@ def add_awgn(img, sigma: float, seed_or_rng=0) -> NoisySample:
     levels = img * 255.0 + rng.normal(0.0, sigma, size=img.shape)
     noisy = np.clip(levels, 0.0, 255.0) / 255.0
     return NoisySample(img, noisy, noisy - img, float(sigma))
+
+
+@functools.lru_cache(maxsize=16)
+def _resize_tables(n: int, size: int):
+    """Read-only tables of a bilinear n -> size resample: the source rows i0
+    and i0 + 1 of each output row and their weights 1 - frac and frac.  The
+    memo keeps the 16 latest (n, size) pairs."""
+    pos = np.linspace(0.0, n - 1, size)
+    i0 = np.clip(pos.astype(int), 0, n - 2)
+    frac = pos - i0
+    tables = (i0, i0 + 1, 1 - frac, frac)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def bilinear_resize(img, size: int) -> np.ndarray:
@@ -152,16 +168,14 @@ def bilinear_resize(img, size: int) -> np.ndarray:
         raise ValueError("bilinear_resize expects a square image")
     if n == size:
         return img.copy()
-    pos = np.linspace(0.0, n - 1, size)
-    i0 = np.clip(pos.astype(int), 0, n - 2)
-    frac = pos - i0
-    rows = (
-        img[i0][:, i0] * np.outer(1 - frac, 1 - frac)
-        + img[i0 + 1][:, i0] * np.outer(frac, 1 - frac)
-        + img[i0][:, i0 + 1] * np.outer(1 - frac, frac)
-        + img[i0 + 1][:, i0 + 1] * np.outer(frac, frac)
-    )
-    return rows
+    i0, i1, rest, frac = _resize_tables(n, size)
+    top, bottom = img[i0], img[i1]
+    # the four corner terms, summed in this order
+    out = top[:, i0] * np.outer(rest, rest)
+    out += bottom[:, i0] * np.outer(frac, rest)
+    out += top[:, i1] * np.outer(rest, frac)
+    out += bottom[:, i1] * np.outer(frac, frac)
+    return out
 
 
 def center_square(img) -> np.ndarray:
@@ -189,22 +203,31 @@ def load_grayscale_dir(directory, size: int | None = None) -> list[np.ndarray]:
 
 
 def crop_patches(images, patch: int, count_per_image: int, seed_or_rng=0) -> np.ndarray:
-    """Seeded random square crops, ``count_per_image`` from each image."""
+    """Seeded random square crops, ``count_per_image`` from each image.
+
+    Each image draws the (row, column) corners of all its crops in one call,
+    the same values, in the same order, as one draw per coordinate.
+    """
+    if patch < 1:
+        raise ValueError(f"patch must be >= 1, got {patch}")
+    if count_per_image < 1:
+        raise ValueError(f"count_per_image must be >= 1, got {count_per_image}")
+    images = [np.asarray(img, dtype=float) for img in images]
+    if not images:
+        raise ValueError("crop_patches got no images")
     rng = _rng(seed_or_rng)
-    out = []
-    for img in images:
-        img = np.asarray(img, dtype=float)
+    out = np.empty((len(images) * count_per_image, patch, patch))
+    for k, img in enumerate(images):
         if img.ndim != 2:
             raise ValueError("crop_patches expects 2-D grayscale images")
         if img.shape[0] < patch or img.shape[1] < patch:
             raise ValueError(f"image {img.shape} smaller than patch {patch}")
-        hi_i = img.shape[0] - patch + 1
-        hi_j = img.shape[1] - patch + 1
-        for _ in range(count_per_image):
-            i = int(rng.integers(0, hi_i))
-            j = int(rng.integers(0, hi_j))
-            out.append(img[i:i + patch, j:j + patch])
-    return np.stack(out)
+        hi = [img.shape[0] - patch + 1, img.shape[1] - patch + 1]
+        corners = rng.integers(0, hi, size=(count_per_image, 2))
+        windows = sliding_window_view(img, (patch, patch))
+        out[k * count_per_image:(k + 1) * count_per_image] = \
+            windows[corners[:, 0], corners[:, 1]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +275,34 @@ def _smooth_noise(rng: np.random.Generator, size: int, cells: int) -> np.ndarray
     return bilinear_resize(rng.random((cells + 1, cells + 1)), size)
 
 
+@functools.lru_cache(maxsize=8)
+def _coords(size: int) -> np.ndarray:
+    """Read-only pixel coordinates i / size of one image axis, the rows and
+    the columns of the image grid alike."""
+    coords = np.arange(size) / size
+    coords.setflags(write=False)
+    return coords
+
+
+def _span(inside: np.ndarray) -> slice:
+    """The slice from the first to the last True of a 1-D mask."""
+    hits = np.flatnonzero(inside)
+    return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+
+
+def _fill_disc(img, coords, cy, cx, radius, value) -> None:
+    """Set the pixels with (y - cy)^2 + (x - cx)^2 < radius^2 to ``value``.
+
+    A pixel can pass only if its row and its column each pass alone, so the
+    test runs in the bounding box of those rows and columns."""
+    dy2 = (coords - cy) ** 2
+    dx2 = (coords - cx) ** 2
+    r2 = radius ** 2
+    rows, cols = _span(dy2 < r2), _span(dx2 < r2)
+    box = img[rows, cols]
+    box[dy2[rows, None] + dx2[None, cols] < r2] = value
+
+
 def synthetic_image(size: int, seed: int, grain: float = 0.15) -> np.ndarray:
     """Deterministic natural-looking grayscale image.
 
@@ -263,23 +314,22 @@ def synthetic_image(size: int, seed: int, grain: float = 0.15) -> np.ndarray:
     """
     rng = _rng(np.random.SeedSequence((0xC0FFEE, seed)))
     img = 0.38 + 0.30 * _smooth_noise(rng, size, 5)
-    yy, xx = np.mgrid[0:size, 0:size] / size
+    coords = _coords(size)
 
     tilt = rng.uniform(-0.12, 0.12, size=2)
-    img += tilt[0] * (xx - 0.5) + tilt[1] * (yy - 0.5)
+    img += tilt[0] * (coords - 0.5) + (tilt[1] * (coords - 0.5))[:, None]
 
     for _ in range(int(rng.integers(3, 6))):
         cy, cx = rng.uniform(0.15, 0.85, size=2)
         radius = rng.uniform(0.06, 0.18)
         value = rng.choice([rng.uniform(0.06, 0.2), rng.uniform(0.8, 0.94)])
-        mask = (yy - cy) ** 2 + (xx - cx) ** 2 < radius ** 2
-        img[mask] = value
+        _fill_disc(img, coords, cy, cx, radius, value)
     for _ in range(int(rng.integers(2, 4))):
         y0, x0 = rng.uniform(0.05, 0.6, size=2)
         hgt, wid = rng.uniform(0.08, 0.3, size=2)
         value = rng.choice([rng.uniform(0.07, 0.2), rng.uniform(0.8, 0.93)])
-        mask = (yy >= y0) & (yy < y0 + hgt) & (xx >= x0) & (xx < x0 + wid)
-        img[mask] = value
+        img[_span((coords >= y0) & (coords < y0 + hgt)),
+            _span((coords >= x0) & (coords < x0 + wid))] = value
 
     for cells, amp in ((12, 0.12), (24, 0.09), (48, 0.07), (96, 0.05)):
         img += amp * (_smooth_noise(rng, size, min(cells, size - 1)) - 0.5)
@@ -288,23 +338,41 @@ def synthetic_image(size: int, seed: int, grain: float = 0.15) -> np.ndarray:
 
 
 def synthetic_corpus(count: int, size: int, seed: int = 0) -> np.ndarray:
-    """Stack of deterministic synthetic grayscale images."""
-    return np.stack([synthetic_image(size, seed * 100003 + i) for i in range(count)])
+    """(count, size, size) deterministic synthetic grayscale images."""
+    corpus = np.empty((count, size, size))
+    for i in range(count):
+        corpus[i] = synthetic_image(size, seed * 100003 + i)
+    return corpus
+
+
+# noise values drawn per call by synthetic_blobs (512 KB): as fast as one
+# draw for all images, whose (count, size, size) temporaries raise the peak
+# memory
+_BLOB_CHUNK_VALUES = 1 << 16
 
 
 def synthetic_blobs(count: int, size: int = 8, seed: int = 0) -> LabeledDataset:
-    """Two linearly separable classes: a bright blob in opposite corners."""
+    """Two linearly separable classes: a bright blob in opposite corners.
+
+    The noise of a chunk of images is drawn in one call, the same stream,
+    in the same order, as one draw per image.
+    """
     if size < 2:
         raise ValueError(f"blob images need at least 2 pixels a side, got {size}")
     rng = _rng(np.random.SeedSequence((0xB10B, seed)))
     yy, xx = np.mgrid[0:size, 0:size] / (size - 1)
     centers = ((0.25, 0.25), (0.75, 0.75))
+    bumps = np.stack([0.8 * np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / 0.04))
+                      for cy, cx in centers])
     images = np.empty((count, 1, size, size))
     labels = rng.integers(0, 2, size=count)
-    for i, cls in enumerate(labels):
-        cy, cx = centers[cls]
-        bump = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / 0.04))
-        images[i, 0] = np.clip(0.8 * bump + 0.1 * rng.random((size, size)), 0.0, 1.0)
+    chunk = max(1, _BLOB_CHUNK_VALUES // (size * size))
+    for start in range(0, count, chunk):
+        classes = labels[start:start + chunk]
+        noise = rng.random((len(classes), size, size))
+        noise *= 0.1
+        noise += bumps[classes]
+        np.clip(noise, 0.0, 1.0, out=images[start:start + chunk, 0])
     return LabeledDataset(images, labels.astype(np.int64), "synthetic",
                           ("corner_a", "corner_b"))
 
@@ -320,12 +388,12 @@ def synthetic_contrast_image(size: int = 256, seed: int = 5) -> np.ndarray:
     lo, hi = 0.14, 0.86
     base = _smooth_noise(rng, size, 4)
     img = np.where(base > 0.5, hi, lo).astype(float)
-    yy, xx = np.mgrid[0:size, 0:size] / size
+    coords = _coords(size)
     for _ in range(4):
         cy, cx = rng.uniform(0.1, 0.9, size=2)
         radius = rng.uniform(0.07, 0.18)
         value = hi if rng.random() > 0.5 else lo
-        img[(yy - cy) ** 2 + (xx - cx) ** 2 < radius ** 2] = value
+        _fill_disc(img, coords, cy, cx, radius, value)
     img += 0.025 * (_smooth_noise(rng, size, 32) - 0.5)
     img += 0.01 * (rng.random((size, size)) - 0.5)
     return np.clip(img, 0.02, 0.98)

@@ -27,7 +27,7 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .optics import OcuGeometry
-from .optim import Adam, TrainingDiverged
+from .optim import Adam, TrainingDiverged, check_range
 from .tensorize import feature_dim
 
 
@@ -76,8 +76,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_range("learning_rate", self.learning_rate, 0.0)
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,8 @@ class ClassifierResult:
 
 
 def predict_classes(net: Sequential, images: np.ndarray, batch: int = 256) -> np.ndarray:
+    if len(images) == 0:
+        raise ValueError("predict_classes got no images")
     preds = []
     for start in range(0, len(images), batch):
         scores = net.forward(images[start:start + batch], training=False)
@@ -228,8 +231,7 @@ class DenoiseTrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_range("learning_rate", self.learning_rate, 0.0)
 
 
 @dataclass

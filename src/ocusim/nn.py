@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .optics import (OcuGeometry, bank_detect, bank_unit_outputs, bank_vjp, block_width,
-                     propagation_matrices, quadrature_rows, stacked_transfer_partials)
+                     propagation_matrices, stacked_transfer_partials)
 from .optim import Param
 from .tensorize import feature_dim, fold_batch, im2col_batch, windows
 
@@ -117,7 +117,7 @@ class OclLayer(_Convolution):
     unit starts with an always-negative, ReLU-dead output).
 
     The forward cache holds the column source (the padded input at stride
-    1), the bank partials and the quadrature rows (optics.quadrature_rows);
+    1), the bank partials and their quadrature rows (TransferPartials.quad);
     the detection engine recomputes each block's columns and fields from
     them in backward.
     """
@@ -146,7 +146,7 @@ class OclLayer(_Convolution):
         """Column source of x, bank partials and quadratures (C, 4q, H^2)."""
         src = self._windows(x)
         partials = stacked_transfer_partials(self.phases.value, self.fs)
-        return src, partials, quadrature_rows(partials.total)
+        return src, partials, partials.quad
 
     def forward(self, x, training=False):
         self._cache = None

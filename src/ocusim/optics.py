@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,12 +79,18 @@ class OcuGeometry:
     output_positions: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (self.wavelength > 0):
             raise ValueError("wavelength must be positive")
         if not (self.slab_index > self.slot_index > 0):
             raise ValueError("indices must satisfy slab_index > slot_index > 0")
         if not (self.layer_gap > 0):
             raise ValueError("layer_gap must be positive")
+        if not (self.aperture > 0 and self.metaunit_period > 0):
+            raise ValueError("aperture and metaunit_period must be positive")
         if self.num_layers < 2:
             raise ValueError("num_layers counts planes incl. output; need >= 2")
         if self.metaunits_per_layer < 1 or self.num_inputs < 1:
@@ -114,6 +120,8 @@ class OcuGeometry:
         half = self.aperture / 2 * (1 + 1e-12)
         for name in ("input_positions", "output_positions"):
             pos = getattr(self, name)
+            if not np.all(np.isfinite(pos)):
+                raise ValueError(f"{name} must be finite")
             if np.any(np.abs(pos) > half):
                 raise ValueError(f"{name} must lie within +/- aperture/2")
 
@@ -269,13 +277,23 @@ class TransferPartials:
     For metaline l, ``right[l]`` (..., V, H^2) maps the inputs to the field
     arriving at that metaline and ``left[l]`` (..., 2, V) maps the field
     leaving it to the output ports, so for every unit and every l
-    total == left[l] @ diag(exp(j phi_l)) @ right[l].
+    total == left[l] @ diag(exp(j phi_l)) @ right[l].  ``quad`` holds the
+    quadrature rows of ``total``, computed on first use and kept read-only.
     """
 
     total: np.ndarray
     right: list[np.ndarray]
     left: list[np.ndarray]
     masks: np.ndarray  # exp(j * phases), (..., M-1, V)
+    _quad: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def quad(self) -> np.ndarray:
+        """quadrature_rows(total): (C, 4q, H^2), (1, 4, H^2) for one unit."""
+        if self._quad is None:
+            self._quad = quadrature_rows(self.total)
+            self._quad.setflags(write=False)
+        return self._quad
 
 
 def stacked_transfer_partials(phases: np.ndarray, fs: list[np.ndarray]) -> TransferPartials:
@@ -497,7 +515,7 @@ def ocu_vjp(model: OcuModel, patches: np.ndarray, grad_detected: np.ndarray,
     the real input patches; ``partials`` is transfer_partials(model).
     """
     g = np.asarray(grad_detected, dtype=float)
-    grads = bank_vjp(partials, quadrature_rows(partials.total), np.asarray(patches)[None],
+    grads = bank_vjp(partials, partials.quad, np.asarray(patches)[None],
                      np.full((1, 1), model.detection_gain), g[None], need_patch_grad)
     dpatches = grads.patches[0] if need_patch_grad else None
     return OcuGradients(grads.phases, float(grads.gain), dpatches)

@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def check_range(name: str, value, low: float, high: float = math.inf,
+                low_open: bool = True) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` lies in the interval
+    from ``low`` (excluded when ``low_open``) up to ``high`` (excluded)."""
+    above = value > low if low_open else value >= low
+    if not (above and value < high):
+        bound = "(" if low_open else "["
+        raise ValueError(f"{name} must lie in {bound}{low}, {high}), got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -34,8 +46,10 @@ class Adam:
     """
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        check_range("learning_rate", lr, 0.0)
+        for name, beta in zip(("beta1", "beta2"), betas):
+            check_range(name, beta, 0.0, 1.0, low_open=False)
+        check_range("eps", eps, 0.0, low_open=False)
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas

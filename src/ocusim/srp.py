@@ -47,10 +47,9 @@ from .optics import (
     ocu_forward,
     ocu_vjp,
     propagation_matrices,
-    quadrature_rows,
     transfer_partials,
 )
-from .optim import Adam, Param, TrainingDiverged
+from .optim import Adam, Param, TrainingDiverged, check_range
 from .tensorize import feature_dim, im2col
 
 
@@ -115,7 +114,7 @@ class TrainingPair:
 
 def _detect(model: OcuModel, values: np.ndarray, partials) -> np.ndarray:
     """Detected output y of the unit on real patch columns, run as a 1x1 bank."""
-    return bank_detect(quadrature_rows(partials.total), values[None],
+    return bank_detect(partials.quad, values[None],
                        np.full((1, 1), model.detection_gain))[0]
 
 
@@ -220,8 +219,7 @@ class FitConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_range("learning_rate", self.learning_rate, 0.0)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -236,8 +234,7 @@ class FitResult:
 
 def _init_gain(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs) -> float:
     """Match mean detected power to label power so square-law grads are live."""
-    quad = quadrature_rows(transfer_partials(model, fs).total)
-    diff = bank_unit_outputs(quad, values[None])[0, 0]
+    diff = bank_unit_outputs(transfer_partials(model, fs).quad, values[None])[0, 0]
     rms_d = math.sqrt(float(np.mean(diff * diff)))
     rms_l = math.sqrt(float(np.mean(labels * labels)))
     if rms_d == 0.0:

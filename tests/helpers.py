@@ -5,7 +5,9 @@ share no code with the vectorized implementations they check.  Two
 exceptions: complex_ocu_vjp shares only the phase adjoint, which
 phase_adjoint_loop checks, and direct_fit_history runs the SRP epoch on
 the direct evaluator (srp_loss, phase_gradients), which the
-finite-difference tests check.
+finite-difference tests check.  The data generators' references at the end
+are their per-image and per-crop forms, which the whole-array generators in
+ocusim.data must equal byte for byte.
 """
 
 import cmath
@@ -316,3 +318,104 @@ def pool_grad_loop(grad, in_shape, w, s, arg):
                     np.where(arg[:, :, i, j] == t, grad[:, :, i, j], 0.0)
                 dx[:, :, i * s + ki, j * s + kj] += share
     return dx
+
+
+# ---------------------------------------------------------------------------
+# the per-image and per-crop generators, the oracles of data's whole-array
+# generators (each must equal its reference byte for byte)
+# ---------------------------------------------------------------------------
+
+def _seeded_rng(seed_or_rng):
+    if isinstance(seed_or_rng, np.random.Generator):
+        return seed_or_rng
+    return np.random.Generator(np.random.PCG64(seed_or_rng))
+
+
+def bilinear_resize_reference(img, size):
+    """Bilinear resample that builds its index and weight tables per call."""
+    img = np.asarray(img, dtype=float)
+    n = img.shape[0]
+    if n == size:
+        return img.copy()
+    pos = np.linspace(0.0, n - 1, size)
+    i0 = np.clip(pos.astype(int), 0, n - 2)
+    frac = pos - i0
+    return (
+        img[i0][:, i0] * np.outer(1 - frac, 1 - frac)
+        + img[i0 + 1][:, i0] * np.outer(frac, 1 - frac)
+        + img[i0][:, i0 + 1] * np.outer(1 - frac, frac)
+        + img[i0 + 1][:, i0 + 1] * np.outer(frac, frac)
+    )
+
+
+def _smooth_noise_reference(rng, size, cells):
+    return bilinear_resize_reference(rng.random((cells + 1, cells + 1)), size)
+
+
+def synthetic_image_reference(size, seed, grain=0.15):
+    """synthetic_image with every shape tested on the whole image grid."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xC0FFEE, seed))))
+    img = 0.38 + 0.30 * _smooth_noise_reference(rng, size, 5)
+    yy, xx = np.mgrid[0:size, 0:size] / size
+    tilt = rng.uniform(-0.12, 0.12, size=2)
+    img += tilt[0] * (xx - 0.5) + tilt[1] * (yy - 0.5)
+    for _ in range(int(rng.integers(3, 6))):
+        cy, cx = rng.uniform(0.15, 0.85, size=2)
+        radius = rng.uniform(0.06, 0.18)
+        value = rng.choice([rng.uniform(0.06, 0.2), rng.uniform(0.8, 0.94)])
+        img[(yy - cy) ** 2 + (xx - cx) ** 2 < radius ** 2] = value
+    for _ in range(int(rng.integers(2, 4))):
+        y0, x0 = rng.uniform(0.05, 0.6, size=2)
+        hgt, wid = rng.uniform(0.08, 0.3, size=2)
+        value = rng.choice([rng.uniform(0.07, 0.2), rng.uniform(0.8, 0.93)])
+        img[(yy >= y0) & (yy < y0 + hgt) & (xx >= x0) & (xx < x0 + wid)] = value
+    for cells, amp in ((12, 0.12), (24, 0.09), (48, 0.07), (96, 0.05)):
+        img += amp * (_smooth_noise_reference(rng, size, min(cells, size - 1)) - 0.5)
+    img += grain * (rng.random((size, size)) - 0.5)
+    return np.clip(img, 0.02, 0.98)
+
+
+def synthetic_contrast_image_reference(size=256, seed=5):
+    """synthetic_contrast_image with every disc tested on the whole grid."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xBEEF, seed))))
+    lo, hi = 0.14, 0.86
+    base = _smooth_noise_reference(rng, size, 4)
+    img = np.where(base > 0.5, hi, lo).astype(float)
+    yy, xx = np.mgrid[0:size, 0:size] / size
+    for _ in range(4):
+        cy, cx = rng.uniform(0.1, 0.9, size=2)
+        radius = rng.uniform(0.07, 0.18)
+        value = hi if rng.random() > 0.5 else lo
+        img[(yy - cy) ** 2 + (xx - cx) ** 2 < radius ** 2] = value
+    img += 0.025 * (_smooth_noise_reference(rng, size, 32) - 0.5)
+    img += 0.01 * (rng.random((size, size)) - 0.5)
+    return np.clip(img, 0.02, 0.98)
+
+
+def synthetic_blobs_loop(count, size, seed):
+    """(images, labels) of synthetic_blobs, one noise draw per image."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xB10B, seed))))
+    yy, xx = np.mgrid[0:size, 0:size] / (size - 1)
+    centers = ((0.25, 0.25), (0.75, 0.75))
+    images = np.empty((count, 1, size, size))
+    labels = rng.integers(0, 2, size=count)
+    for i, cls in enumerate(labels):
+        cy, cx = centers[cls]
+        bump = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / 0.04))
+        images[i, 0] = np.clip(0.8 * bump + 0.1 * rng.random((size, size)), 0.0, 1.0)
+    return images, labels.astype(np.int64)
+
+
+def crop_patches_loop(images, patch, count_per_image, seed_or_rng=0):
+    """crop_patches with one scalar draw per corner coordinate."""
+    rng = _seeded_rng(seed_or_rng)
+    out = []
+    for img in images:
+        img = np.asarray(img, dtype=float)
+        hi_i = img.shape[0] - patch + 1
+        hi_j = img.shape[1] - patch + 1
+        for _ in range(count_per_image):
+            i = int(rng.integers(0, hi_i))
+            j = int(rng.integers(0, hi_j))
+            out.append(img[i:i + patch, j:j + patch])
+    return np.stack(out)

@@ -25,6 +25,14 @@ from ocusim.data import (
 )
 from ocusim.pgm import read_pgm, write_pgm
 
+from helpers import (
+    bilinear_resize_reference,
+    crop_patches_loop,
+    synthetic_blobs_loop,
+    synthetic_contrast_image_reference,
+    synthetic_image_reference,
+)
+
 
 def make_idx_images(path, images: np.ndarray) -> None:
     n, rows, cols = images.shape
@@ -178,6 +186,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_awgn(np.zeros((4, 4)), -1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            add_awgn(np.zeros((4, 4)), sigma)
+
 
 class TestCrops:
     def test_counts(self):
@@ -200,6 +213,39 @@ class TestCrops:
         imgs = synthetic_corpus(2, 64, seed=5)
         patches = crop_patches(imgs, 16, 32, 2)
         assert patches.min() >= 0.0 and patches.max() <= 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_per_crop_draws_bitwise(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        # non-square images, one as tall as the patch, one as wide
+        imgs = [rng.random((40, 48)), rng.random((57, 40)), rng.random((40, 40)),
+                rng.random((90, 61))]
+        for patch, count in ((1, 3), (5, 1), (17, 9), (40, 48)):
+            got = crop_patches(imgs, patch, count, seed)
+            assert got.tobytes() == crop_patches_loop(imgs, patch, count, seed).tobytes()
+        corpus = synthetic_corpus(3, 64, seed=seed)
+        assert (crop_patches(corpus, 40, 48, seed).tobytes()
+                == crop_patches_loop(corpus, 40, 48, seed).tobytes())
+
+    def test_shared_generator_left_in_the_same_state(self):
+        imgs = [np.random.default_rng(3).random((30, 44))]
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        assert (crop_patches(imgs, 8, 20, ours).tobytes()
+                == crop_patches_loop(imgs, 8, 20, theirs).tobytes())
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("patch, count, match", [
+        (0, 4, "patch must be >= 1"), (-3, 4, "patch must be >= 1"),
+        (4, 0, "count_per_image must be >= 1")])
+    def test_rejects_empty_crops(self, patch, count, match):
+        with pytest.raises(ValueError, match=match):
+            crop_patches([np.zeros((16, 16))], patch, count, 0)
+
+    def test_rejects_no_images(self):
+        with pytest.raises(ValueError, match="no images"):
+            crop_patches([], 4, 2, 0)
+        with pytest.raises(ValueError, match="no images"):
+            crop_patches(np.zeros((0, 16, 16)), 4, 2, 0)
 
 
 class TestMetrics:
@@ -272,6 +318,9 @@ class TestSynthetic:
     def test_smallest_blobs_are_finite(self):
         assert np.all(np.isfinite(synthetic_blobs(4, 2).images))
 
+    def test_empty_corpus(self):
+        assert synthetic_corpus(0, 16).shape == (0, 16, 16)
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 1, 4, 4)), np.zeros(2, dtype=int))
@@ -289,6 +338,91 @@ class TestSynthetic:
         img = make()
         assert img.dtype == np.float64
         assert hashlib.sha256(np.ascontiguousarray(img).tobytes()).hexdigest() == digest
+
+
+class TestGeneratorsMatchReference:
+    """The whole-array generators equal the per-image ones byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("size", [2, 5, 8, 28])
+    def test_blobs(self, seed, size):
+        for count in (0, 1, 300, 3200):
+            ds = synthetic_blobs(count, size, seed)
+            images, labels = synthetic_blobs_loop(count, size, seed)
+            assert ds.images.shape == (count, 1, size, size)
+            assert ds.images.tobytes() == images.tobytes()
+            assert ds.labels.dtype == labels.dtype
+            assert ds.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 9000])
+    def test_images(self, seed):
+        # below 97 pixels the octave cell counts are clamped to size - 1
+        for size in (1, 2, 3, 4, 5, 6, 7, 32, 48, 180, 256):
+            assert (synthetic_image(size, seed).tobytes()
+                    == synthetic_image_reference(size, seed).tobytes()), size
+        assert (synthetic_image(40, seed, grain=0.0).tobytes()
+                == synthetic_image_reference(40, seed, grain=0.0).tobytes())
+
+    @pytest.mark.parametrize("seed", [1, 5, 8])
+    def test_contrast_images(self, seed):
+        for size in (2, 5, 33, 64, 256):
+            assert (synthetic_contrast_image(size, seed).tobytes()
+                    == synthetic_contrast_image_reference(size, seed).tobytes()), size
+
+    def test_corpus(self):
+        corpus = synthetic_corpus(5, 37, seed=4)
+        expected = np.stack([synthetic_image_reference(37, 4 * 100003 + i) for i in range(5)])
+        assert corpus.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, size", [
+        (2, 2), (9, 9), (2, 7), (2, 1), (6, 180), (13, 256), (97, 180),
+        (64, 31), (180, 40), (7, 3), (3, 2)])
+    def test_resize(self, n, size):
+        from ocusim.data import bilinear_resize
+
+        img = np.random.default_rng(n * 1000 + size).random((n, n))
+        for _ in range(2):   # the call that fills the memo and one that reads it
+            got = bilinear_resize(img, size)
+            assert got.shape == (size, size)
+            assert got.tobytes() == bilinear_resize_reference(img, size).tobytes()
+        if n == size:
+            assert got is not img
+
+    def test_disc_edge_pixels_stay_outside(self):
+        # centers and radii on the pixel grid put pixels exactly on the rim,
+        # where the strict inequality of the whole-grid mask leaves them out
+        from ocusim.data import _coords, _fill_disc
+
+        size = 16
+        yy, xx = np.mgrid[0:size, 0:size] / size
+        # (row, column) offsets (3, 4) of a 5-pixel radius lie on the rim
+        for cy, cx, radius in ((0.5, 0.5, 0.3125), (0.25, 0.5, 0.3125), (0.5, 0.5, 0.25)):
+            img = np.zeros((size, size))
+            _fill_disc(img, _coords(size), cy, cx, radius, 1.0)
+            expected = ((yy - cy) ** 2 + (xx - cx) ** 2 < radius ** 2).astype(float)
+            assert img.tobytes() == expected.tobytes()
+            if radius == 0.3125:
+                assert img[int(cy * size) + 3, int(cx * size) + 4] == 0.0
+                assert img[int(cy * size) + 3, int(cx * size) + 3] == 1.0
+
+    def test_memo_arrays_are_read_only(self):
+        from ocusim.data import _coords, _resize_tables
+
+        for table in _resize_tables(5, 21) + (_coords(21),):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_memos_stay_bounded(self):
+        from ocusim.data import _coords, _resize_tables, bilinear_resize, synthetic_image
+
+        for size in range(3, 40):
+            bilinear_resize(np.ones((2, 2)), size)
+            synthetic_image(size, 0)
+        assert _resize_tables.cache_info().currsize <= _resize_tables.cache_info().maxsize
+        assert _coords.cache_info().currsize <= _coords.cache_info().maxsize
+        assert _resize_tables.cache_info().maxsize <= 16
+        assert _coords.cache_info().maxsize <= 8
 
 
 class TestGrayscaleDir:

@@ -11,6 +11,7 @@ from ocusim.networks import (
     denoiser_forward,
     evaluate_classifier,
     evaluate_denoiser,
+    predict_classes,
     train_classifier,
     train_denoiser,
 )
@@ -23,7 +24,27 @@ def blob_geometry(v=16):
     return OcuGeometry(metaunits_per_layer=v, num_inputs=9, num_layers=3)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("config", [TrainConfig, DenoiseTrainConfig])
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_rejects_bad_learning_rate(self, config, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            config(learning_rate=lr)
+
+    def test_rejects_negative_eval_every(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainConfig(eval_every=-3)
+
+
 class TestClassifier:
+    def test_rejects_empty_image_set(self):
+        net = build_classifier(blob_geometry(), 1, 1, 8, 2, seed=0)
+        empty = np.zeros((0, 1, 8, 8))
+        with pytest.raises(ValueError, match="no images"):
+            predict_classes(net, empty)
+        with pytest.raises(ValueError, match="no images"):
+            evaluate_classifier(net, empty, np.zeros(0, dtype=int), 2)
+
     def test_blobs_reach_99_percent_train_accuracy(self):
         train = synthetic_blobs(256, 8, seed=1)
         test = synthetic_blobs(64, 8, seed=2)

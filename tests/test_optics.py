@@ -77,6 +77,29 @@ class TestGeometry:
         with pytest.raises(ValueError):
             OcuGeometry(num_layers=1)
 
+    @pytest.mark.parametrize("name", [
+        "wavelength", "slab_index", "slot_index", "layer_gap", "aperture",
+        "metaunit_period", "slot_width", "slot_gap", "slot_height",
+        "amplitude_coeff", "phase_coeff"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OcuGeometry(**{name: value})
+
+    @pytest.mark.parametrize("name", ["aperture", "metaunit_period"])
+    @pytest.mark.parametrize("value", [0.0, -1e-6])
+    def test_rejects_non_positive_extent(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OcuGeometry(**{name: value})
+
+    @pytest.mark.parametrize("name", ["input_positions", "output_positions"])
+    def test_rejects_non_finite_ports(self, name):
+        count = 9 if name == "input_positions" else 2
+        pos = np.zeros(count)
+        pos[0] = np.nan
+        with pytest.raises(ValueError, match=name):
+            OcuGeometry(**{name: pos})
+
     def test_port_positions_are_read_only_copies(self):
         ports = np.linspace(-1e-4, 1e-4, 9)
         geom = OcuGeometry(input_positions=ports)
@@ -417,6 +440,22 @@ class TestDetectionEngine:
             self.assert_rel(grads.patches, dpatches)
         else:
             assert grads.patches is None
+
+    def test_quadrature_rows_built_once_per_partials(self, monkeypatch):
+        real = optics.quadrature_rows
+        calls = []
+        monkeypatch.setattr(optics, "quadrature_rows",
+                            lambda total: calls.append(total.shape) or real(total))
+        geom = small_geometry(v=6, inputs=9, layers=4)
+        rng = np.random.default_rng(22)
+        model = OcuModel(geom, rng.uniform(0, TWO_PI, (3, 6)), 1.5)
+        partials = transfer_partials(model)
+        patches, g = rng.random((9, 12)), rng.standard_normal(12)
+        for _ in range(2):
+            ocu_vjp(model, patches, g, partials)
+        assert calls == [(2, 9)]
+        assert partials.quad.tobytes() == real(partials.total).tobytes()
+        assert not partials.quad.flags.writeable
 
 
 class TestBalancedDetect:

@@ -285,6 +285,25 @@ class TestPatchMoments:
                 for model in _models(geom, values, labels, fs):
                     _assert_paths_agree(model, values, labels, fs)
 
+    def test_epoch_builds_quadrature_rows_once(self, monkeypatch):
+        from ocusim import optics
+
+        real = optics.quadrature_rows
+        calls = []
+        monkeypatch.setattr(optics, "quadrature_rows",
+                            lambda total: calls.append(1) or real(total))
+        geom = OcuGeometry()
+        fs = propagation_matrices(geom)
+        pattern = generate_pattern(1, 16)
+        values = im2col(pattern, 3).values
+        labels = TrainingPair.make(pattern, STANDARD_KERNELS["sharpen"]).labels
+        moments = PatchMoments.of(values, labels)
+        model = OcuModel.random_init(geom, np.random.default_rng(3))
+        partials = transfer_partials(model, fs)
+        _, r = moments.loss(model, partials)
+        moments.gradients(model, partials, r)
+        assert len(calls) == 1
+
     def test_exact_fit_has_no_cancellation_floor(self):
         # every unit fits a constant pattern's labels exactly once its gain
         # matches; the loss is then round-off, far below eps * l . l
@@ -351,6 +370,11 @@ class TestPatchMoments:
 
 
 class TestFit:
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_config_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            FitConfig(learning_rate=lr)
+
     def test_zero_kernel_drives_output_down(self):
         geom = small_geometry()
         model = OcuModel.random_init(geom, np.random.default_rng(10))

@@ -72,6 +72,9 @@ def write_checkpoint(path, kind: str, meta: dict, geometry: OcuGeometry | None,
             lines.append(f"{name} = {text}")
     for name in sorted(arrays):
         arr = np.asarray(arrays[name], dtype=float)
+        if not np.all(np.isfinite(arr)):
+            # load_network refuses them, so no checkpoint is written with them
+            raise ValueError(f"array {name} holds non-finite values")
         lines.append(f"[array {name}]")
         lines.append("shape = " + " ".join(str(d) for d in arr.shape))
         rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .optics import (OcuGeometry, bank_detect, bank_unit_outputs, bank_vjp, block_width,
                      propagation_matrices, stacked_transfer_partials)
-from .optim import Param
+from .optim import Param, TrainingDiverged
 from .tensorize import feature_dim, fold_batch, im2col_batch, windows
 
 TWO_PI = 2.0 * math.pi
@@ -180,10 +180,16 @@ class OclLayer(_Convolution):
         otherwise sit at the raw physical field scale and gradients die),
         and the positive detector port is chosen per unit so its output is
         not negative almost everywhere (which a downstream ReLU would
-        silence permanently).
+        silence permanently).  Raises TrainingDiverged naming num_layers when
+        the detected power overflows float64.
         """
-        diff = self.unit_outputs(x)
-        rms = np.sqrt(np.mean(diff * diff, axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = self.unit_outputs(x)
+            rms = np.sqrt(np.mean(diff * diff, axis=-1))
+        if not np.all(np.isfinite(rms)):
+            raise TrainingDiverged(
+                f"detected power overflows float64 at num_layers = "
+                f"{self.geometry.num_layers}; use fewer metalines")
         safe = np.where(rms > 0, rms, 1.0)
         self.log_gain.value[...] = np.log(1.0 / safe)
         mean = np.mean(diff, axis=-1)

@@ -16,6 +16,12 @@ Conventions:
     * a bank of units shares one geometry; its arrays put leading unit
       axes before each per-unit shape, and the one cascade engine
       (stacked_transfer_partials, phase_adjoint) broadcasts over them
+    * the cascade engine is one-sided: it chains only the (2, V) output-side
+      partials, back to front, and the last product is the device matrix.
+      The phase adjoint sweeps the (V, 2) conjugated patch reduction forward
+      through the device and meets each output-side partial at its metaline,
+      so a metaline costs products with 2 columns, never with H^2.  The
+      (V, H^2) input-side partials are built only when a check asks for them
     * the one detection engine (bank_detect, bank_vjp) serves the
       optical convolution layer and SRP, one unit being a 1x1 bank; it
       applies 4 real quadrature rows per unit to the blocks of a column
@@ -270,22 +276,27 @@ class OcuModel:
 
 @dataclass
 class TransferPartials:
-    """Cumulative transfer products around each metaline of a bank of units.
+    """The one-sided cascade of a bank of units: what the detection engine
+    and the phase adjoint need, and no more.
 
     Every array carries the bank's leading unit axes ``...`` first; a single
     unit has none.  ``total`` is the collapsed (..., 2, H^2) device matrix.
-    For metaline l, ``right[l]`` (..., V, H^2) maps the inputs to the field
-    arriving at that metaline and ``left[l]`` (..., 2, V) maps the field
-    leaving it to the output ports, so for every unit and every l
-    total == left[l] @ diag(exp(j phi_l)) @ right[l].  ``quad`` holds the
-    quadrature rows of ``total``, computed on first use and kept read-only.
+    For metaline l, ``left[l]`` (..., 2, V) maps the field leaving that
+    metaline to the output ports, so total == (left[0] * masks[..., 0, :])
+    @ fs[0].  ``fs`` are the geometry's diffraction matrices [F1, ..., FM].
+    ``right[l]`` (..., V, H^2), which maps the inputs to the field arriving
+    at metaline l, is not needed by either engine; it is built on first
+    access, for checks of the split composition total == left[l] @
+    diag(exp(j phi_l)) @ right[l].  ``quad`` holds the quadrature rows of
+    ``total``, computed on first use.  Both lazy values are kept read-only.
     """
 
     total: np.ndarray
-    right: list[np.ndarray]
     left: list[np.ndarray]
     masks: np.ndarray  # exp(j * phases), (..., M-1, V)
+    fs: list[np.ndarray]
     _quad: np.ndarray | None = field(default=None, init=False, repr=False)
+    _right: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def quad(self) -> np.ndarray:
@@ -295,31 +306,41 @@ class TransferPartials:
             self._quad.setflags(write=False)
         return self._quad
 
+    @property
+    def right(self) -> tuple[np.ndarray, ...]:
+        """Input-side partials, (..., V, H^2) per metaline, built on first use."""
+        if self._right is None:
+            lead = self.masks.shape[:-2]
+            cur = np.broadcast_to(self.fs[0], lead + self.fs[0].shape)
+            right = [cur]
+            for l in range(self.masks.shape[-2] - 1):
+                cur = self.fs[l + 1] @ (self.masks[..., l, :, None] * cur)
+                cur.setflags(write=False)
+                right.append(cur)
+            self._right = tuple(right)
+        return self._right
+
 
 def stacked_transfer_partials(phases: np.ndarray, fs: list[np.ndarray]) -> TransferPartials:
     """The cascade engine: transfer partials of any bank of units.
 
     ``phases`` is (..., M-1, V), one (M-1, V) phase set per unit.  All
     units share one geometry and so the diffraction matrices ``fs``; every
-    product broadcasts over the leading unit axes.
+    product broadcasts over the leading unit axes.  Only the output side is
+    chained, back to front: each step is a (2, V) product, and the last
+    gives the device matrix.
     """
     lead = phases.shape[:-2]
     n_meta = phases.shape[-2]
     masks = np.exp(1j * phases)
 
-    right = []
-    cur = np.broadcast_to(fs[0], lead + fs[0].shape)
-    for l in range(n_meta):
-        right.append(cur)
-        cur = fs[l + 1] @ (masks[..., l, :, None] * cur)
-
     left: list[np.ndarray] = [None] * n_meta
-    acc = np.broadcast_to(fs[-1], lead + fs[-1].shape)
+    # one unit skips broadcast_to, which costs more than its small products
+    acc = np.broadcast_to(fs[-1], lead + fs[-1].shape) if lead else fs[-1]
     for l in range(n_meta - 1, -1, -1):
         left[l] = acc
-        if l > 0:
-            acc = (acc * masks[..., l, None, :]) @ fs[l]
-    return TransferPartials(cur, right, left, masks)
+        acc = (acc * masks[..., l, None, :]) @ fs[l]
+    return TransferPartials(acc, left, masks, fs)
 
 
 def transfer_partials(model: OcuModel, fs: list[np.ndarray] | None = None) -> TransferPartials:
@@ -460,13 +481,23 @@ def phase_adjoint(partials: TransferPartials, s: np.ndarray) -> np.ndarray:
     ``s`` is the (..., H^2, 2) complex reduction patches @ rbar^T of the
     response adjoint rbar = 2 dJ/d conj(R) over the data columns, with the
     leading unit axes of ``partials``.  Returns dJ/dphases, (..., M-1, V).
+
+    The conjugated reduction is swept forward through the device, two
+    columns per unit: w_l = right[l] @ conj(s) is the (..., V, 2) field it
+    makes at metaline l, and dJ/dphi_l = -Im(m_l * sum_o w_l[:, o] *
+    left[l][o, :]).
     """
-    s_conj = np.conj(s)
-    dphases = np.empty(partials.masks.shape)
-    for l, (right, left) in enumerate(zip(partials.right, partials.left)):
-        p = right @ s_conj                                   # (..., V, 2)
-        gv = partials.masks[..., l, :] * np.einsum("...vo,...ov->...v", p, left)
-        dphases[..., l, :] = -np.imag(gv)
+    masks, fs = partials.masks, partials.fs
+    dphases = np.empty(masks.shape)
+    w = fs[0] @ np.conj(s)
+    for l, left in enumerate(partials.left):
+        m = masks[..., l, :]
+        if l > 0:
+            w = fs[l] @ (masks[..., l - 1, :, None] * w)
+        g = w[..., 0] * left[..., 0, :]
+        g += w[..., 1] * left[..., 1, :]
+        g *= m
+        np.negative(g.imag, out=dphases[..., l, :])
     return dphases
 
 
@@ -486,7 +517,8 @@ def bank_vjp(partials: TransferPartials, quad: np.ndarray, cols,
     # The field adjoint is rbar = 2 w g f for row weight w.  Per block,
     # f becomes u = g f in place; s0 = cols . u^T and dcols = (2 w quad)^T . u.
     s0 = np.zeros((c, h2, 4 * q))
-    quad_w = (wt2[:, :, None] * quad).transpose(0, 2, 1)
+    if need_patch_grad:
+        quad_w = (wt2[:, :, None] * quad).transpose(0, 2, 1)
     for blk, block, u in _block_fields(src, quad):
         per_kernel = u.reshape(c, 4, q, -1)
         per_kernel *= grad[:, blk]
@@ -495,15 +527,17 @@ def bank_vjp(partials: TransferPartials, quad: np.ndarray, cols,
             src.add_grad(blk, np.matmul(quad_w, u))
 
     # sum_n g f^2 of a row is its quad row dotted with its s0 column
-    gf2 = np.einsum("crh,chr->cr", quad, s0).reshape(c, 4, q)
+    gf2 = (quad * s0.transpose(0, 2, 1)).sum(axis=-1).reshape(c, 4, q)
     lead = partials.masks.shape[:-2]
     dgain = (_PORT_SIGNS @ gf2).T.reshape(lead)
 
     # complex patch reduction S[m, c, :, port] = sum_n cols (rbar_re + j rbar_im)
-    s = (s0 * wt2[:, None, :]).reshape(c, h2, 2, 2, q)
-    s = (s[:, :, :, 0] + 1j * s[:, :, :, 1]).transpose(3, 0, 1, 2).reshape(lead + (h2, 2))
+    sw = (s0 * wt2[:, None, :]).reshape(c, h2, 2, 2, q).transpose(4, 0, 1, 2, 3)
+    s = np.empty((q, c, h2, 2), dtype=complex)
+    s.real = sw[..., 0]
+    s.imag = sw[..., 1]
     dcols = src.gradient() if need_patch_grad else None
-    return OcuGradients(phase_adjoint(partials, s), dgain, dcols)
+    return OcuGradients(phase_adjoint(partials, s.reshape(lead + (h2, 2))), dgain, dcols)
 
 
 def ocu_vjp(model: OcuModel, patches: np.ndarray, grad_detected: np.ndarray,

@@ -233,9 +233,20 @@ class FitResult:
 
 
 def _init_gain(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs) -> float:
-    """Match mean detected power to label power so square-law grads are live."""
-    diff = bank_unit_outputs(transfer_partials(model, fs).quad, values[None])[0, 0]
-    rms_d = math.sqrt(float(np.mean(diff * diff)))
+    """Match mean detected power to label power so square-law grads are live.
+
+    The fields carry the physical scale, about 1e10 per metaline, so a deep
+    enough cascade makes the detected power overflow float64: that raises
+    TrainingDiverged naming num_layers.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = bank_unit_outputs(transfer_partials(model, fs).quad, values[None])[0, 0]
+        power = float(np.mean(diff * diff))
+    if not math.isfinite(power):
+        raise TrainingDiverged(
+            f"detected power overflows float64 at num_layers = "
+            f"{model.geometry.num_layers}; use fewer metalines")
+    rms_d = math.sqrt(power)
     rms_l = math.sqrt(float(np.mean(labels * labels)))
     if rms_d == 0.0:
         return 1.0
@@ -288,10 +299,16 @@ def fit_kernel(
 
 
 def _fit_once(model, moments: PatchMoments, cfg, fs):
-    """Adam on the phases and log-gain; returns the best iterate and the history."""
-    phases = Param(model.phases, "phases")
-    log_gain = Param(np.array(math.log(model.detection_gain)), "log_gain")
-    opt = Adam([phases, log_gain], lr=cfg.learning_rate)
+    """Adam on the phases and log-gain; returns the best iterate and the history.
+
+    Both live in one parameter vector, the phases first and the log-gain
+    last, and the model's phases are a view of it: Adam works elementwise,
+    so one vector steps exactly as the two arrays would.
+    """
+    shape = model.phases.shape
+    params = Param(np.append(model.phases, math.log(model.detection_gain)), "srp")
+    model.phases = params.value[:-1].reshape(shape)
+    opt = Adam([params], lr=cfg.learning_rate)
 
     history: list[tuple[int, float, float]] = []
     best_loss = math.inf
@@ -305,10 +322,10 @@ def _fit_once(model, moments: PatchMoments, cfg, fs):
         partials = transfer_partials(model, fs)
         loss, r = moments.loss(model, partials)
         grads = moments.gradients(model, partials, r)
-        phases.grad[...] = grads.phases
-        log_gain.grad[...] = grads.gain * model.detection_gain
+        params.grad[:-1] = grads.phases.ravel()
+        params.grad[-1] = grads.gain * model.detection_gain
         opt.step()
-        model.detection_gain = float(np.exp(log_gain.value))
+        model.detection_gain = float(np.exp(params.value[-1]))
         if not (0.0 < model.detection_gain < math.inf):
             raise TrainingDiverged(
                 f"detection gain left (0, inf) at epoch {epoch}; "

@@ -146,3 +146,18 @@ class TestNetworkCheckpointSchema:
                              ["[array layer3.running_var]", "shape = 2", "1.0 nan"])
         with pytest.raises(ConfigError, match=r"layer3\.running_var"):
             load_network(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite_array(self, tmp_path, bad):
+        # what load_network would refuse is never written: the -inf log gains
+        # of an overflowed calibration, say
+        geom = small_geometry()
+        net = build_denoiser(geom, 2, 2, seed=5)
+        net.layers[0].log_gain.value[1, 0] = bad
+        path = tmp_path / "dn.ckpt"
+        with pytest.raises(ValueError, match=r"layer0\.log_gain"):
+            save_network(path, net, "denoiser", geom, {"input_kernels": 2})
+        assert not path.exists()
+        with pytest.raises(ValueError, match="weights"):
+            write_checkpoint(path, "ocu", {}, None, {"weights": np.array([1.0, bad])})
+        assert not path.exists()

@@ -189,6 +189,16 @@ class TestFitKernelCommand:
         assert proc.returncode == 3
         assert "diverged" in proc.stderr
 
+    def test_overflowing_detector_power_exits_3(self, tmp_path):
+        # eight planes put the detected power past float64 when it is squared
+        cfg = tmp_path / "fit.ini"
+        cfg.write_text(FIT_CONFIG.format(out=tmp_path / "out")
+                       .replace("num_layers = 3", "num_layers = 8"))
+        proc = run_cli("fit-kernel", "--config", str(cfg))
+        assert proc.returncode == 3, proc.stderr
+        assert "diverged" in proc.stderr and "num_layers = 8" in proc.stderr
+        assert "Warning" not in proc.stderr
+
 
 class TestConvolveCommand:
     @pytest.fixture()
@@ -347,6 +357,18 @@ class TestEvalDatasetMismatch:
 
 
 class TestDenoiserPipeline:
+    def test_overflowing_detector_power_exits_3(self, tmp_path):
+        # calibration fails loudly instead of writing -inf gains that eval refuses
+        out = tmp_path / "dn"
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(DENOISE_CONFIG.format(out=out).replace(
+            "metaunits_per_layer = 8", "metaunits_per_layer = 8\nnum_layers = 8"))
+        proc = run_cli("train-denoiser", "--config", str(cfg))
+        assert proc.returncode == 3, proc.stderr
+        assert "diverged" in proc.stderr and "num_layers = 8" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not (out / "denoiser.ckpt").exists()
+
     def test_train_then_eval(self, tmp_path):
         out = tmp_path / "dn"
         cfg = tmp_path / "train.ini"

@@ -29,6 +29,7 @@ from ocusim.optics import (
     stacked_transfer_partials,
     transfer_partials,
 )
+from ocusim.optim import TrainingDiverged
 from ocusim.srp import conv2d_reference
 from ocusim.tensorize import fold_batch, im2col, im2col_batch
 
@@ -114,6 +115,17 @@ class TestOclLayer:
         y = layer.gains()[:, :, None] * layer.unit_outputs(x)
         rms = np.sqrt(np.mean(y * y, axis=-1))
         assert rms == pytest.approx(np.ones((2, 2)), rel=1e-9)
+
+    @pytest.mark.parametrize("layers", [8, 40])
+    def test_calibration_overflow_raises(self, layers):
+        # not -inf gains that no checkpoint can hold (a RuntimeWarning would
+        # fail the suite)
+        geom = OcuGeometry(metaunits_per_layer=8, num_inputs=4, num_layers=layers)
+        layer = OclLayer(geom, 2, 2, np.random.default_rng(4))
+        x = np.random.default_rng(5).random((4, 2, 4, 4))
+        with pytest.raises(TrainingDiverged, match=f"num_layers = {layers}"):
+            layer.calibrate_gains(x)
+        assert np.all(layer.log_gain.value == 0.0)
 
     def test_rejects_channel_mismatch(self):
         geom = tiny_geometry()

@@ -30,6 +30,9 @@ from ocusim.optics import (
     write_geometry_csv,
 )
 
+from ocusim.nn import OclLayer
+from ocusim.srp import FitConfig, fit_kernel, generate_pattern
+
 from helpers import (
     complex_ocu_vjp,
     einsum_stacked_partials,
@@ -404,6 +407,61 @@ class TestCascade:
             assert_rel(bank.left[layer], left[layer])
         s = rng.normal(size=(2, 3, 4, 2)) + 1j * rng.normal(size=(2, 3, 4, 2))
         assert_rel(phase_adjoint(bank, s), phase_adjoint_loop(oracle, s.reshape(6, 4, 2)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(layers=st.integers(2, 6), v=st.integers(1, 12), inputs=st.sampled_from([1, 4, 9]),
+           lead=st.sampled_from([(), (3,), (2, 3)]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_sided_engine_matches_two_sided_oracle(self, layers, v, inputs, lead, seed):
+        # the output-side chain and the forward adjoint sweep equal the
+        # two-sided einsum cascade, and so does the right chain built on demand
+        fs = propagation_matrices(small_geometry(v=v, inputs=inputs, layers=layers))
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0, TWO_PI, size=lead + (layers - 1, v))
+        s = rng.normal(size=lead + (inputs, 2)) + 1j * rng.normal(size=lead + (inputs, 2))
+        k = math.prod(lead)
+        oracle = einsum_stacked_partials(phases.reshape(k, layers - 1, v), fs)
+        total, right, left, _ = oracle
+        bank = stacked_transfer_partials(phases, fs)
+
+        def assert_rel(got, expected):
+            assert got.shape == lead + expected.shape[1:]
+            got = got.reshape(expected.shape)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+        assert_rel(bank.total, total)
+        assert len(bank.left) == len(bank.right) == layers - 1
+        for layer in range(layers - 1):
+            assert_rel(bank.left[layer], left[layer])
+            assert_rel(bank.right[layer], right[layer])
+        assert_rel(phase_adjoint(bank, s), phase_adjoint_loop(oracle, s.reshape(k, inputs, 2)))
+
+    def test_right_is_built_once_and_read_only(self):
+        geom, fs, phases, _ = self.bank(8)
+        bank = stacked_transfer_partials(phases, fs)
+        right = bank.right
+        assert bank.right is right
+        for part in right:
+            with pytest.raises(ValueError):
+                part[...] = 0.0
+
+    def test_engines_never_build_right(self, monkeypatch):
+        # SRP epochs, ocu_forward and both passes of an OclLayer need only the
+        # output-side partials
+        def built(self):
+            raise AssertionError("the right partials were built")
+
+        monkeypatch.setattr(optics.TransferPartials, "right", property(built))
+        geom = small_geometry(v=6, inputs=4, layers=4)
+        rng = np.random.default_rng(9)
+        model = OcuModel.random_init(geom, rng)
+        fit = fit_kernel(model, np.eye(2), generate_pattern(1, 8), FitConfig(epochs=3))
+        assert len(fit.history) == 3
+        ocu_forward(model, rng.random((4, 5)))
+        layer = OclLayer(geom, kernels=2, channels=3, rng=rng, pad=1)
+        x = rng.random((2, 3, 5, 5))
+        out = layer.forward(x, training=True)
+        for need_input_grad in (True, False):
+            layer.backward(np.ones_like(out), need_input_grad)
 
 
 class TestDetectionEngine:

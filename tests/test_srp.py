@@ -169,6 +169,25 @@ class TestGradients:
         fd = numeric_grad(loss, model.phases, lambda v: 1e-5)
         assert_grad_close(dphases, fd, label="phases")
 
+    @pytest.mark.parametrize("layers", [2, 5])
+    def test_phases_match_finite_differences_at_depth(self, layers):
+        # the forward adjoint sweep from the first metaline to the last
+        geom = OcuGeometry(metaunits_per_layer=6, num_inputs=4, num_layers=layers)
+        rng = np.random.default_rng(20 + layers)
+        model = OcuModel.random_init(geom, rng)
+        patches = rng.random((4, 9))
+        resp = ocu_forward(model, patches)
+        diff = np.abs(resp[0]) ** 2 - np.abs(resp[1]) ** 2
+        model.detection_gain = 1.0 / float(np.sqrt(np.mean(diff ** 2)))
+        labels = rng.normal(size=9)
+        dphases, _ = phase_gradients(model, patches, labels)
+
+        def loss():
+            return srp_loss(model, patches, labels)[0]
+
+        fd = numeric_grad(loss, model.phases, lambda v: 1e-5)
+        assert_grad_close(dphases, fd, label="phases")
+
     def test_gain_matches_finite_differences(self):
         geom = small_geometry()
         rng = np.random.default_rng(8)
@@ -370,6 +389,15 @@ class TestPatchMoments:
 
 
 class TestFit:
+    @pytest.mark.parametrize("layers", [8, 40])
+    def test_overflowing_detector_power_raises(self, layers):
+        # the field scale squared twice passes float64 (a RuntimeWarning
+        # would fail the suite)
+        geom = OcuGeometry(metaunits_per_layer=8, num_inputs=4, num_layers=layers)
+        model = OcuModel.random_init(geom, np.random.default_rng(1))
+        with pytest.raises(TrainingDiverged, match=f"num_layers = {layers}"):
+            fit_kernel(model, np.eye(2), generate_pattern(1, 8), FitConfig(epochs=2))
+
     @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
     def test_config_rejects_bad_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):

@@ -4,7 +4,9 @@ The format is line-oriented and human-diffable: a header of key = value
 metadata, one [geometry] section, then one [array NAME] section per stored
 tensor with its shape and decimal payload rows.  Floats are written with
 repr(), which round-trips float64 exactly, so save -> load -> save is
-byte-identical.
+byte-identical.  [geometry] lines that name no OcuGeometry field are
+ignored: older checkpoints also hold slot_width, slot_gap and slot_height,
+which no computation reads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (GEOMETRY_FIELDS, ConfigError, boolean, count, counts, float_row,
-                     natural, parse_key, pool_mode)
+                     natural, parse_key, pool_mode, positive)
 from .optics import OcuGeometry, OcuModel
 
 FORMAT_NAME = "ocusim-checkpoint"
@@ -136,7 +138,7 @@ def load_ocu_model(path) -> tuple[OcuModel, dict]:
         raise ValueError(f"{path}: expected an ocu checkpoint, found {ckpt.kind!r}")
     if ckpt.geometry is None:
         raise ValueError(f"{path}: ocu checkpoint missing geometry")
-    kappa = parse_key(path, "kappa", ckpt.meta.get("kappa"), float)
+    kappa = parse_key(path, "kappa", ckpt.meta.get("kappa"), positive)
     if "phases" not in ckpt.arrays:
         raise ConfigError(f"{path}: missing array phases")
     return OcuModel(ckpt.geometry, ckpt.arrays["phases"], kappa), ckpt.meta

@@ -73,7 +73,16 @@ def _resolve_kernels(cfg):
     return out
 
 
-def _holdout_image(cfg):
+def _check_holds_kernel(cfg, key: str, shape, h: int) -> None:
+    """A ConfigError naming [fit] ``key`` unless an image of ``shape`` holds an h x h window."""
+    from .config import ConfigError
+
+    if min(shape) < h:
+        raise ConfigError(f"{cfg.path}: key [fit] {key}: a {shape[0]}x{shape[1]} image "
+                          f"cannot hold the {h}x{h} kernel")
+
+
+def _holdout_image(cfg, h: int):
     from .config import ConfigError
     from .data import synthetic_contrast_image, synthetic_image
 
@@ -81,15 +90,18 @@ def _holdout_image(cfg):
     size = cfg.getcount("fit", "holdout_size", 256)
     if choice == "none":
         return None
-    if choice == "contrast":
-        return synthetic_contrast_image(size, cfg.getnatural("fit", "holdout_seed", 5))
-    if choice == "scene":
-        return synthetic_image(size, cfg.getnatural("fit", "holdout_seed", 11))
+    if choice in ("contrast", "scene"):
+        _check_holds_kernel(cfg, "holdout_size", (size, size), h)
+        make, seed = ((synthetic_contrast_image, 5) if choice == "contrast"
+                      else (synthetic_image, 11))
+        return make(size, cfg.getnatural("fit", "holdout_seed", seed))
     path = Path(choice)
     if not path.is_file():
         raise ConfigError(f"{cfg.path}: key [fit] holdout file not found: {choice}")
     from .pgm import read_pgm
-    return _load_input(read_pgm, path)
+    image = _load_input(read_pgm, path)
+    _check_holds_kernel(cfg, "holdout", image.shape, h)
+    return image
 
 
 def cmd_fit_kernel(args) -> int:
@@ -116,10 +128,11 @@ def cmd_fit_kernel(args) -> int:
         seed=seed,
         restarts=cfg.getcount("fit", "restarts", 1),
     )
-    pattern = generate_pattern(cfg.getnatural("fit", "pattern_seed", 1),
-                               cfg.getcount("fit", "pattern_size", 128))
+    pattern_size = cfg.getcount("fit", "pattern_size", 128)
+    _check_holds_kernel(cfg, "pattern_size", (pattern_size, pattern_size), h)
+    pattern = generate_pattern(cfg.getnatural("fit", "pattern_seed", 1), pattern_size)
     stride = cfg.getcount("fit", "stride", 1)
-    holdout = _holdout_image(cfg)
+    holdout = _holdout_image(cfg, h)
     out = _out_dir(args, cfg)
 
     rows = []
@@ -245,7 +258,7 @@ def cmd_train_classifier(args) -> int:
     n_classes = int(max(train.labels.max(), test.labels.max())) + 1
     channels = train.images.shape[1]
     image_size = train.images.shape[-1]
-    cfg_channels = cfg.getint("network", "channels", channels)
+    cfg_channels = cfg.getcount("network", "channels", channels)
     if cfg_channels != channels:
         raise ConfigError(
             f"{cfg.path}: key [network] channels = {cfg_channels} but dataset has {channels}")
@@ -361,6 +374,14 @@ def cmd_train_denoiser(args) -> int:
         patch=cfg.getcount("denoise", "patch", 40),
         crops_per_image=cfg.getcount("denoise", "crops_per_image", 64),
     )
+    side = min(min(img.shape) for img in images)
+    if not kernel_size // 2 < train_cfg.patch <= side:   # reflection padding needs pad < patch
+        raise ConfigError(f"{cfg.path}: key [denoise] patch {train_cfg.patch} must lie between "
+                          f"{kernel_size // 2 + 1} and the smallest training image side {side}")
+    crops, batch = len(images) * train_cfg.crops_per_image, train_cfg.batch_size
+    if topo["middle_layers"] and (batch == 1 or crops % batch == 1):
+        raise ConfigError(f"{cfg.path}: key [denoise] batch_size {batch} leaves a batch of "
+                          f"one of the {crops} crops; batch normalization needs at least 2")
     result = train_denoiser(net, images, sigma, train_cfg)
 
     out = _out_dir(args, cfg)

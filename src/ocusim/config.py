@@ -122,17 +122,11 @@ class Config:
         return parse_key(self.path, f"[{section}] {key}", self.get(section, key),
                          convert, default)
 
-    def getint(self, section, key, default: int | None = None) -> int:
-        return self._typed(section, key, default, int)
-
     def getcount(self, section, key, default: int | None = None) -> int:
         return self._typed(section, key, default, count)
 
     def getnatural(self, section, key, default: int | None = None) -> int:
         return self._typed(section, key, default, natural)
-
-    def getfloat(self, section, key, default: float | None = None) -> float:
-        return self._typed(section, key, default, float)
 
     def getpositive(self, section, key, default: float | None = None) -> float:
         return self._typed(section, key, default, positive)

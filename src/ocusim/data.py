@@ -27,14 +27,10 @@ class LabeledDataset:
     images: np.ndarray          # (n, C, H, W) in [0, 1]
     labels: np.ndarray          # (n,) class indices
     split: str = ""
-    class_names: tuple = ()
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
             raise ValueError("images and labels must have the same length")
-        if self.class_names and self.labels.size:
-            if int(self.labels.max()) >= len(self.class_names):
-                raise ValueError("label index exceeds class count")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -83,21 +79,21 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
-def load_idx(images_path, labels_path, split: str = "", class_names=()) -> LabeledDataset:
+def load_idx(images_path, labels_path, split: str = "") -> LabeledDataset:
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if len(images) != len(labels):
         raise ValueError(
             f"image file has {len(images)} samples but label file has {len(labels)}"
         )
-    return LabeledDataset(images, labels, split, tuple(class_names))
+    return LabeledDataset(images, labels, split)
 
 
 # ---------------------------------------------------------------------------
 # CIFAR-10 binary batches, filtered to four classes
 # ---------------------------------------------------------------------------
 
-def load_cifar4(paths, classes=(0, 1, 2, 3), class_names=(), split: str = "") -> LabeledDataset:
+def load_cifar4(paths, classes=(0, 1, 2, 3), split: str = "") -> LabeledDataset:
     """Read CIFAR-10 binary batches keeping only ``classes``, relabeled 0..3."""
     classes = tuple(classes)
     images, labels = [], []
@@ -116,9 +112,7 @@ def load_cifar4(paths, classes=(0, 1, 2, 3), class_names=(), split: str = "") ->
         for new, old in enumerate(classes):
             relabel[old] = new
         labels.append(relabel[batch_labels[keep]])
-    return LabeledDataset(
-        np.concatenate(images), np.concatenate(labels), split, tuple(class_names)
-    )
+    return LabeledDataset(np.concatenate(images), np.concatenate(labels), split)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +297,7 @@ def _fill_disc(img, coords, cy, cx, radius, value) -> None:
     box[dy2[rows, None] + dx2[None, cols] < r2] = value
 
 
-def synthetic_image(size: int, seed: int, grain: float = 0.15) -> np.ndarray:
+def synthetic_image(size: int, seed: int) -> np.ndarray:
     """Deterministic natural-looking grayscale image.
 
     Smooth background, a few hard-edged shapes spanning dark to bright,
@@ -333,7 +327,7 @@ def synthetic_image(size: int, seed: int, grain: float = 0.15) -> np.ndarray:
 
     for cells, amp in ((12, 0.12), (24, 0.09), (48, 0.07), (96, 0.05)):
         img += amp * (_smooth_noise(rng, size, min(cells, size - 1)) - 0.5)
-    img += grain * (rng.random((size, size)) - 0.5)
+    img += 0.15 * (rng.random((size, size)) - 0.5)     # the pixel grain
     return np.clip(img, 0.02, 0.98)
 
 
@@ -373,8 +367,7 @@ def synthetic_blobs(count: int, size: int = 8, seed: int = 0) -> LabeledDataset:
         noise *= 0.1
         noise += bumps[classes]
         np.clip(noise, 0.0, 1.0, out=images[start:start + chunk, 0])
-    return LabeledDataset(images, labels.astype(np.int64), "synthetic",
-                          ("corner_a", "corner_b"))
+    return LabeledDataset(images, labels.astype(np.int64), "synthetic")
 
 
 def synthetic_contrast_image(size: int = 256, seed: int = 5) -> np.ndarray:

@@ -27,7 +27,7 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .optics import OcuGeometry
-from .optim import Adam, TrainingDiverged, check_range
+from .optim import Adam, TrainingDiverged, check_positive
 from .tensorize import feature_dim
 
 
@@ -76,7 +76,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        check_range("learning_rate", self.learning_rate, 0.0)
+        check_positive("learning_rate", self.learning_rate)
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
 
@@ -130,19 +130,19 @@ class ClassifierResult:
     confusion: np.ndarray
 
 
-def predict_classes(net: Sequential, images: np.ndarray, batch: int = 256) -> np.ndarray:
+def predict_classes(net: Sequential, images: np.ndarray) -> np.ndarray:
     if len(images) == 0:
         raise ValueError("predict_classes got no images")
     preds = []
+    batch = 256     # images per forward pass
     for start in range(0, len(images), batch):
         scores = net.forward(images[start:start + batch], training=False)
         preds.append(np.argmax(scores, axis=1))
     return np.concatenate(preds)
 
 
-def evaluate_classifier(net: Sequential, images, labels, n_classes: int,
-                        batch: int = 256):
-    preds = predict_classes(net, images, batch)
+def evaluate_classifier(net: Sequential, images, labels, n_classes: int):
+    preds = predict_classes(net, images)
     return _accuracy(preds, labels), _confusion(preds, labels, n_classes), preds
 
 
@@ -231,7 +231,7 @@ class DenoiseTrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        check_range("learning_rate", self.learning_rate, 0.0)
+        check_positive("learning_rate", self.learning_rate)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .optics import (OcuGeometry, bank_detect, bank_unit_outputs, bank_vjp, block_width,
-                     propagation_matrices, stacked_transfer_partials)
+                     stacked_transfer_partials)
 from .optim import Param, TrainingDiverged
 from .tensorize import feature_dim, fold_batch, im2col_batch, windows
 
@@ -130,7 +130,6 @@ class OclLayer(_Convolution):
             raise ValueError("geometry num_inputs must be a square number")
         super().__init__(kernels, channels, h, stride, pad)
         self.geometry = geometry
-        self.fs = propagation_matrices(geometry)
         shape = (kernels, channels, geometry.metaline_count, geometry.metaunits_per_layer)
         self.phases = Param(rng.uniform(0.0, TWO_PI, size=shape), "phases")
         self.log_gain = Param(np.zeros((kernels, channels)), "log_gain")
@@ -145,7 +144,7 @@ class OclLayer(_Convolution):
     def _operators(self, x):
         """Column source of x, bank partials and quadratures (C, 4q, H^2)."""
         src = self._windows(x)
-        partials = stacked_transfer_partials(self.phases.value, self.fs)
+        partials = stacked_transfer_partials(self.phases.value, self.geometry)
         return src, partials, partials.quad
 
     def forward(self, x, training=False):
@@ -307,18 +306,18 @@ class BatchNormLayer(Layer):
     """Per-channel standardization with learned scale/shift.
 
     Training mode uses batch statistics (batch >= 2) and refreshes the
-    running estimates; inference normalizes with the running statistics.
+    running estimates by an exponential average of weight MOMENTUM;
+    inference normalizes with the running statistics.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    MOMENTUM, EPS = 0.1, 1e-5   # EPS is added to the variance
+    _AXES = (0, 2, 3)   # statistics pool the batch and both spatial axes
+
+    def __init__(self, channels: int):
         self.gamma = Param(np.ones(channels), "gamma")
         self.beta = Param(np.zeros(channels), "beta")
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
-
-    _AXES = (0, 2, 3)   # statistics pool the batch and both spatial axes
 
     def params(self):
         return [self.gamma, self.beta]
@@ -331,13 +330,13 @@ class BatchNormLayer(Layer):
                 raise ValueError("batch normalization needs batch size >= 2 in training")
             mean = x.mean(axis=self._AXES)
             var = x.var(axis=self._AXES)
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
         else:
             mean = self.running_mean
             var = self.running_var
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean[:, None, None]) * inv[:, None, None]
         self._cache = (xhat, inv, training)
         return self.gamma.value[:, None, None] * xhat + self.beta.value[:, None, None]

@@ -30,9 +30,10 @@ Conventions:
       ocu_forward/balanced_detect are the single-unit reference: ocu_forward
       multiplies the real patches by the rows [Re T; Im T] of the collapsed
       matrix T in one real product and returns the complex response
-    * the diffraction matrices depend only on the geometry, so
-      propagation_matrices computes them once per geometry object and
-      keeps them read-only for as long as that object lives
+    * the diffraction matrices depend only on the geometry, so no caller
+      passes them: the cascade engine looks them up in
+      propagation_matrices, which computes them once per geometry object
+      and keeps them read-only for as long as that object lives
     * the obliquity angle uses cos(theta) = |dx| / r so the factor
       (1 + cos theta)/2 peaks on axis (declared deviation from the
       sign-ambiguous textbook form; validated by the symmetry tests)
@@ -47,6 +48,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .optim import check_positive
 from .tensorize import Columns
 
 TWO_PI = 2.0 * math.pi
@@ -61,10 +63,9 @@ class OcuGeometry:
     """Physical layout of one OCU.
 
     ``num_layers`` counts planes including the output plane, so the device
-    has ``num_layers - 1`` metalines.  ``slot_height`` is recorded for
-    fabrication export but plays no role in the 2-D slab model.  The port
-    position arrays are private read-only copies, so the diffraction
-    matrices memoized per geometry object cannot go stale.
+    has ``num_layers - 1`` metalines.  The port position arrays are private
+    read-only copies, so the diffraction matrices memoized per geometry
+    object cannot go stale.
     """
 
     wavelength: float = 1.55e-6
@@ -73,9 +74,6 @@ class OcuGeometry:
     layer_gap: float = 75e-6          # L1, plane-to-plane propagation distance
     aperture: float = 300e-6          # L2, transverse extent of the slab
     metaunit_period: float = 1.5e-6   # p
-    slot_width: float = 200e-9        # w1
-    slot_gap: float = 500e-9          # g
-    slot_height: float = 220e-9       # h, unused by the 2-D model
     num_layers: int = 3               # M planes, metalines = M - 1
     metaunits_per_layer: int = 50     # V
     num_inputs: int = 9               # H^2 waveguide ports
@@ -255,7 +253,7 @@ class OcuModel:
 
     geometry: OcuGeometry
     phases: np.ndarray            # (M-1, V) radians
-    detection_gain: float = 1.0   # kappa, > 0
+    detection_gain: float = 1.0   # kappa, finite and > 0
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=float)
@@ -264,8 +262,7 @@ class OcuModel:
             raise ValueError(f"phases must have shape {expected}, got {self.phases.shape}")
         if not np.all(np.isfinite(self.phases)):
             raise ValueError("phases must be finite")
-        if not (self.detection_gain > 0):
-            raise ValueError("detection_gain must be positive")
+        check_positive("detection_gain", self.detection_gain)
 
     @classmethod
     def random_init(cls, geom: OcuGeometry, rng: np.random.Generator) -> "OcuModel":
@@ -283,7 +280,8 @@ class TransferPartials:
     unit has none.  ``total`` is the collapsed (..., 2, H^2) device matrix.
     For metaline l, ``left[l]`` (..., 2, V) maps the field leaving that
     metaline to the output ports, so total == (left[0] * masks[..., 0, :])
-    @ fs[0].  ``fs`` are the geometry's diffraction matrices [F1, ..., FM].
+    @ fs[0].  ``fs`` are the geometry's diffraction matrices [F1, ..., FM],
+    the memoized arrays of propagation_matrices.
     ``right[l]`` (..., V, H^2), which maps the inputs to the field arriving
     at metaline l, is not needed by either engine; it is built on first
     access, for checks of the split composition total == left[l] @
@@ -321,15 +319,16 @@ class TransferPartials:
         return self._right
 
 
-def stacked_transfer_partials(phases: np.ndarray, fs: list[np.ndarray]) -> TransferPartials:
+def stacked_transfer_partials(phases: np.ndarray, geometry: OcuGeometry) -> TransferPartials:
     """The cascade engine: transfer partials of any bank of units.
 
     ``phases`` is (..., M-1, V), one (M-1, V) phase set per unit.  All
-    units share one geometry and so the diffraction matrices ``fs``; every
-    product broadcasts over the leading unit axes.  Only the output side is
-    chained, back to front: each step is a (2, V) product, and the last
-    gives the device matrix.
+    units share ``geometry`` and so its diffraction matrices, looked up in
+    propagation_matrices; every product broadcasts over the leading unit
+    axes.  Only the output side is chained, back to front: each step is a
+    (2, V) product, and the last gives the device matrix.
     """
+    fs = propagation_matrices(geometry)
     lead = phases.shape[:-2]
     n_meta = phases.shape[-2]
     masks = np.exp(1j * phases)
@@ -343,19 +342,17 @@ def stacked_transfer_partials(phases: np.ndarray, fs: list[np.ndarray]) -> Trans
     return TransferPartials(acc, left, masks, fs)
 
 
-def transfer_partials(model: OcuModel, fs: list[np.ndarray] | None = None) -> TransferPartials:
+def transfer_partials(model: OcuModel) -> TransferPartials:
     """Transfer partials of one unit (no leading unit axes)."""
-    if fs is None:
-        fs = propagation_matrices(model.geometry)
-    return stacked_transfer_partials(model.phases, fs)
+    return stacked_transfer_partials(model.phases, model.geometry)
 
 
-def ocu_transfer(model: OcuModel, fs: list[np.ndarray] | None = None) -> np.ndarray:
+def ocu_transfer(model: OcuModel) -> np.ndarray:
     """Collapsed (2, H^2) transfer matrix of the whole cascade."""
-    return transfer_partials(model, fs).total
+    return transfer_partials(model).total
 
 
-def ocu_forward(model: OcuModel, patches, fs: list[np.ndarray] | None = None) -> np.ndarray:
+def ocu_forward(model: OcuModel, patches) -> np.ndarray:
     """Propagate a patch matrix through the cascade.
 
     ``patches`` has H^2 rows (real, nonnegative amplitude encoding) and one
@@ -372,7 +369,7 @@ def ocu_forward(model: OcuModel, patches, fs: list[np.ndarray] | None = None) ->
             f"patch matrix must have {model.geometry.num_inputs} rows, "
             f"got shape {values.shape}"
         )
-    total = ocu_transfer(model, fs)
+    total = ocu_transfer(model)
     fields = np.concatenate([total.real, total.imag]) @ values
     response = np.empty((2, values.shape[1]), dtype=complex)
     response.real = fields[:2]

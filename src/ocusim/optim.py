@@ -7,14 +7,10 @@ import math
 import numpy as np
 
 
-def check_range(name: str, value, low: float, high: float = math.inf,
-                low_open: bool = True) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` lies in the interval
-    from ``low`` (excluded when ``low_open``) up to ``high`` (excluded)."""
-    above = value > low if low_open else value >= low
-    if not (above and value < high):
-        bound = "(" if low_open else "["
-        raise ValueError(f"{name} must lie in {bound}{low}, {high}), got {value!r}")
+def check_positive(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite number > 0."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,15 +41,12 @@ class Adam:
     m_hat = m / bias1; value -= lr * m_hat / (sqrt(v / bias2) + eps).
     """
 
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
-        check_range("learning_rate", lr, 0.0)
-        for name, beta in zip(("beta1", "beta2"), betas):
-            check_range(name, beta, 0.0, 1.0, low_open=False)
-        check_range("eps", eps, 0.0, low_open=False)
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # the usual defaults; only lr is set
+
+    def __init__(self, params, lr: float = 1e-3):
+        check_positive("learning_rate", lr)
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -66,7 +59,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for p, m, v, (num, den) in zip(self.params, self._m, self._v, self._scratch):
@@ -82,6 +75,6 @@ class Adam:
             num *= self.lr
             np.divide(v, bias2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += self.EPS
             num /= den
             p.value -= num

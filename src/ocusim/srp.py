@@ -46,10 +46,9 @@ from .optics import (
     bank_unit_outputs,
     ocu_forward,
     ocu_vjp,
-    propagation_matrices,
     transfer_partials,
 )
-from .optim import Adam, Param, TrainingDiverged, check_range
+from .optim import Adam, Param, TrainingDiverged, check_positive
 from .tensorize import feature_dim, im2col
 
 
@@ -58,11 +57,11 @@ def generate_pattern(seed: int, size: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).random((size, size))
 
 
-def conv2d_reference(img, kernel, stride: int = 1, flip: bool = False) -> np.ndarray:
+def conv2d_reference(img, kernel, stride: int = 1) -> np.ndarray:
     """Direct sliding-window convolution, the independent oracle.
 
-    Correlation convention (no kernel flip) unless ``flip`` is set; valid
-    placements only, no padding.  Deliberately written as explicit loops
+    Correlation convention (no kernel flip), valid placements only, no
+    padding.  Deliberately written as explicit loops
     over output rows and kernel taps, with no window view, so it shares
     nothing with the im2col matrix path it cross-checks.  Each tap's
     products for one output row fill a column of a (G, h^2) buffer whose
@@ -75,8 +74,6 @@ def conv2d_reference(img, kernel, stride: int = 1, flip: bool = False) -> np.nda
         raise ValueError("reference convolution takes a single-channel image")
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ValueError("kernel must be square")
-    if flip:
-        kernel = kernel[::-1, ::-1]
     h = kernel.shape[0]
     gi = feature_dim(img.shape[0], h, stride)
     gj = feature_dim(img.shape[1], h, stride)
@@ -118,7 +115,7 @@ def _detect(model: OcuModel, values: np.ndarray, partials) -> np.ndarray:
                        np.full((1, 1), model.detection_gain))[0]
 
 
-def srp_loss(model: OcuModel, patches, labels, fs=None) -> tuple[float, float]:
+def srp_loss(model: OcuModel, patches, labels) -> tuple[float, float]:
     """Half-sum-of-squares training loss and the per-pixel mean square error.
 
     J = 1/2 * sum_i (y_i - label_i)^2 drives the optimizer; the normalized
@@ -126,18 +123,18 @@ def srp_loss(model: OcuModel, patches, labels, fs=None) -> tuple[float, float]:
     emulation quality.  Evaluated directly over every patch column.
     """
     values = np.asarray(patches, dtype=float)
-    e = _detect(model, values, transfer_partials(model, fs)) - np.asarray(labels, dtype=float)
+    e = _detect(model, values, transfer_partials(model)) - np.asarray(labels, dtype=float)
     return 0.5 * float(np.dot(e, e)), float(np.mean(e * e))
 
 
-def phase_gradients(model: OcuModel, patches, labels, fs=None):
+def phase_gradients(model: OcuModel, patches, labels):
     """Exact gradient of the SRP loss w.r.t. every phase and the gain.
 
     Evaluated directly over every patch column.  Returns (dJ/dphases,
     dJ/dkappa) with dJ/dphases shaped like ``model.phases``.
     """
     values = np.asarray(patches, dtype=float)
-    partials = transfer_partials(model, fs)
+    partials = transfer_partials(model)
     e = _detect(model, values, partials) - np.asarray(labels, dtype=float)
     grads = ocu_vjp(model, values, e, partials, need_patch_grad=False)
     return grads.phases, grads.gain
@@ -219,7 +216,7 @@ class FitConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        check_range("learning_rate", self.learning_rate, 0.0)
+        check_positive("learning_rate", self.learning_rate)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -232,7 +229,7 @@ class FitResult:
     holdout_mse: float | None = None
 
 
-def _init_gain(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs) -> float:
+def _init_gain(model: OcuModel, values: np.ndarray, labels: np.ndarray) -> float:
     """Match mean detected power to label power so square-law grads are live.
 
     The fields carry the physical scale, about 1e10 per metaline, so a deep
@@ -240,7 +237,7 @@ def _init_gain(model: OcuModel, values: np.ndarray, labels: np.ndarray, fs) -> f
     TrainingDiverged naming num_layers.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = bank_unit_outputs(transfer_partials(model, fs).quad, values[None])[0, 0]
+        diff = bank_unit_outputs(transfer_partials(model).quad, values[None])[0, 0]
         power = float(np.mean(diff * diff))
     if not math.isfinite(power):
         raise TrainingDiverged(
@@ -278,16 +275,15 @@ def fit_kernel(
         )
     pair = TrainingPair.make(pattern, kernel, stride)
     values = im2col(pattern, h, stride).values
-    fs = propagation_matrices(model.geometry)
     moments = PatchMoments.of(values, pair.labels)
 
     best: FitResult | None = None
     for restart in range(cfg.restarts):
         rng = np.random.Generator(np.random.PCG64(cfg.seed + restart))
         trial = OcuModel.random_init(model.geometry, rng)
-        trial.detection_gain = _init_gain(trial, values, pair.labels, fs)
-        fitted, history = _fit_once(trial, moments, cfg, fs)
-        _, train_mse = srp_loss(fitted, values, pair.labels, fs)
+        trial.detection_gain = _init_gain(trial, values, pair.labels)
+        fitted, history = _fit_once(trial, moments, cfg)
+        _, train_mse = srp_loss(fitted, values, pair.labels)
         if best is None or train_mse < best.train_mse:
             best = FitResult(fitted, history, train_mse)
 
@@ -298,7 +294,7 @@ def fit_kernel(
     return best
 
 
-def _fit_once(model, moments: PatchMoments, cfg, fs):
+def _fit_once(model, moments: PatchMoments, cfg):
     """Adam on the phases and log-gain; returns the best iterate and the history.
 
     Both live in one parameter vector, the phases first and the log-gain
@@ -319,7 +315,7 @@ def _fit_once(model, moments: PatchMoments, cfg, fs):
         # the epoch loss belongs to the parameters the epoch started with
         epoch_phases = model.phases.copy()
         epoch_gain = model.detection_gain
-        partials = transfer_partials(model, fs)
+        partials = transfer_partials(model)
         loss, r = moments.loss(model, partials)
         grads = moments.gradients(model, partials, r)
         params.grad[:-1] = grads.phases.ravel()
@@ -344,7 +340,7 @@ def _fit_once(model, moments: PatchMoments, cfg, fs):
 
     # the very last optimizer step produced an unscored iterate; keep it
     # if it beats everything recorded
-    final_loss, _ = moments.loss(model, transfer_partials(model, fs))
+    final_loss, _ = moments.loss(model, transfer_partials(model))
     if final_loss < best_loss:
         best_phases = model.phases.copy()
         best_gain = model.detection_gain

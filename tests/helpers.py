@@ -58,14 +58,11 @@ def naive_chain(mats):
     return out
 
 
-def conv2d_pixel_loop(img, kernel, stride=1, flip=False):
+def conv2d_pixel_loop(img, kernel, stride=1):
     """Valid correlation one output pixel at a time: the sum of each window
-    times the kernel (flipped if ``flip``), the oracle of
-    srp.conv2d_reference's row-and-tap loop."""
+    times the kernel, the oracle of srp.conv2d_reference's row-and-tap loop."""
     img = np.asarray(img, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
-    if flip:
-        kernel = kernel[::-1, ::-1]
     h = kernel.shape[0]
     gi = (img.shape[0] - h) // stride + 1
     gj = (img.shape[1] - h) // stride + 1
@@ -77,10 +74,10 @@ def conv2d_pixel_loop(img, kernel, stride=1, flip=False):
     return out
 
 
-def adam_expression_step(values, grads, ms, vs, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+def adam_expression_step(values, grads, ms, vs, t, lr=1e-3):
     """One Adam step (step number ``t``) written as whole-array expressions,
     the oracle of optim.Adam's in-place step; updates every array in place."""
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     for p, g, m, v in zip(values, grads, ms, vs):
@@ -257,7 +254,7 @@ def complex_ocu_vjp(model, patches, grad_detected, partials, response, need_patc
     return dphases, dgain, dpatches
 
 
-def direct_fit_history(model, values, labels, cfg, fs):
+def direct_fit_history(model, values, labels, cfg):
     """(epoch, J, mse) of every epoch of an SRP fit that evaluates the loss
     and its gradients directly over all patch columns.
 
@@ -272,8 +269,8 @@ def direct_fit_history(model, values, labels, cfg, fs):
     opt = Adam([phases, log_gain], lr=cfg.learning_rate)
     history = []
     for epoch in range(cfg.epochs):
-        loss, mse = srp_loss(model, values, labels, fs)
-        phases.grad[...], dgain = phase_gradients(model, values, labels, fs)
+        loss, mse = srp_loss(model, values, labels)
+        phases.grad[...], dgain = phase_gradients(model, values, labels)
         log_gain.grad[...] = dgain * model.detection_gain
         opt.step()
         model.detection_gain = float(np.exp(log_gain.value))
@@ -352,7 +349,7 @@ def _smooth_noise_reference(rng, size, cells):
     return bilinear_resize_reference(rng.random((cells + 1, cells + 1)), size)
 
 
-def synthetic_image_reference(size, seed, grain=0.15):
+def synthetic_image_reference(size, seed):
     """synthetic_image with every shape tested on the whole image grid."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0xC0FFEE, seed))))
     img = 0.38 + 0.30 * _smooth_noise_reference(rng, size, 5)
@@ -371,7 +368,7 @@ def synthetic_image_reference(size, seed, grain=0.15):
         img[(yy >= y0) & (yy < y0 + hgt) & (xx >= x0) & (xx < x0 + wid)] = value
     for cells, amp in ((12, 0.12), (24, 0.09), (48, 0.07), (96, 0.05)):
         img += amp * (_smooth_noise_reference(rng, size, min(cells, size - 1)) - 0.5)
-    img += grain * (rng.random((size, size)) - 0.5)
+    img += 0.15 * (rng.random((size, size)) - 0.5)
     return np.clip(img, 0.02, 0.98)
 
 

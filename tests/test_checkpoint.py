@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,37 @@ from ocusim.optics import OcuGeometry, OcuModel
 
 def small_geometry():
     return OcuGeometry(metaunits_per_layer=6, num_inputs=9, num_layers=3)
+
+
+# an ocu checkpoint as written before OcuGeometry lost its slot_width,
+# slot_gap and slot_height fields, which no computation read
+SLOT_CHECKPOINT = """\
+ocusim-checkpoint 1
+kind = ocu
+kappa = 3.5e-21
+kernel = sharpen
+[geometry]
+wavelength = 1.55e-06
+slab_index = 2.85
+slot_index = 1.44
+layer_gap = 7.5e-05
+aperture = 0.0003
+metaunit_period = 1.5e-06
+slot_width = 2e-07
+slot_gap = 5e-07
+slot_height = 2.2e-07
+num_layers = 3
+metaunits_per_layer = 2
+num_inputs = 4
+amplitude_coeff = 1.0
+phase_coeff = 0.0
+input_positions = -8.999999999999999e-05 -2.9999999999999997e-05 2.9999999999999997e-05 8.999999999999999e-05
+output_positions = 7.5e-05 -7.5e-05
+[array phases]
+shape = 2 2
+0.5 1.25
+2.0 -0.75
+"""
 
 
 class TestOcuCheckpoint:
@@ -42,6 +75,23 @@ class TestOcuCheckpoint:
         loaded, meta = load_ocu_model(first)
         save_ocu_model(second, loaded, {"seed": meta["seed"]})
         assert first.read_bytes() == second.read_bytes()
+
+    def test_loads_checkpoint_with_slot_lines(self, tmp_path):
+        old = tmp_path / "old.ckpt"
+        old.write_text(SLOT_CHECKPOINT)
+        model, meta = load_ocu_model(old)
+        geom = OcuGeometry(metaunits_per_layer=2, num_inputs=4)
+        for f in fields(OcuGeometry):
+            assert np.array_equal(getattr(model.geometry, f.name), getattr(geom, f.name)), f.name
+        assert np.array_equal(model.phases, [[0.5, 1.25], [2.0, -0.75]])
+        assert model.detection_gain == 3.5e-21 and meta["kernel"] == "sharpen"
+        # written again, it loses the three slot lines and nothing else
+        new = tmp_path / "new.ckpt"
+        save_ocu_model(new, model, {"kernel": "sharpen"})
+        slots = ("slot_width = ", "slot_gap = ", "slot_height = ")
+        kept = [line for line in SLOT_CHECKPOINT.splitlines() if not line.startswith(slots)]
+        assert len(kept) == len(SLOT_CHECKPOINT.splitlines()) - 3
+        assert new.read_text().splitlines() == kept
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "x.ckpt"

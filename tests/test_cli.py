@@ -369,6 +369,17 @@ class TestDenoiserPipeline:
         assert "Warning" not in proc.stderr
         assert not (out / "denoiser.ckpt").exists()
 
+    def test_last_batch_of_one_trains_without_batch_norm(self, tmp_path):
+        # 24 crops in batches of 23: a one-crop batch is fine with no batch norm
+        out = tmp_path / "dn"
+        cfg = tmp_path / "train.ini"
+        cfg.write_text(DENOISE_CONFIG.format(out=out)
+                       .replace("middle_kernels = 2", "middle_kernels = 2\nmiddle_layers = 0")
+                       .replace("batch_size = 8", "batch_size = 23"))
+        proc = run_cli("train-denoiser", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "denoiser.ckpt").is_file()
+
     def test_train_then_eval(self, tmp_path):
         out = tmp_path / "dn"
         cfg = tmp_path / "train.ini"
@@ -498,6 +509,18 @@ class TestMalformedCheckpoint:
         self.rewrite(path, "kappa = ")
         self.assert_names(path, "kappa")
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "0", "-1"])
+    def test_bad_kappa_stops_convolve(self, tmp_path, bad):
+        path = self.ocu_checkpoint(tmp_path)
+        self.rewrite(path, "kappa = ", f"kappa = {bad}")
+        write_pgm(tmp_path / "img.pgm", np.random.default_rng(0).random((8, 8)))
+        out = tmp_path / "conv"
+        proc = run_cli("convolve", "--checkpoint", str(path), "--image",
+                       str(tmp_path / "img.pgm"), "--out-dir", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "kappa" in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
     def test_non_integer_topology(self, tmp_path):
         from ocusim.checkpoint import save_network
         from ocusim.networks import build_denoiser
@@ -548,6 +571,17 @@ class TestMalformedImage:
         assert proc.returncode == 2, proc.stderr
         assert str(image) in proc.stderr
 
+    def test_fit_holdout_smaller_than_kernel(self, tmp_path):
+        image = tmp_path / "small.pgm"
+        write_pgm(image, np.full((2, 5), 0.5))
+        cfg = tmp_path / "fit.ini"
+        cfg.write_text(FIT_CONFIG.format(out=tmp_path / "out")
+                       .replace("holdout = none", f"holdout = {image}"))
+        proc = run_cli("fit-kernel", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert "[fit] holdout" in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_fit_holdout(self, tmp_path):
         image = tmp_path / "bad.pgm"
         image.write_bytes(b"P5\n8")
@@ -563,9 +597,11 @@ class TestBadNumbers:
     """A count, size or stride below 1, a negative seed, limit or layer count, an
     even denoiser kernel, a malformed list, an unknown pool mode, a rate <= 0, a
     noise level, pixel count or energy that is negative or not finite, a class id
-    list that is not distinct ids 0-9, blob images under 2 pixels a side, or
-    classifier images too small for the kernel and pool exits 2 naming the key,
-    with no warning printed first."""
+    list that is not distinct ids 0-9, blob images under 2 pixels a side,
+    classifier images too small for the kernel and pool, a fit pattern or
+    hold-out smaller than the kernel, a denoiser crop larger than the images or
+    smaller than the padding, or a denoiser batch of one crop exits 2 naming
+    the key, with no warning printed first and no output written."""
 
     @staticmethod
     def convolve_stride_zero(tmp_path):
@@ -631,6 +667,26 @@ class TestBadNumbers:
                                     "[dataset] size"),
         "blobs_size_one": ("train-classifier", BLOBS_CONFIG, "size = 8", "size = 1",
                            "[dataset] size"),
+        "fit_pattern_below_kernel": ("fit-kernel", FIT_CONFIG, "pattern_size = 16",
+                                     "pattern_size = 2", "[fit] pattern_size"),
+        "fit_holdout_below_kernel": ("fit-kernel", FIT_CONFIG, "holdout = none",
+                                     "holdout = contrast\nholdout_size = 2",
+                                     "[fit] holdout_size"),
+        "fit_scene_below_kernel": ("fit-kernel", FIT_CONFIG, "holdout = none",
+                                   "holdout = scene\nholdout_size = 1", "[fit] holdout_size"),
+        "denoise_patch_above_images": ("train-denoiser", DENOISE_CONFIG, "patch = 16",
+                                       "patch = 33", "[denoise] patch"),
+        # a 3x3 kernel reflect-pads by one pixel, which a 1-pixel crop cannot
+        "denoise_patch_below_pad": ("train-denoiser", DENOISE_CONFIG, "patch = 16",
+                                    "patch = 1", "[denoise] patch"),
+        # the default patch of 40 does not fit the 32-pixel images
+        "denoise_default_patch": ("train-denoiser", DENOISE_CONFIG, "patch = 16\n", "",
+                                  "[denoise] patch"),
+        "denoise_batch_one": ("train-denoiser", DENOISE_CONFIG, "batch_size = 8",
+                              "batch_size = 1", "[denoise] batch_size"),
+        # 3 images x 8 crops = 24 crops = 23 + 1: the last batch holds one crop
+        "denoise_last_batch_one": ("train-denoiser", DENOISE_CONFIG, "batch_size = 8",
+                                   "batch_size = 23", "[denoise] batch_size"),
     }
 
     @pytest.mark.parametrize("case", ["convolve_stride", *CASES])
@@ -647,3 +703,4 @@ class TestBadNumbers:
         assert proc.returncode == 2, proc.stderr
         assert key in proc.stderr
         assert "Warning" not in proc.stderr
+        assert not (tmp_path / "out").exists()    # nothing was run or written

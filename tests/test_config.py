@@ -21,15 +21,15 @@ class TestConfig:
 
     def test_typed_getters(self, tmp_path):
         cfg = load(tmp_path, "[a]\nx = 3\ny = 2.5\nz = yes\n")
-        assert cfg.getint("a", "x") == 3
-        assert cfg.getfloat("a", "y") == 2.5
+        assert cfg.getcount("a", "x") == 3
+        assert cfg.getpositive("a", "y") == 2.5
         assert cfg.getbool("a", "z") is True
-        assert cfg.getint("a", "missing", 7) == 7
+        assert cfg.getcount("a", "missing", 7) == 7
 
     def test_bad_type_names_key(self, tmp_path):
         cfg = load(tmp_path, "[a]\nx = hello\n")
         with pytest.raises(ConfigError, match=r"\[a\] x"):
-            cfg.getint("a", "x")
+            cfg.getcount("a", "x")
 
     def test_count_must_be_positive(self, tmp_path):
         cfg = load(tmp_path, "[a]\nx = 0\ny = 2\n")

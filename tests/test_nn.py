@@ -174,8 +174,8 @@ def unit_oracle(layer, x, grad):
             kappa = float(np.exp(layer.log_gain.value[m, ch]))
             sign = layer.port_sign[m, ch]
             model = OcuModel(layer.geometry, layer.phases.value[m, ch], kappa)
-            partials = transfer_partials(model, layer.fs)
-            resp = ocu_forward(model, cols, layer.fs)
+            partials = transfer_partials(model)
+            resp = ocu_forward(model, cols)
             detected[m, ch] = balanced_detect(resp, 1.0)
             out[m] += sign * balanced_detect(resp, kappa)
             dph, dgain, dpatches = complex_ocu_vjp(model, cols, sign * gq[m], partials, resp)
@@ -273,7 +273,7 @@ class TestStreamedLayers:
         g = layer.out_shape(x.shape)[-1]
         gq = grad.transpose(1, 0, 2, 3).reshape(q, -1)
         if isinstance(layer, OclLayer):
-            partials = stacked_transfer_partials(layer.phases.value, layer.fs)
+            partials = stacked_transfer_partials(layer.phases.value, layer.geometry)
             quad = quadrature_rows(partials.total)
             eff = layer.gains() * layer.port_sign
             out = bank_detect(quad, cols.reshape(c, h * h, -1), eff)
@@ -479,13 +479,17 @@ class TestBatchNorm:
             BatchNormLayer(2).forward(np.zeros((4, 2)), training=training)
 
     def test_inference_uses_running_stats(self):
+        # one training pass moves the running statistics a tenth of the way
+        # from (0, 1) to the batch's; inference then normalizes with them
         rng = np.random.default_rng(12)
-        bn = BatchNormLayer(1, momentum=1.0)
+        bn = BatchNormLayer(1)
         x = rng.normal(5.0, 2.0, size=(256, 1, 4, 4))
         bn.forward(x, training=True)
+        mean, var = 0.1 * x.mean(), 0.9 + 0.1 * x.var()
+        assert bn.running_mean == pytest.approx([mean], rel=1e-12)
+        assert bn.running_var == pytest.approx([var], rel=1e-12)
         y = bn.forward(np.full((2, 1, 4, 4), 5.0), training=False)
-        assert np.allclose(y, (5.0 - x.mean()) / math.sqrt(x.var() + 1e-5),
-                           atol=1e-3)
+        assert np.allclose(y, (5.0 - mean) / math.sqrt(var + 1e-5), rtol=1e-12, atol=0)
 
 
 class TestDense:

@@ -82,8 +82,7 @@ class TestGeometry:
 
     @pytest.mark.parametrize("name", [
         "wavelength", "slab_index", "slot_index", "layer_gap", "aperture",
-        "metaunit_period", "slot_width", "slot_gap", "slot_height",
-        "amplitude_coeff", "phase_coeff"])
+        "metaunit_period", "amplitude_coeff", "phase_coeff"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_field(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -257,6 +256,14 @@ class TestPropagationMatrices:
         assert not np.array_equal(propagation_matrices(near)[0], propagation_matrices(far)[0])
         assert propagation_matrices(twin)[0] is not propagation_matrices(near)[0]
 
+    def test_engine_reads_the_memo(self):
+        # the cascade takes its diffraction matrices from the geometry's memo
+        geom = small_geometry(v=5)
+        model = OcuModel.random_init(geom, np.random.default_rng(4))
+        bank = stacked_transfer_partials(np.stack([model.phases] * 2), geom)
+        for parts in (transfer_partials(model), bank):
+            assert all(a is b for a, b in zip(parts.fs, propagation_matrices(geom), strict=True))
+
     def test_memo_dropped_with_geometry(self):
         geom = small_geometry(v=7)
         propagation_matrices(geom)
@@ -377,7 +384,7 @@ class TestCascade:
     def test_stacked_matches_single(self):
         # every unit of the bank is its own naive cascade, and splits at each metaline
         geom, fs, phases, rng = self.bank(6)
-        bank = stacked_transfer_partials(phases, fs)
+        bank = stacked_transfer_partials(phases, geom)
         patches = rng.random((4, 3))
         for unit in np.ndindex(2, 3):
             chain = [fs[0]]
@@ -392,7 +399,7 @@ class TestCascade:
 
     def test_stacked_matches_einsum_oracle(self):
         geom, fs, phases, rng = self.bank(7)
-        bank = stacked_transfer_partials(phases, fs)
+        bank = stacked_transfer_partials(phases, geom)
         flat = phases.reshape(6, geom.metaline_count, -1)
         oracle = einsum_stacked_partials(flat, fs)
         total, right, left, _ = oracle
@@ -414,14 +421,15 @@ class TestCascade:
     def test_one_sided_engine_matches_two_sided_oracle(self, layers, v, inputs, lead, seed):
         # the output-side chain and the forward adjoint sweep equal the
         # two-sided einsum cascade, and so does the right chain built on demand
-        fs = propagation_matrices(small_geometry(v=v, inputs=inputs, layers=layers))
+        geom = small_geometry(v=v, inputs=inputs, layers=layers)
+        fs = propagation_matrices(geom)
         rng = np.random.default_rng(seed)
         phases = rng.uniform(0, TWO_PI, size=lead + (layers - 1, v))
         s = rng.normal(size=lead + (inputs, 2)) + 1j * rng.normal(size=lead + (inputs, 2))
         k = math.prod(lead)
         oracle = einsum_stacked_partials(phases.reshape(k, layers - 1, v), fs)
         total, right, left, _ = oracle
-        bank = stacked_transfer_partials(phases, fs)
+        bank = stacked_transfer_partials(phases, geom)
 
         def assert_rel(got, expected):
             assert got.shape == lead + expected.shape[1:]
@@ -436,8 +444,8 @@ class TestCascade:
         assert_rel(phase_adjoint(bank, s), phase_adjoint_loop(oracle, s.reshape(k, inputs, 2)))
 
     def test_right_is_built_once_and_read_only(self):
-        geom, fs, phases, _ = self.bank(8)
-        bank = stacked_transfer_partials(phases, fs)
+        geom, _, phases, _ = self.bank(8)
+        bank = stacked_transfer_partials(phases, geom)
         right = bank.right
         assert bank.right is right
         for part in right:
@@ -552,6 +560,13 @@ class TestModelValidation:
         phases = np.zeros((geom.metaline_count, geom.metaunits_per_layer))
         with pytest.raises(ValueError):
             OcuModel(geom, phases, 0.0)
+
+    @pytest.mark.parametrize("gain", [np.inf, np.nan])
+    def test_rejects_non_finite_gain(self, gain):
+        geom = small_geometry()
+        phases = np.zeros((geom.metaline_count, geom.metaunits_per_layer))
+        with pytest.raises(ValueError, match="detection_gain"):
+            OcuModel(geom, phases, gain)
 
     def test_random_init_deterministic(self):
         geom = small_geometry()

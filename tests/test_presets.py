@@ -28,17 +28,17 @@ def test_fit_preset_schema():
     cfg = Config.load(CONFIG_DIR / "fit_kernels.ini")
     kernels = cfg.require("fit", "kernels").split()
     assert len(kernels) == 8
-    assert cfg.getint("fit", "epochs") >= 1
-    assert cfg.getint("fit", "pattern_size") == 128
+    assert cfg.getcount("fit", "epochs") >= 1
+    assert cfg.getcount("fit", "pattern_size") == 128
 
 
 def test_training_preset_schemas():
     for name in ("fashion_mnist_desk.ini", "fashion_mnist_full.ini", "cifar4_full.ini"):
         cfg = Config.load(CONFIG_DIR / name)
         assert cfg.require("dataset", "kind") in ("idx", "cifar4")
-        assert cfg.getint("train", "epochs") >= 100
-        assert cfg.getint("network", "kernels") in (4, 16)
+        assert cfg.getcount("train", "epochs") >= 100
+        assert cfg.getcount("network", "kernels") in (4, 16)
     for name in ("denoise_desk.ini", "denoise_sigma20_full.ini"):
         cfg = Config.load(CONFIG_DIR / name)
-        assert cfg.getfloat("denoise", "sigma") == 20.0
-        assert cfg.getint("network", "input_kernels") == 8
+        assert cfg.getpositive("denoise", "sigma") == 20.0
+        assert cfg.getcount("network", "input_kernels") == 8

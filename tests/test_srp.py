@@ -9,7 +9,6 @@ from ocusim.optics import (
     ocu_forward,
     ocu_transfer,
     ocu_vjp,
-    propagation_matrices,
     quadrature_rows,
     transfer_partials,
 )
@@ -64,13 +63,6 @@ class TestConvReference:
         out = conv2d_reference(img, np.ones((3, 3)))
         assert np.allclose(out, 18.0)
 
-    def test_flip_toggle(self):
-        rng = np.random.default_rng(1)
-        img = rng.random((5, 5))
-        kernel = rng.normal(size=(3, 3))
-        assert np.array_equal(conv2d_reference(img, kernel, flip=True),
-                              conv2d_reference(img, kernel[::-1, ::-1]))
-
     def test_matches_pixel_loop_bitwise(self):
         rng = np.random.default_rng(6)
         square, wide = rng.random((23, 23)), rng.random((17, 26))
@@ -78,10 +70,9 @@ class TestConvReference:
         cases += [(img, rng.normal(size=(h, h)), s)
                   for img in (square, wide) for h in (1, 2, 3, 5) for s in (1, 2, 3)]
         for img, kernel, stride in cases:
-            for flip in (False, True):
-                got = conv2d_reference(img, kernel, stride, flip)
-                assert np.array_equal(got, conv2d_pixel_loop(img, kernel, stride, flip)), \
-                    (kernel.shape, stride, flip)
+            got = conv2d_reference(img, kernel, stride)
+            assert np.array_equal(got, conv2d_pixel_loop(img, kernel, stride)), \
+                (kernel.shape, stride)
 
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ValueError):
@@ -241,29 +232,29 @@ class TestGradients:
         assert dgain == pytest.approx(2.0 * loss / model.detection_gain, rel=1e-12)
 
 
-def _moment_and_direct(model, values, labels, fs):
+def _moment_and_direct(model, values, labels):
     """(J, dJ/dphases, dJ/dkappa) from the probe-column path and the direct one."""
     moments = PatchMoments.of(values, labels)
-    partials = transfer_partials(model, fs)
+    partials = transfer_partials(model)
     loss, r = moments.loss(model, partials)
     grads = moments.gradients(model, partials, r)
-    direct_loss, _ = srp_loss(model, values, labels, fs)
-    dphases, dgain = phase_gradients(model, values, labels, fs)
+    direct_loss, _ = srp_loss(model, values, labels)
+    dphases, dgain = phase_gradients(model, values, labels)
     return (loss, grads.phases, grads.gain), (direct_loss, dphases, dgain)
 
 
-def _assert_paths_agree(model, values, labels, fs, rel=1e-12):
-    moment, direct = _moment_and_direct(model, values, labels, fs)
+def _assert_paths_agree(model, values, labels, rel=1e-12):
+    moment, direct = _moment_and_direct(model, values, labels)
     for name, got, want in zip(("loss", "phases", "gain"), moment, direct):
         err = np.max(np.abs(np.asarray(got) - want))
         assert err <= rel * np.max(np.abs(want)), (name, err, np.max(np.abs(want)))
 
 
-def _models(geom, values, labels, fs):
+def _models(geom, values, labels):
     """Random units whose gains sit off the label scale, so no unit fits exactly."""
     for seed, scale in ((0, 0.5), (1, 2.0), (2, 3.0)):
         model = OcuModel.random_init(geom, np.random.default_rng(seed))
-        model.detection_gain = _init_gain(model, values, labels, fs) * scale
+        model.detection_gain = _init_gain(model, values, labels) * scale
         yield model
 
 
@@ -273,13 +264,12 @@ class TestPatchMoments:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_direct_path(self, stride):
         geom = OcuGeometry()
-        fs = propagation_matrices(geom)
         pattern = generate_pattern(1, 64)
         values = im2col(pattern, 3, stride).values
         for name in (*KERNEL_SUITE, "identity"):
             labels = TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
-            for model in _models(geom, values, labels, fs):
-                _assert_paths_agree(model, values, labels, fs)
+            for model in _models(geom, values, labels):
+                _assert_paths_agree(model, values, labels)
 
     @pytest.mark.parametrize("case", ["constant", "five_by_five", "binary"])
     def test_matches_direct_path_on_rank_deficient_data(self, case):
@@ -291,7 +281,6 @@ class TestPatchMoments:
                    "five_by_five": generate_pattern(2, 5),
                    "binary": (generate_pattern(3, 40) > 0.5).astype(float)}[case]
         geom = OcuGeometry()
-        fs = propagation_matrices(geom)
         for stride in (1, 2):
             values = im2col(pattern, 3, stride).values
             label_sets = [TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
@@ -301,8 +290,8 @@ class TestPatchMoments:
                 label_sets += [TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
                                for name in ("sobel_x", "edge8")]
             for labels in label_sets:
-                for model in _models(geom, values, labels, fs):
-                    _assert_paths_agree(model, values, labels, fs)
+                for model in _models(geom, values, labels):
+                    _assert_paths_agree(model, values, labels)
 
     def test_epoch_builds_quadrature_rows_once(self, monkeypatch):
         from ocusim import optics
@@ -312,13 +301,12 @@ class TestPatchMoments:
         monkeypatch.setattr(optics, "quadrature_rows",
                             lambda total: calls.append(1) or real(total))
         geom = OcuGeometry()
-        fs = propagation_matrices(geom)
         pattern = generate_pattern(1, 16)
         values = im2col(pattern, 3).values
         labels = TrainingPair.make(pattern, STANDARD_KERNELS["sharpen"]).labels
         moments = PatchMoments.of(values, labels)
         model = OcuModel.random_init(geom, np.random.default_rng(3))
-        partials = transfer_partials(model, fs)
+        partials = transfer_partials(model)
         _, r = moments.loss(model, partials)
         moments.gradients(model, partials, r)
         assert len(calls) == 1
@@ -328,12 +316,11 @@ class TestPatchMoments:
         # matches; the loss is then round-off, far below eps * l . l
         pattern = np.full((20, 20), 0.3)
         geom = OcuGeometry()
-        fs = propagation_matrices(geom)
         values = im2col(pattern, 3).values
         labels = TrainingPair.make(pattern, STANDARD_KERNELS["identity"]).labels
         model = OcuModel.random_init(geom, np.random.default_rng(0))
-        model.detection_gain = _init_gain(model, values, labels, fs)
-        (loss, _, _), (direct_loss, _, _) = _moment_and_direct(model, values, labels, fs)
+        model.detection_gain = _init_gain(model, values, labels)
+        (loss, _, _), (direct_loss, _, _) = _moment_and_direct(model, values, labels)
         scale = 0.5 * float(np.dot(labels, labels))
         assert direct_loss <= 1e-20 * scale
         assert 0.0 <= loss <= 1e-20 * scale
@@ -346,7 +333,7 @@ class TestPatchMoments:
         labels = TrainingPair.make(pattern, rng.normal(size=(2, 2))).labels
         moments = PatchMoments.of(values, labels)
         model = OcuModel.random_init(geom, rng)
-        model.detection_gain = _init_gain(model, values, labels, None) * 1.5
+        model.detection_gain = _init_gain(model, values, labels) * 1.5
 
         def loss():
             return moments.loss(model, transfer_partials(model))[0]
@@ -374,12 +361,11 @@ class TestPatchMoments:
         proto = OcuModel.random_init(geom, np.random.default_rng(0))
         result = fit_kernel(proto, kernel, pattern, cfg, stride=stride)
 
-        fs = propagation_matrices(geom)
         values = im2col(pattern, 3, stride).values
         labels = conv2d_reference(pattern, kernel, stride).ravel()
         start = OcuModel.random_init(geom, np.random.Generator(np.random.PCG64(cfg.seed)))
-        start.detection_gain = _init_gain(start, values, labels, fs)
-        replay = direct_fit_history(start, values, labels, cfg, fs)
+        start.detection_gain = _init_gain(start, values, labels)
+        replay = direct_fit_history(start, values, labels, cfg)
 
         assert len(result.history) == len(replay) == cfg.epochs
         for (epoch, loss, mse), (want_epoch, want_loss, want_mse) in zip(result.history, replay):

@@ -28,14 +28,22 @@ def _apply_threads(threads: int | None) -> None:
 
 
 def _out_dir(args, cfg=None) -> Path:
-    if args.out_dir:
-        path = Path(args.out_dir)
-    elif cfg is not None and cfg.get("output", "dir"):
-        path = Path(cfg.get("output", "dir"))
-    else:
-        path = Path("out")
+    """Create and return the output directory: --out-dir, else [output] dir,
+    else out.  With a config this ends the command's set-up, before any
+    training or output: a key that nothing has read is unknown (ConfigError)."""
+    configured = None
+    if cfg is not None:
+        configured = cfg.get("output", "dir")
+        cfg.check_all_read()
+    path = Path(args.out_dir or configured or "out")
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _seed(args, cfg, section: str, default: int = 0) -> int:
+    """--seed, else [section] seed, which is read (and checked) either way."""
+    seed = cfg.getnatural(section, "seed", default)
+    return seed if args.seed is None else args.seed
 
 
 def _load_input(loader, path):
@@ -121,7 +129,7 @@ def cmd_fit_kernel(args) -> int:
                 f"{cfg.path}: kernel {name} size {k.shape[0]} differs from {h}")
     geometry = geometry_from_config(cfg, num_inputs=h * h)
 
-    seed = args.seed if args.seed is not None else cfg.getnatural("fit", "seed", 7)
+    seed = _seed(args, cfg, "fit", 7)
     fit_cfg = FitConfig(
         epochs=cfg.getcount("fit", "epochs", 4000),
         learning_rate=cfg.getpositive("fit", "learning_rate", 1e-3),
@@ -272,7 +280,7 @@ def cmd_train_classifier(args) -> int:
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
     hidden = cfg.getcounts("network", "hidden", (128, 64))
     pool = cfg.getpool("network", "pool", "mean")
-    seed = args.seed if args.seed is not None else cfg.getnatural("train", "seed", 0)
+    seed = _seed(args, cfg, "train")
     net_seed = cfg.getnatural("network", "seed", seed)
     topo = {
         "kernels": cfg.getcount("network", "kernels", 4),
@@ -297,10 +305,10 @@ def cmd_train_classifier(args) -> int:
         seed=seed,
         eval_every=cfg.getnatural("train", "eval_every", 0),
     )
+    out = _out_dir(args, cfg)
     result = train_classifier(net, train.images, train.labels,
                               test.images, test.labels, n_classes, train_cfg)
 
-    out = _out_dir(args, cfg)
     save_network(out / "classifier.ckpt", net, "classifier", geometry, topo, {
         "seed": seed, "epochs": train_cfg.epochs,
         "final_loss": repr(result.history[-1][1]),
@@ -350,7 +358,7 @@ def cmd_train_denoiser(args) -> int:
         raise ConfigError(f"{cfg.path}: key [network] kernel_size must be odd for the "
                           f"denoiser to keep the image size, got {kernel_size}")
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
-    seed = args.seed if args.seed is not None else cfg.getnatural("denoise", "seed", 0)
+    seed = _seed(args, cfg, "denoise")
     net_seed = cfg.getnatural("network", "seed", seed)
     topo = {
         "input_kernels": cfg.getcount("network", "input_kernels", 8),
@@ -382,9 +390,9 @@ def cmd_train_denoiser(args) -> int:
     if topo["middle_layers"] and (batch == 1 or crops % batch == 1):
         raise ConfigError(f"{cfg.path}: key [denoise] batch_size {batch} leaves a batch of "
                           f"one of the {crops} crops; batch normalization needs at least 2")
+    out = _out_dir(args, cfg)
     result = train_denoiser(net, images, sigma, train_cfg)
 
-    out = _out_dir(args, cfg)
     save_network(out / "denoiser.ckpt", net, "denoiser", geometry, topo, {
         "seed": seed, "sigma": sigma, "epochs": train_cfg.epochs,
         "final_loss": repr(result.history[-1][1]),
@@ -404,7 +412,6 @@ def cmd_eval(args) -> int:
     if not Path(ckpt_path).is_file():
         raise ConfigError(f"{cfg.path}: checkpoint not found: {ckpt_path}")
     net, kind, topo, meta = _load_input(load_network, ckpt_path)
-    out = _out_dir(args, cfg)
 
     if kind == "classifier":
         from .networks import evaluate_classifier
@@ -416,6 +423,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"{cfg.path}: {'key [dataset] size: ' if blobs else ''}dataset "
                               f"images are {got} (channels, size, size), but the checkpoint "
                               f"was trained on {want}")
+        out = _out_dir(args, cfg)
         n_classes = int(topo["n_classes"])
         acc, conf, _ = evaluate_classifier(net, test.images, test.labels, n_classes)
         _write_confusion(out / "confusion.csv", conf)
@@ -428,8 +436,15 @@ def cmd_eval(args) -> int:
     from .networks import _denoised_images, _psnr_table
     from .pgm import write_pgm
     images = _load_denoise_images(cfg, "eval", "test_")
+    pad = net.layers[0].pad     # every convolution reflect-pads its input by pad pixels
+    if min(min(img.shape) for img in images) <= pad:
+        key = ("test_size" if cfg.get("eval", "test_kind", "synthetic") == "synthetic" else
+               "test_resize" if cfg.getnatural("eval", "test_resize", 0) else "test_dir")
+        raise ConfigError(f"{cfg.path}: key [eval] {key}: the test images must be at least "
+                          f"{pad + 1} pixels a side for the reflection pad")
     sigma = cfg.getnonnegative("eval", "sigma", 20.0)
-    seed = args.seed if args.seed is not None else cfg.getnatural("eval", "seed", 0)
+    seed = _seed(args, cfg, "eval")
+    out = _out_dir(args, cfg)
 
     def saved(denoised):
         for i, (img, noisy, estimate) in enumerate(denoised):
@@ -463,11 +478,11 @@ def cmd_perf(args) -> int:
         energy_per_bit=cfg.getnonnegative("perf", "energy_fj_per_bit", 100.0) * 1e-15,
         detector_power=cfg.getnonnegative("perf", "detector_power_mw", 100.0) * 1e-3,
     )
+    out = _out_dir(args, cfg)
     rows = report_rows(spec)
     width = max(len(r[0]) for r in rows)
     for name, value, unit in rows:
         print(f"{name:<{width}}  {value:.6g} {unit}")
-    out = _out_dir(args, cfg)
     with open(out / "perf.csv", "w") as f:
         f.write(",".join(r[0] for r in rows) + "\n")
         f.write(",".join(repr(r[1]) for r in rows) + "\n")

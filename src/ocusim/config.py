@@ -2,6 +2,10 @@
 
 Every getter names the offending section/key on failure so the CLI can
 report schema violations precisely (exit code 2) before any work starts.
+A Config records every key it is asked about; once a command has read all
+it needs, check_all_read names the first key nothing read, so a misspelled
+or unknown key is an error, not silently ignored.  There is no [DEFAULT]
+inheritance: a [DEFAULT] section is one more section.
 """
 
 from __future__ import annotations
@@ -90,13 +94,14 @@ class Config:
     def __init__(self, parser: configparser.ConfigParser, path: str):
         self.parser = parser
         self.path = path
+        self._read: set[tuple[str, str]] = set()
 
     @classmethod
     def load(cls, path) -> "Config":
         file = Path(path)
         if not file.is_file():
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             parser.read_string(file.read_text())
         except configparser.Error as exc:
@@ -106,17 +111,25 @@ class Config:
     def has(self, section: str, key: str | None = None) -> bool:
         if key is None:
             return self.parser.has_section(section)
+        self._read.add((section, self.parser.optionxform(key)))
         return self.parser.has_option(section, key)
 
     def require(self, section: str, key: str) -> str:
-        if not self.parser.has_option(section, key):
+        if not self.has(section, key):
             raise ConfigError(f"{self.path}: missing key [{section}] {key}")
         return self.parser.get(section, key)
 
     def get(self, section: str, key: str, default: str | None = None) -> str | None:
-        if self.parser.has_option(section, key):
+        if self.has(section, key):
             return self.parser.get(section, key)
         return default
+
+    def check_all_read(self) -> None:
+        """A ConfigError naming the first key, in file order, that nothing has read."""
+        for section in self.parser.sections():
+            for key in self.parser.options(section):
+                if (section, key) not in self._read:
+                    raise ConfigError(f"{self.path}: unknown key [{section}] {key}")
 
     def _typed(self, section, key, default, convert):
         return parse_key(self.path, f"[{section}] {key}", self.get(section, key),

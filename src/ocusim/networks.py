@@ -106,7 +106,7 @@ def build_classifier(
     g = feature_dim(image_size, h)
     gp = feature_dim(g, 2, 2)
     head = dense_head(kernels * gp * gp, hidden, n_classes, rng)
-    return Sequential([conv, Pool2dLayer(2, 2, pool_mode), FlattenLayer(), *head])
+    return Sequential([conv, Pool2dLayer(pool_mode), FlattenLayer(), *head])
 
 
 def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> None:

@@ -7,9 +7,9 @@ diffractive units, (kernels, channels) unit axes leading, run through the
 cascade and detection engines in optics that also serve a single SRP unit.
 The electrical Conv2dLayer walks the exact same patch columns with ordinary
 real-valued kernels, so optical/electrical comparisons share all plumbing.
-Windows, strides and reflection padding belong to tensorize: convolutions
-walk a column source (tensorize.windows) block by block, pools slide
-through im2col_batch and scatter back through fold_batch.
+Each layer has one window shape: convolutions slide at stride 1 over the
+reflect-padded input, streamed by tensorize.PaddedWindows; the pool is 2x2
+at stride 2, through im2col_batch and fold_batch.
 
 Shapes: images and feature maps are (B, C, N, N); dense activations (B, F).
 """
@@ -23,7 +23,7 @@ import numpy as np
 from .optics import (OcuGeometry, bank_detect, bank_unit_outputs, bank_vjp, block_width,
                      stacked_transfer_partials)
 from .optim import Param, TrainingDiverged
-from .tensorize import feature_dim, fold_batch, im2col_batch, windows
+from .tensorize import PaddedWindows, feature_dim, fold_batch, im2col_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,33 +76,34 @@ class Sequential(Layer):
 # ---------------------------------------------------------------------------
 
 class _Convolution(Layer):
-    """Patch plumbing of the optical convolution and its electrical twin: a
-    column source (tensorize.windows) over the windows of the reflect-padded
-    input, walked block by block in forward and backward.  At stride 1 the
-    source keeps only the padded input, 9x smaller than the patch matrix of
-    a 3x3 window, and the forward cache holds it; at stride > 1 it holds the
-    whole patch matrix.  A forward pass first drops the previous call's
-    cache, so two sources never coexist."""
+    """Patch plumbing of the optical convolution and its electrical twin: the
+    stride-1 windows of the reflect-padded input, streamed by
+    tensorize.PaddedWindows and walked block by block in forward and
+    backward.  The source keeps only the padded input, 9x smaller than the
+    patch matrix of a 3x3 window, and the forward cache holds it.  A forward
+    pass first drops the previous call's cache, so two sources never
+    coexist."""
 
-    def __init__(self, kernels: int, channels: int, kernel_size: int, stride: int, pad: int):
+    stride = 1
+
+    def __init__(self, kernels: int, channels: int, kernel_size: int, pad: int):
         if min(kernels, channels, kernel_size) < 1:
             raise ValueError("kernels, channels and kernel size must be >= 1, "
                              f"got {kernels}, {channels}, {kernel_size}")
-        self.q, self.c, self.h = kernels, channels, kernel_size
-        self.stride, self.pad = stride, pad
+        self.q, self.c, self.h, self.pad = kernels, channels, kernel_size, pad
         self._cache = None
 
     def out_shape(self, in_shape):
         b, c, n, _ = in_shape
         if c != self.c:
             raise ValueError(f"layer expects {self.c} channels, got {c}")
-        g = feature_dim(n + 2 * self.pad, self.h, self.stride)
+        g = feature_dim(n + 2 * self.pad, self.h)
         return (b, self.q, g, g)
 
     def _windows(self, x):
         """Column source of the windows of the padded input, its shape checked."""
         self.out_shape(x.shape)
-        return windows(x, self.h, self.stride, self.pad)
+        return PaddedWindows(x, self.h, self.pad)
 
 
 class OclLayer(_Convolution):
@@ -116,19 +117,19 @@ class OclLayer(_Convolution):
     unit treats as positive (a wiring choice fixed at calibration so no
     unit starts with an always-negative, ReLU-dead output).
 
-    The forward cache holds the column source (the padded input at stride
-    1), the bank partials and their quadrature rows (TransferPartials.quad);
-    the detection engine recomputes each block's columns and fields from
-    them in backward.
+    The forward cache holds the column source (the padded input) and the
+    bank partials with their quadrature rows (TransferPartials.quad); the
+    detection engine recomputes each block's columns and fields from them
+    in backward.
     """
 
     def __init__(self, geometry: OcuGeometry, kernels: int, channels: int,
-                 rng: np.random.Generator, stride: int = 1, pad: int = 0):
+                 rng: np.random.Generator, pad: int = 0):
         h2 = geometry.num_inputs
         h = int(round(math.sqrt(h2)))
         if h * h != h2:
             raise ValueError("geometry num_inputs must be a square number")
-        super().__init__(kernels, channels, h, stride, pad)
+        super().__init__(kernels, channels, h, pad)
         self.geometry = geometry
         shape = (kernels, channels, geometry.metaline_count, geometry.metaunits_per_layer)
         self.phases = Param(rng.uniform(0.0, TWO_PI, size=shape), "phases")
@@ -142,23 +143,21 @@ class OclLayer(_Convolution):
         return np.exp(self.log_gain.value)
 
     def _operators(self, x):
-        """Column source of x, bank partials and quadratures (C, 4q, H^2)."""
-        src = self._windows(x)
-        partials = stacked_transfer_partials(self.phases.value, self.geometry)
-        return src, partials, partials.quad
+        """Column source of x and the bank partials."""
+        return self._windows(x), stacked_transfer_partials(self.phases.value, self.geometry)
 
     def forward(self, x, training=False):
         self._cache = None
-        src, partials, quad = self._operators(x)
-        fm = src.crop(bank_detect(quad, src, self.gains() * self.port_sign))
-        self._cache = (src, partials, quad)
+        src, partials = self._operators(x)
+        fm = src.crop(bank_detect(partials.quad, src, self.gains() * self.port_sign))
+        self._cache = (src, partials)
         return fm.transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
-        src, partials, quad = self._cache
+        src, partials = self._cache
         gq = src.spread(grad.transpose(1, 0, 2, 3))
         eff = self.gains() * self.port_sign
-        grads = bank_vjp(partials, quad, src, eff, gq, need_input_grad)
+        grads = bank_vjp(partials, src, eff, gq, need_input_grad)
         self.log_gain.grad += eff * grads.gain
         self.phases.grad += grads.phases
         return grads.patches
@@ -168,8 +167,8 @@ class OclLayer(_Convolution):
 
         Column n runs over the batch-major patch positions of ``x``.
         """
-        src, _, quad = self._operators(x)
-        return src.crop(bank_unit_outputs(quad, src)).reshape(self.q, self.c, -1)
+        src, partials = self._operators(x)
+        return src.crop(bank_unit_outputs(partials.quad, src)).reshape(self.q, self.c, -1)
 
     def calibrate_gains(self, x: np.ndarray) -> None:
         """Fix port polarity and set each unit's gain to a useful scale.
@@ -196,11 +195,14 @@ class OclLayer(_Convolution):
 
 
 class Conv2dLayer(_Convolution):
-    """Ordinary real-valued convolution (the electrical baseline twin)."""
+    """Ordinary real-valued convolution (the electrical baseline twin);
+    ``stride`` takes another layer's stride by position and must be 1."""
 
     def __init__(self, kernels: int, channels: int, kernel_size: int,
                  rng: np.random.Generator, stride: int = 1, pad: int = 0):
-        super().__init__(kernels, channels, kernel_size, stride, pad)
+        if stride != 1:
+            raise ValueError(f"convolution stride must be 1, got {stride}")
+        super().__init__(kernels, channels, kernel_size, pad)
         fan_in = channels * kernel_size * kernel_size
         self.weight = Param(
             rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(kernels, channels, kernel_size, kernel_size)),
@@ -257,29 +259,28 @@ class ReluLayer(Layer):
 
 
 class Pool2dLayer(Layer):
-    """Window pooling; ``mode`` is "mean" (default, gradient-smooth) or "max"."""
+    """2x2 pooling at stride 2; ``mode`` is "mean" (default, gradient-smooth)
+    or "max".  An odd map drops its last row and column."""
 
-    def __init__(self, window: int = 2, stride: int | None = None, mode: str = "mean"):
+    WINDOW = 2   # window side and stride
+
+    def __init__(self, mode: str = "mean"):
         if mode not in ("mean", "max"):
             raise ValueError("pool mode must be 'mean' or 'max'")
-        self.window = window
-        self.stride = stride if stride is not None else window
         self.mode = mode
 
     def out_shape(self, in_shape):
         b, c, n, _ = in_shape
-        g = feature_dim(n, self.window, self.stride)
+        g = feature_dim(n, self.WINDOW, self.WINDOW)
         return (b, c, g, g)
 
     def forward(self, x, training=False):
-        if self.window > x.shape[-1]:
-            raise ValueError("pool window larger than feature map")
         b, c, g, _ = self.out_shape(x.shape)
         # one window per column, its w^2 taps down the rows; channel-major, so
         # a convolution's (B, C, N, N) view of its (C, B, N, N) output is not copied
         n = x.shape[-1]
         taps = im2col_batch(x.transpose(1, 0, 2, 3).reshape(c * b, 1, n, n),
-                            self.window, self.stride)
+                            self.WINDOW, self.WINDOW)
         if self.mode == "mean":
             out = taps.mean(axis=0)
             self._cache = (x.shape, None)
@@ -291,14 +292,14 @@ class Pool2dLayer(Layer):
 
     def backward(self, grad):
         in_shape, idx = self._cache
-        w = self.window
+        w = self.WINDOW
         b, c, n, _ = in_shape
         flat = grad.transpose(1, 0, 2, 3).reshape(1, -1)
         if self.mode == "mean":
             dtaps = np.broadcast_to(flat / (w * w), (w * w, flat.size))
         else:
             dtaps = flat * (idx == np.arange(w * w)[:, None])
-        dx = fold_batch(dtaps, (c * b, 1, n, n), w, self.stride)
+        dx = fold_batch(dtaps, (c * b, 1, n, n), w, w)
         return dx.reshape(c, b, n, n).transpose(1, 0, 2, 3)
 
 

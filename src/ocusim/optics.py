@@ -498,15 +498,17 @@ def phase_adjoint(partials: TransferPartials, s: np.ndarray) -> np.ndarray:
     return dphases
 
 
-def bank_vjp(partials: TransferPartials, quad: np.ndarray, cols,
-             gains: np.ndarray, grad: np.ndarray, need_patch_grad: bool = True) -> OcuGradients:
-    """Exact adjoint of bank_detect for the output gradient ``grad`` (q, n); the
-    phase and gain gradients take the unit axes of ``partials``, if any.
+def bank_vjp(partials: TransferPartials, cols, gains: np.ndarray, grad: np.ndarray,
+             need_patch_grad: bool = True) -> OcuGradients:
+    """Exact adjoint of bank_detect with the quadrature rows of ``partials``,
+    for the output gradient ``grad`` (q, n); the phase and gain gradients take
+    the unit axes of ``partials``, if any.
 
     The patch gradient is with respect to the input of the column source:
     the (C, H^2, n) array itself when ``cols`` is one, else the source's
     ``gradient()``, such as the input batch of streamed windows.
     """
+    quad = partials.quad
     c, q, h2 = quad.shape[0], quad.shape[1] // 4, quad.shape[2]
     src = _source(cols)
     wt2 = 2.0 * _row_weights(gains)
@@ -546,7 +548,7 @@ def ocu_vjp(model: OcuModel, patches: np.ndarray, grad_detected: np.ndarray,
     the real input patches; ``partials`` is transfer_partials(model).
     """
     g = np.asarray(grad_detected, dtype=float)
-    grads = bank_vjp(partials, partials.quad, np.asarray(patches)[None],
+    grads = bank_vjp(partials, np.asarray(patches)[None],
                      np.full((1, 1), model.detection_gain), g[None], need_patch_grad)
     dpatches = grads.patches[0] if need_patch_grad else None
     return OcuGradients(grads.phases, float(grads.gain), dpatches)

@@ -6,10 +6,10 @@ under the window at sliding index m (row-major scan), and within a column
 the channels form contiguous blocks, each block row-major over the window.
 This module is the one window primitive: every layer that slides a window
 (convolution, pooling) goes through it.  im2col_batch and its adjoint
-fold_batch build and scatter the whole patch matrix; a column source
-(``windows``) hands the same columns to the detection engine and the
-convolution layers block by block.  At stride 1 the source is PaddedWindows,
-which keeps only the padded input and never holds the whole matrix.
+fold_batch build and scatter the whole patch matrix at any stride; the 2x2
+pool and SRP's strided fits use them.  The convolution layers, which slide
+at stride 1, stream their columns block by block from PaddedWindows, which
+keeps only the reflect-padded input and never holds the whole matrix.
 The only padding is reflection (the edge pixel is not repeated, as numpy's
 "reflect" mode), applied on the way in and folded back on the way out;
 non-square images are rejected.
@@ -65,16 +65,11 @@ def im2col(img, h: int, s: int = 1) -> PatchMatrix:
     return PatchMatrix(im2col_batch(img[None], h, s), n, h, s, c)
 
 
-def _check_pad(n: int, pad: int) -> None:
-    if not 0 <= pad < n:
-        raise ValueError(f"reflection pad must be in [0, {n}) for a {n}x{n} image, got {pad}")
-
-
 def _reflect_pad(imgs: np.ndarray, pad: int) -> np.ndarray:
     """Reflect-pad the last two (square) axes by ``pad`` pixels on every side."""
-    if not pad:
-        return imgs
-    _check_pad(imgs.shape[-1], pad)
+    n = imgs.shape[-1]
+    if not 0 <= pad < n:
+        raise ValueError(f"reflection pad must be in [0, {n}) for a {n}x{n} image, got {pad}")
     return np.pad(imgs, ((0, 0),) * (imgs.ndim - 2) + ((pad, pad),) * 2, mode="reflect")
 
 
@@ -100,13 +95,10 @@ def _check_batch(imgs) -> np.ndarray:
     return imgs
 
 
-def im2col_batch(imgs: np.ndarray, h: int, s: int = 1, pad: int = 0) -> np.ndarray:
-    """Batched im2col: (B, C, N, N) -> (C*H^2, B*G^2), batch-major columns.
-
-    The images are first reflect-padded by ``pad`` pixels on every side, so
-    G = floor((N + 2 pad - H)/S) + 1.
-    """
-    imgs = _reflect_pad(_check_batch(imgs), pad)
+def im2col_batch(imgs: np.ndarray, h: int, s: int = 1) -> np.ndarray:
+    """Batched im2col: (B, C, N, N) -> (C*H^2, B*G^2), batch-major columns,
+    G = floor((N - H)/S) + 1."""
+    imgs = _check_batch(imgs)
     b, c, n, _ = imgs.shape
     g = feature_dim(n, h, s)
     windows = sliding_window_view(imgs, (h, h), axis=(2, 3))[:, :, ::s, ::s]
@@ -115,26 +107,23 @@ def im2col_batch(imgs: np.ndarray, h: int, s: int = 1, pad: int = 0) -> np.ndarr
     return np.ascontiguousarray(cols)
 
 
-def fold_batch(cols: np.ndarray, batch_shape: tuple, h: int, s: int = 1,
-               pad: int = 0) -> np.ndarray:
-    """Adjoint of im2col_batch: scatter-add columns back onto the unpadded
-    (B, C, N, N) images of ``batch_shape``.
+def fold_batch(cols: np.ndarray, batch_shape: tuple, h: int, s: int = 1) -> np.ndarray:
+    """Adjoint of im2col_batch: scatter-add columns back onto the (B, C, N, N)
+    images of ``batch_shape``.
 
     Used for gradient flow through patch extraction; overlapping windows
-    accumulate, and each reflected border pixel adds onto the pixel it mirrors.
+    accumulate.
     """
     b, c, n, _ = batch_shape
-    _check_pad(n, pad)
-    m = n + 2 * pad
-    g = feature_dim(m, h, s)
+    g = feature_dim(n, h, s)
     blocks = cols.reshape(c, h, h, b, g, g)
-    padded = np.zeros((b, c, m, m), dtype=cols.dtype)
+    out = np.zeros((b, c, n, n), dtype=cols.dtype)
     for ki in range(h):
         i_max = ki + s * g
         for kj in range(h):
             j_max = kj + s * g
-            padded[:, :, ki:i_max:s, kj:j_max:s] += blocks[:, ki, kj].transpose(1, 0, 2, 3)
-    return _unpad_adjoint(padded, n, pad)
+            out[:, :, ki:i_max:s, kj:j_max:s] += blocks[:, ki, kj].transpose(1, 0, 2, 3)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +133,9 @@ def fold_batch(cols: np.ndarray, batch_shape: tuple, h: int, s: int = 1,
 # A column source has ``n`` columns and yields them as (column slice,
 # (C, H^2, width) block) pairs; ``add_grad`` takes each block's gradient
 # back and ``gradient`` returns the sum, with respect to the source's input.
-# The window sources add ``crop`` and ``spread``, which map (..., n) column
-# arrays to the (..., B, G, G) maps of a convolution output and back.
+# The window source, PaddedWindows, adds ``crop`` and ``spread``, which map
+# (..., n) column arrays to the (..., B, G, G) maps of a convolution output
+# and back.
 
 class Columns:
     """Patch columns held whole, (C, H^2, n); its blocks are views of them.
@@ -172,26 +162,6 @@ class Columns:
     def gradient(self) -> np.ndarray:
         grad, self._grad = self._grad, None
         return grad
-
-
-class _StridedWindows(Columns):
-    """Windows at stride > 1: the whole im2col_batch matrix, its gradient
-    folded back onto the input batch by fold_batch."""
-
-    def __init__(self, imgs: np.ndarray, h: int, s: int, pad: int):
-        super().__init__(im2col_batch(imgs, h, s, pad).reshape(imgs.shape[1], h * h, -1))
-        self._fold = (imgs.shape, h, s, pad)
-        self.grid = feature_dim(imgs.shape[-1] + 2 * pad, h, s)
-
-    def gradient(self) -> np.ndarray:
-        grad = super().gradient()
-        return fold_batch(grad.reshape(-1, self.n), *self._fold)
-
-    def crop(self, a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape[:-1] + (-1, self.grid, self.grid))
-
-    def spread(self, a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape[:-3] + (-1,))
 
 
 class PaddedWindows:
@@ -260,14 +230,6 @@ class PaddedWindows:
         out = np.zeros(a.shape[:-3] + (self.n,))
         self.crop(out)[...] = a
         return out
-
-
-def windows(imgs: np.ndarray, h: int, s: int = 1, pad: int = 0):
-    """Column source of the H x H windows of a (B, C, N, N) batch: streamed
-    from the padded input at stride 1, the whole patch matrix otherwise."""
-    if s == 1:
-        return PaddedWindows(imgs, h, pad)
-    return _StridedWindows(imgs, h, s, pad)
 
 
 def col2im(v: np.ndarray, g: int) -> np.ndarray:

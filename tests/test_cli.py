@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from ocusim.checkpoint import load_ocu_model
 from ocusim.optics import bank_detect, quadrature_rows, transfer_partials
 from ocusim.pgm import read_pgm, write_pgm
 from ocusim.tensorize import im2col
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv, cwd=None):
@@ -122,6 +126,13 @@ dir = {out}
 
 
 class TestPerfCommand:
+    def test_paper_preset_with_out_dir(self, tmp_path):
+        # --out-dir overrides [output] dir, which still counts as a known key
+        proc = run_cli("perf", "--config", str(ROOT / "configs" / "perf_paper.ini"),
+                       "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "perf.csv").is_file()
+
     def test_paper_numbers_in_output(self, tmp_path):
         cfg = tmp_path / "perf.ini"
         cfg.write_text(PERF_CONFIG.format(out=tmp_path / "out"))
@@ -600,8 +611,9 @@ class TestBadNumbers:
     list that is not distinct ids 0-9, blob images under 2 pixels a side,
     classifier images too small for the kernel and pool, a fit pattern or
     hold-out smaller than the kernel, a denoiser crop larger than the images or
-    smaller than the padding, or a denoiser batch of one crop exits 2 naming
-    the key, with no warning printed first and no output written."""
+    smaller than the padding, denoiser test images smaller than the padding, a
+    denoiser batch of one crop, or a key that nothing reads exits 2 naming the
+    key, with no warning printed first and no output written."""
 
     @staticmethod
     def convolve_stride_zero(tmp_path):
@@ -615,6 +627,23 @@ class TestBadNumbers:
         return run_cli("convolve", "--checkpoint", str(ckpt), "--image",
                        str(tmp_path / "img.pgm"), "--stride", "0",
                        "--out-dir", str(tmp_path / "out"))
+
+    @staticmethod
+    def eval_test_size_one(tmp_path):
+        # a 3x3 denoiser reflect-pads by one pixel, which a 1x1 image cannot
+        from ocusim.checkpoint import save_network
+        from ocusim.networks import build_denoiser
+        from ocusim.optics import OcuGeometry
+
+        geom = OcuGeometry(metaunits_per_layer=8, num_layers=3, num_inputs=9)
+        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
+                "in_channels": 1, "seed": 2, "optical": "true"}
+        ckpt = tmp_path / "dn.ckpt"
+        save_network(ckpt, build_denoiser(geom, 2, 2, seed=2), "denoiser", geom, topo)
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\ncheckpoint = {ckpt}\ntest_count = 1\ntest_size = 1\n\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        return run_cli("eval", "--config", str(cfg))
 
     CASES = {
         "fit_epochs": ("fit-kernel", FIT_CONFIG, "epochs = 40", "epochs = 0", "[fit] epochs"),
@@ -687,12 +716,26 @@ class TestBadNumbers:
         # 3 images x 8 crops = 24 crops = 23 + 1: the last batch holds one crop
         "denoise_last_batch_one": ("train-denoiser", DENOISE_CONFIG, "batch_size = 8",
                                    "batch_size = 23", "[denoise] batch_size"),
+        # keys that nothing reads: a typo, a key of another dataset kind, a
+        # geometry field that no longer exists, an unreferenced kernel section
+        "perf_unknown_key": ("perf", PERF_CONFIG, "pixels = 8e6", "pixel = 5",
+                             "unknown key [perf] pixel"),
+        "dataset_key_of_other_kind": ("train-classifier", BLOBS_CONFIG, "size = 8",
+                                      "size = 8\ntrain_images = a.idx",
+                                      "[dataset] train_images"),
+        "geometry_slot_key": ("fit-kernel", FIT_CONFIG, "num_layers = 3",
+                              "num_layers = 3\nslot_width = 1e-7", "[geometry] slot_width"),
+        "unreferenced_kernel": ("fit-kernel", FIT_CONFIG, "[output]",
+                                "[kernel:unused]\nsize = 3\n\n[output]",
+                                "[kernel:unused] size"),
     }
 
-    @pytest.mark.parametrize("case", ["convolve_stride", *CASES])
+    @pytest.mark.parametrize("case", ["convolve_stride", "eval_test_size", *CASES])
     def test_exits_2_and_names_key(self, tmp_path, case):
         if case == "convolve_stride":
             proc, key = self.convolve_stride_zero(tmp_path), "--stride"
+        elif case == "eval_test_size":
+            proc, key = self.eval_test_size_one(tmp_path), "[eval] test_size"
         else:
             command, template, old, new, key = self.CASES[case]
             text = template.format(out=tmp_path / "out")

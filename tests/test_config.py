@@ -38,6 +38,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[a\] x must be an integer >= 1"):
             cfg.getcount("a", "x")
 
+    def test_unread_key_is_named(self, tmp_path):
+        cfg = load(tmp_path, "[a]\nx = 1\ny = 2\n\n[b]\nz = 3\n")
+        assert cfg.getcount("a", "x") == 1
+        assert cfg.has("b", "z")
+        with pytest.raises(ConfigError, match=r"unknown key \[a\] y"):
+            cfg.check_all_read()
+        cfg.get("a", "y")
+        cfg.check_all_read()
+
+    def test_default_section_is_not_inherited(self, tmp_path):
+        cfg = load(tmp_path, "[DEFAULT]\nseed = 1\n\n[a]\nx = 1\n")
+        assert cfg.get("a", "seed") is None
+        assert cfg.getcount("a", "x") == 1
+        with pytest.raises(ConfigError, match=r"unknown key \[DEFAULT\] seed"):
+            cfg.check_all_read()
+
     def test_bad_syntax(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("no section header\n")

@@ -31,7 +31,7 @@ from ocusim.optics import (
 )
 from ocusim.optim import TrainingDiverged
 from ocusim.srp import conv2d_reference
-from ocusim.tensorize import fold_batch, im2col, im2col_batch
+from ocusim.tensorize import PaddedWindows, fold_batch, im2col, im2col_batch
 
 from helpers import (
     complex_ocu_vjp,
@@ -40,6 +40,7 @@ from helpers import (
     pool_grad_loop,
     pool_loop,
     reflect_pad_grad_loop,
+    reflect_pad_loop,
 )
 
 
@@ -219,10 +220,10 @@ def check_against_oracle(layer, x, need_input_grad=True):
         assert dx is None
 
 
-def random_ocl(q, c, stride, pad, seed):
+def random_ocl(q, c, pad, seed):
     rng = np.random.default_rng(seed)
     geom = OcuGeometry(metaunits_per_layer=8, num_inputs=9, num_layers=4)
-    layer = OclLayer(geom, q, c, rng, stride=stride, pad=pad)
+    layer = OclLayer(geom, q, c, rng, pad=pad)
     layer.log_gain.value[...] = rng.normal(size=(q, c))
     layer.port_sign[...] = rng.choice([-1.0, 1.0], size=(q, c))
     return layer, rng
@@ -232,21 +233,16 @@ class TestOclLayerOracle:
     """The blocked quadrature layer equals the per-unit optics path to round-off."""
 
     @pytest.mark.parametrize("q,c", [(8, 1), (8, 8), (1, 8), (4, 1)])
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1])     # the one stride a convolution slides at
     @pytest.mark.parametrize("pad", [0, 1, 2])
     def test_blocked_layer_matches_units(self, q, c, stride, pad, monkeypatch):
-        layer, rng = random_ocl(q, c, stride, pad, seed=10 * q + c + stride + pad)
+        layer, rng = random_ocl(q, c, pad, seed=10 * q + c + stride + pad)
+        assert layer.stride == stride
         x = rng.random((2, c, 5, 5))
-        if stride == 1:
-            # streamed blocks of whole padded rows: all in one block, one row,
-            # and four rows (a block straddles the two images, the last is ragged)
-            side = 5 + 2 * pad
-            widths = (2 * side * side, side, 4 * side)
-        else:
-            # whole-matrix columns: beyond the columns, exactly one block, not a divisor
-            n_cols = 2 * ((5 + 2 * pad - 3) // stride + 1) ** 2
-            widths = (n_cols + 5, n_cols, next(w for w in range(4, n_cols) if n_cols % w))
-        for width in widths:
+        # streamed blocks of whole padded rows: all in one block, one row,
+        # and four rows (a block straddles the two images, the last is ragged)
+        side = 5 + 2 * pad
+        for width in (2 * side * side, side, 4 * side):
             monkeypatch.setattr(optics, "BLOCK_BYTES", width * 8 * c * 4 * q)
             check_against_oracle(layer, x)
         check_against_oracle(layer, x, need_input_grad=False)   # at the last width
@@ -254,22 +250,24 @@ class TestOclLayerOracle:
     def test_default_block_width_over_many_blocks(self):
         # 600 windows (838 padded-grid columns) at 8x8 span two blocks of the
         # 1 MB default, the second partial
-        layer, rng = random_ocl(8, 8, 1, 1, seed=3)
+        layer, rng = random_ocl(8, 8, 1, seed=3)
         assert optics.BLOCK_BYTES // (8 * 8 * 4 * 8) < 600
         check_against_oracle(layer, rng.random((6, 8, 10, 10)))
 
 
 class TestStreamedLayers:
-    """At stride 1 both convolutions stream their columns from the padded
-    input; outputs and every gradient equal the whole-matrix path
-    (im2col_batch, fold_batch) to round-off, over row-block widths."""
+    """Both convolutions stream their columns from the padded input; outputs
+    and every gradient equal the whole-matrix path (im2col_batch and
+    fold_batch on the loop-padded input, then the loop adjoint of padding) to
+    round-off, over row-block widths."""
 
     @staticmethod
     def whole_matrix(layer, x, grad):
         """Output, input gradient and parameter gradients from the whole patch matrix."""
         b, c, n, _ = x.shape
         h, q = layer.h, layer.q
-        cols = im2col_batch(x, h, 1, layer.pad)
+        padded = reflect_pad_loop(x, layer.pad)
+        cols = im2col_batch(padded, h)
         g = layer.out_shape(x.shape)[-1]
         gq = grad.transpose(1, 0, 2, 3).reshape(q, -1)
         if isinstance(layer, OclLayer):
@@ -277,7 +275,7 @@ class TestStreamedLayers:
             quad = quadrature_rows(partials.total)
             eff = layer.gains() * layer.port_sign
             out = bank_detect(quad, cols.reshape(c, h * h, -1), eff)
-            grads = bank_vjp(partials, quad, cols.reshape(c, h * h, -1), eff, gq)
+            grads = bank_vjp(partials, cols.reshape(c, h * h, -1), eff, gq)
             dcols = grads.patches.reshape(c * h * h, -1)
             params = (grads.phases, eff * grads.gain)
         else:
@@ -285,7 +283,7 @@ class TestStreamedLayers:
             out = w @ cols + layer.bias.value[:, None]
             dcols = w.T @ gq
             params = ((gq @ cols.T).reshape(layer.weight.value.shape), gq.sum(axis=1))
-        dx = fold_batch(dcols, x.shape, h, 1, layer.pad)
+        dx = reflect_pad_grad_loop(fold_batch(dcols, padded.shape, h), layer.pad, n)
         return out.reshape(q, b, g, g).transpose(1, 0, 2, 3), dx, params
 
     @pytest.mark.parametrize("optical", [True, False])
@@ -293,7 +291,7 @@ class TestStreamedLayers:
     def test_equals_whole_matrix(self, optical, pad, monkeypatch):
         rng = np.random.default_rng(70 + pad)
         if optical:
-            layer, _ = random_ocl(2, 3, 1, pad, seed=80 + pad)
+            layer, _ = random_ocl(2, 3, pad, seed=80 + pad)
             rows_per_col = 3 * 4 * 2
         else:
             layer = Conv2dLayer(2, 3, 3, rng, pad=pad)
@@ -348,14 +346,15 @@ class TestStreamedMemory:
 
 
 class TestReflectPadGrad:
-    """fold_batch at a 1x1 window places each padded pixel once, so what is
-    left of it is the adjoint of reflection padding alone."""
+    """A 1x1 window source places each padded pixel once, so its gradient is
+    the adjoint of reflection padding alone."""
 
     @staticmethod
     def pad_grad(grad, pad, n):
         b, c = grad.shape[:2]
-        cols = grad.transpose(1, 0, 2, 3).reshape(c, -1)
-        return fold_batch(cols, (b, c, n, n), 1, pad=pad)
+        src = PaddedWindows(np.zeros((b, c, n, n)), 1, pad)
+        src.add_grad(slice(0, src.n), grad.transpose(1, 0, 2, 3).reshape(c, 1, -1))
+        return src.gradient()
 
     def test_pad_one_is_bitwise_equal_to_loops(self):
         rng = np.random.default_rng(40)
@@ -375,7 +374,7 @@ class TestReflectPadGrad:
 
     def test_rejects_pad_not_below_size(self):
         with pytest.raises(ValueError):
-            fold_batch(np.zeros((1, 49)), (1, 1, 3, 3), 1, pad=3)
+            PaddedWindows(np.zeros((1, 1, 3, 3)), 1, 3)
 
 
 class TestConv2dLayer:
@@ -400,38 +399,46 @@ class TestConv2dLayer:
                     + layer.bias.value[0])
         assert np.allclose(out[0, 0], expected, rtol=1e-12, atol=1e-12)
 
+    def test_stride_is_one(self):
+        # the twin takes its optical layer's stride by position; only 1 slides
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="stride"):
+            Conv2dLayer(2, 1, 3, rng, 2, 0)
+        twin = Conv2dLayer(2, 1, 3, rng, 1, 0)
+        assert twin.stride == 1 and OclLayer(tiny_geometry(), 2, 1, rng).stride == 1
+
 
 class TestPool:
     def test_mean_pool_example(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert Pool2dLayer(2, 2, "mean").forward(x)[0, 0, 0, 0] == 2.5
+        assert Pool2dLayer("mean").forward(x)[0, 0, 0, 0] == 2.5
 
     def test_max_pool_example(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert Pool2dLayer(2, 2, "max").forward(x)[0, 0, 0, 0] == 4.0
+        assert Pool2dLayer("max").forward(x)[0, 0, 0, 0] == 4.0
 
     def test_constant_map_invariant(self):
         x = np.full((1, 2, 4, 4), 0.7)
         for mode in ("mean", "max"):
-            out = Pool2dLayer(2, 2, mode).forward(x)
+            out = Pool2dLayer(mode).forward(x)
             assert np.allclose(out, 0.7)
 
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError):
-            Pool2dLayer(4, 4).forward(np.zeros((1, 1, 2, 2)))
+            Pool2dLayer().forward(np.zeros((1, 1, 1, 1)))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            Pool2dLayer(2, 2, "median")
+            Pool2dLayer("median")
 
     @pytest.mark.parametrize("mode", ["mean", "max"])
-    @pytest.mark.parametrize("window,stride,n", [(2, 2, 8), (2, 2, 7), (3, 2, 7),
-                                                 (3, 2, 8), (2, 1, 6)])
+    @pytest.mark.parametrize("window,stride,n", [(2, 2, 8), (2, 2, 7)])
     def test_bitwise_equal_to_loops(self, mode, window, stride, n):
         rng = np.random.default_rng(100 * window + 10 * stride + n)
         # a coarse grid of values, so max windows hold ties
         x = np.round(rng.standard_normal((2, 3, n, n)), 1)
-        layer = Pool2dLayer(window, stride, mode)
+        layer = Pool2dLayer(mode)
+        assert window == stride == layer.WINDOW
         out = layer.forward(x)
         expected, arg = pool_loop(x, window, stride, mode)
         assert np.array_equal(out, expected)
@@ -606,7 +613,7 @@ class TestEndToEndGradients:
         for mode in ("mean", "max"):
             net = Sequential([
                 Conv2dLayer(2, 1, 2, rng),
-                Pool2dLayer(2, 2, mode),
+                Pool2dLayer(mode),
                 FlattenLayer(),
                 DenseLayer(2, 3, rng),
             ])
@@ -623,7 +630,7 @@ class TestShapeAlgebra:
             Sequential([OclLayer(geom, 3, 1, rng), Pool2dLayer(),
                         FlattenLayer(), DenseLayer(3 * 4, 5, rng)]),
             Sequential([Conv2dLayer(4, 2, 3, rng, pad=1), ReluLayer(),
-                        BatchNormLayer(4), Pool2dLayer(2, 2, "max")]),
+                        BatchNormLayer(4), Pool2dLayer("max")]),
         ]
         inputs = [np.random.default_rng(22).random((2, 1, 7, 7)),
                   np.random.default_rng(23).random((2, 2, 6, 6))]

@@ -4,9 +4,10 @@ The format is line-oriented and human-diffable: a header of key = value
 metadata, one [geometry] section, then one [array NAME] section per stored
 tensor with its shape and decimal payload rows.  Floats are written with
 repr(), which round-trips float64 exactly, so save -> load -> save is
-byte-identical.  [geometry] lines that name no OcuGeometry field are
-ignored: older checkpoints also hold slot_width, slot_gap and slot_height,
-which no computation reads.
+byte-identical.  A key, the [geometry] section or an array named twice is
+an error, and so is a [geometry] line that names no OcuGeometry field,
+except the slot_width, slot_gap and slot_height lines of older
+checkpoints, which no computation reads and loading ignores.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .optics import OcuGeometry, OcuModel
 
 FORMAT_NAME = "ocusim-checkpoint"
 FORMAT_VERSION = 1
+LEGACY_GEOMETRY_KEYS = ("slot_width", "slot_gap", "slot_height")
 
 
 @dataclass
@@ -32,11 +34,14 @@ class Checkpoint:
     arrays: dict[str, np.ndarray]
 
 
-def _key_values(lines: list[str], i: int) -> tuple[dict[str, str], int]:
-    """The key = value lines from ``i`` up to the next section, and its index."""
+def _key_values(path, lines: list[str], i: int, section: str = "") -> tuple[dict[str, str], int]:
+    """The key = value lines from ``i`` up to the next section, and its
+    index; a key given twice is a ConfigError naming it."""
     fields: dict[str, str] = {}
     while i < len(lines) and not lines[i].startswith("["):
         key, _, value = lines[i].partition(" = ")
+        if key in fields:
+            raise ConfigError(f"{path}: key {section}{key} appears twice")
         fields[key] = value
         i += 1
     return fields, i
@@ -98,7 +103,7 @@ def read_checkpoint(path) -> Checkpoint:
 
     geometry = None
     arrays: dict[str, np.ndarray] = {}
-    meta, i = _key_values(lines, 1)
+    meta, i = _key_values(path, lines, 1)
     kind = meta.pop("kind", "")
     if not kind:
         raise ValueError(f"{path}: checkpoint missing kind")
@@ -107,12 +112,19 @@ def read_checkpoint(path) -> Checkpoint:
         header = lines[i].strip()
         i += 1
         if header == "[geometry]":
-            fields, i = _key_values(lines, i)
+            if geometry is not None:
+                raise ConfigError(f"{path}: section [geometry] appears twice")
+            fields, i = _key_values(path, lines, i, "[geometry] ")
+            for key in fields:
+                if key not in GEOMETRY_FIELDS and key not in LEGACY_GEOMETRY_KEYS:
+                    raise ConfigError(f"{path}: unknown key [geometry] {key}")
             geometry = OcuGeometry(**{
                 name: parse_key(path, f"[geometry] {name}", fields.get(name), convert)
                 for name, convert in GEOMETRY_FIELDS.items()})
         elif header.startswith("[array ") and header.endswith("]"):
             name = header[len("[array "):-1]
+            if name in arrays:
+                raise ConfigError(f"{path}: array {name} appears twice")
             start = i
             while i < len(lines) and not lines[i].startswith("["):
                 i += 1
@@ -173,13 +185,19 @@ def save_network(path, net, kind: str, geometry: OcuGeometry | None,
 
 
 def load_network(path):
-    """Rebuild a network checkpoint; returns (net, kind, topology, meta)."""
+    """Rebuild a network checkpoint; returns (net, kind, topology, meta).
+
+    A topo.* key that the checkpoint's kind does not read is a ConfigError
+    naming it, so a misspelled key never loads as its default.
+    """
     from .networks import build_classifier, build_denoiser
 
     ckpt = read_checkpoint(path)
     topo = {k[len("topo."):]: v for k, v in ckpt.meta.items() if k.startswith("topo.")}
+    read = set()
 
     def setting(key, convert=count, default=None):
+        read.add(key)
         return parse_key(path, f"topo.{key}", topo.get(key), convert, default)
 
     optical = setting("optical", boolean, True)
@@ -209,6 +227,9 @@ def load_network(path):
         )
     else:
         raise ValueError(f"{path}: unknown network kind {ckpt.kind!r}")
+    for key in topo:
+        if key not in read:
+            raise ConfigError(f"{path}: unknown key topo.{key}")
 
     for key, target in _network_arrays(net).items():
         arr = ckpt.arrays.get(key)

@@ -196,8 +196,34 @@ def load_grayscale_dir(directory, size: int | None = None) -> list[np.ndarray]:
     return images
 
 
-def crop_patches(images, patch: int, count_per_image: int, seed_or_rng=0) -> np.ndarray:
-    """Seeded random square crops, ``count_per_image`` from each image.
+@dataclass
+class CropSet:
+    """Square crops of a list of images, held as their corners, not their
+    pixels.  Crop k is cut from image k // ``per_image``, its top-left pixel
+    at ``corners[k]``; ``windows`` holds each image's sliding-window view,
+    so images of different sizes mix freely."""
+
+    windows: list[np.ndarray]   # (H - patch + 1, W - patch + 1, patch, patch) views
+    corners: np.ndarray         # (n, 2) top-left (row, column) of each crop
+    per_image: int
+
+    def __len__(self) -> int:
+        return len(self.corners)
+
+    def gather(self, idx) -> np.ndarray:
+        """(len(idx), patch, patch) copy of crops ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        patch = self.windows[0].shape[-1]
+        out = np.empty((len(idx), patch, patch))
+        images = (idx // self.per_image).tolist()
+        for j, (k, (row, col)) in enumerate(zip(images, self.corners[idx].tolist())):
+            out[j] = self.windows[k][row, col]
+        return out
+
+
+def draw_crops(images, patch: int, count_per_image: int, seed_or_rng=0) -> CropSet:
+    """Seeded random square crops, ``count_per_image`` from each image, as
+    the CropSet of their corners.
 
     Each image draws the (row, column) corners of all its crops in one call,
     the same values, in the same order, as one draw per coordinate.
@@ -208,20 +234,26 @@ def crop_patches(images, patch: int, count_per_image: int, seed_or_rng=0) -> np.
         raise ValueError(f"count_per_image must be >= 1, got {count_per_image}")
     images = [np.asarray(img, dtype=float) for img in images]
     if not images:
-        raise ValueError("crop_patches got no images")
+        raise ValueError("draw_crops got no images")
     rng = _rng(seed_or_rng)
-    out = np.empty((len(images) * count_per_image, patch, patch))
+    corners = np.empty((len(images) * count_per_image, 2), dtype=np.int64)
+    windows = []
     for k, img in enumerate(images):
         if img.ndim != 2:
-            raise ValueError("crop_patches expects 2-D grayscale images")
+            raise ValueError("draw_crops expects 2-D grayscale images")
         if img.shape[0] < patch or img.shape[1] < patch:
             raise ValueError(f"image {img.shape} smaller than patch {patch}")
         hi = [img.shape[0] - patch + 1, img.shape[1] - patch + 1]
-        corners = rng.integers(0, hi, size=(count_per_image, 2))
-        windows = sliding_window_view(img, (patch, patch))
-        out[k * count_per_image:(k + 1) * count_per_image] = \
-            windows[corners[:, 0], corners[:, 1]]
-    return out
+        corners[k * count_per_image:(k + 1) * count_per_image] = \
+            rng.integers(0, hi, size=(count_per_image, 2))
+        windows.append(sliding_window_view(img, (patch, patch)))
+    return CropSet(windows, corners, count_per_image)
+
+
+def crop_patches(images, patch: int, count_per_image: int, seed_or_rng=0) -> np.ndarray:
+    """Every crop of ``draw_crops``, gathered: (images * count_per_image, patch, patch)."""
+    crops = draw_crops(images, patch, count_per_image, seed_or_rng)
+    return crops.gather(np.arange(len(crops)))
 
 
 # ---------------------------------------------------------------------------

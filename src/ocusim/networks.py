@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import accuracy as _accuracy
-from .data import add_awgn, confusion as _confusion, crop_patches, psnr
+from .data import add_awgn, confusion as _confusion, crop_patches, draw_crops, psnr
 from .nn import (
     BatchNormLayer,
     Conv2dLayer,
@@ -265,21 +265,28 @@ def train_denoiser(
 ) -> DenoiserResult:
     """Residual learning against the injected noise at a known sigma.
 
-    Noise is redrawn every batch from a seeded stream; the target is the
-    effective (clipped) noise, so the network regresses exactly what must
-    be subtracted from its input.
+    The crop corners are drawn once, and each minibatch gathers its crops
+    from the images, so the crops are never held all at once.  Noise is
+    redrawn every batch from a seeded stream; the target is the effective
+    (clipped) noise, so the network regresses exactly what must be
+    subtracted from its input.
     """
-    patches = crop_patches(train_images, cfg.patch, cfg.crops_per_image,
-                           _seeded(cfg.seed, 10))[:, None]
+    crops = draw_crops(train_images, cfg.patch, cfg.crops_per_image, _seeded(cfg.seed, 10))
     noise_rng = _seeded(cfg.seed, 11)
-    n = len(patches)
+    n = len(crops)
 
-    first = add_awgn(patches[:min(cfg.batch_size, n)], sigma, noise_rng)
+    # the calibration batch is the first m crops: crop_patches of the images
+    # that hold them draws them from the same stream (copied out, so the
+    # rest are freed)
+    m = min(cfg.batch_size, n)
+    head = crop_patches(train_images[:math.ceil(m / cfg.crops_per_image)], cfg.patch,
+                        cfg.crops_per_image, _seeded(cfg.seed, 10))[:m, None].copy()
+    first = add_awgn(head, sigma, noise_rng)
     calibrate_optical_layers(net, first.noisy)
     _match_output_scale(net, first.noisy, first.noise)
 
     def batch(idx):
-        sample = add_awgn(patches[idx], sigma, noise_rng)
+        sample = add_awgn(crops.gather(idx)[:, None], sigma, noise_rng)
         return sample.noisy, sample.noise
 
     history = list(_train_epochs(net, n, cfg, _seeded(cfg.seed, 12), batch,

@@ -178,19 +178,28 @@ class OclLayer(_Convolution):
         otherwise sit at the raw physical field scale and gradients die),
         and the positive detector port is chosen per unit so its output is
         not negative almost everywhere (which a downstream ReLU would
-        silence permanently).  Raises TrainingDiverged naming num_layers when
-        the detected power overflows float64.
+        silence permanently).  The detection engine runs once; the RMS and
+        mean are then taken one unit at a time, so calibration needs no
+        more memory than the engine.  Raises TrainingDiverged naming
+        num_layers when the detected power overflows float64.
         """
+        rms, mean = np.empty((self.q, self.c)), np.empty((self.q, self.c))
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = self.unit_outputs(x)
-            rms = np.sqrt(np.mean(diff * diff, axis=-1))
+            src, partials = self._operators(x)
+            out = bank_unit_outputs(partials.quad, src)
+            for unit in np.ndindex(self.q, self.c):
+                # the unit's B*G^2 outputs copied into one contiguous row:
+                # np.mean's pairwise sum of a row does not depend on what
+                # surrounds it
+                diff = src.crop(out[unit]).reshape(-1)
+                rms[unit] = np.sqrt(np.mean(diff * diff))
+                mean[unit] = np.mean(diff)
         if not np.all(np.isfinite(rms)):
             raise TrainingDiverged(
                 f"detected power overflows float64 at num_layers = "
                 f"{self.geometry.num_layers}; use fewer metalines")
         safe = np.where(rms > 0, rms, 1.0)
         self.log_gain.value[...] = np.log(1.0 / safe)
-        mean = np.mean(diff, axis=-1)
         self.port_sign[...] = np.where(mean < 0, -1.0, 1.0)
 
 

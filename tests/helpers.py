@@ -5,9 +5,11 @@ share no code with the vectorized implementations they check.  Two
 exceptions: complex_ocu_vjp shares only the phase adjoint, which
 phase_adjoint_loop checks, and direct_fit_history runs the SRP epoch on
 the direct evaluator (srp_loss, phase_gradients), which the
-finite-difference tests check.  The data generators' references at the end
-are their per-image and per-crop forms, which the whole-array generators in
-ocusim.data must equal byte for byte.
+finite-difference tests check.  The data generators' references near the
+end are their per-image and per-crop forms, which the whole-array generators
+in ocusim.data must equal byte for byte; the last section holds the
+denoiser set-up with every crop and unit output materialized, which the
+streamed set-up must equal bitwise.
 """
 
 import cmath
@@ -16,8 +18,11 @@ import math
 
 import numpy as np
 
+from ocusim.data import add_awgn, crop_patches
+from ocusim.networks import _match_output_scale, _seeded, _train_epochs, calibrate_optical_layers
+from ocusim.nn import mse_loss
 from ocusim.optics import phase_adjoint
-from ocusim.optim import Adam, Param
+from ocusim.optim import Adam, Param, TrainingDiverged
 from ocusim.srp import phase_gradients, srp_loss
 
 
@@ -416,3 +421,38 @@ def crop_patches_loop(images, patch, count_per_image, seed_or_rng=0):
             j = int(rng.integers(0, hi_j))
             out.append(img[i:i + patch, j:j + patch])
     return np.stack(out)
+
+
+# ---------------------------------------------------------------------------
+# the materialized forms of the denoiser set-up, the oracles of its streamed
+# one (each must equal it bitwise)
+# ---------------------------------------------------------------------------
+
+def calibrate_gains_whole(layer, x):
+    """(log gains, port signs) that OclLayer.calibrate_gains sets, computed
+    on the (q, C, B*G^2) outputs of every unit at once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = layer.unit_outputs(x)
+        rms = np.sqrt(np.mean(diff * diff, axis=-1))
+    if not np.all(np.isfinite(rms)):
+        raise TrainingDiverged("detected power overflows float64")
+    safe = np.where(rms > 0, rms, 1.0)
+    return np.log(1.0 / safe), np.where(np.mean(diff, axis=-1) < 0, -1.0, 1.0)
+
+
+def train_denoiser_materialized(net, train_images, sigma, cfg):
+    """train_denoiser with every crop built before the first step; returns
+    the epoch history."""
+    patches = crop_patches(train_images, cfg.patch, cfg.crops_per_image,
+                           _seeded(cfg.seed, 10))[:, None]
+    noise_rng = _seeded(cfg.seed, 11)
+    n = len(patches)
+    first = add_awgn(patches[:min(cfg.batch_size, n)], sigma, noise_rng)
+    calibrate_optical_layers(net, first.noisy)
+    _match_output_scale(net, first.noisy, first.noise)
+
+    def batch(idx):
+        sample = add_awgn(patches[idx], sigma, noise_rng)
+        return sample.noisy, sample.noise
+
+    return list(_train_epochs(net, n, cfg, _seeded(cfg.seed, 12), batch, mse_loss))

@@ -211,3 +211,80 @@ class TestNetworkCheckpointSchema:
         with pytest.raises(ValueError, match="weights"):
             write_checkpoint(path, "ocu", {}, None, {"weights": np.array([1.0, bad])})
         assert not path.exists()
+
+
+class TestCheckpointKeys:
+    """A key the reader would not use, or a name given twice, is a ConfigError
+    naming it: a mutated checkpoint never loads as a different network."""
+
+    def saved_classifier(self, tmp_path, pool="max"):
+        geom = small_geometry()
+        topo = {"kernels": 2, "channels": 1, "image_size": 8, "n_classes": 2,
+                "seed": 4, "optical": "true", "hidden": "8", "pool": pool}
+        path = tmp_path / "clf.ckpt"
+        save_network(path, build_classifier(geom, 2, 1, 8, 2, seed=4, hidden=(8,),
+                                            pool_mode=pool), "classifier", geom, topo)
+        return path
+
+    @staticmethod
+    def edit(path, edit):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+
+    def test_misspelled_topology_key(self, tmp_path):
+        path = self.saved_classifier(tmp_path)
+        assert load_network(path)[0].layers[1].mode == "max"
+        self.edit(path, lambda lines: [l.replace("topo.pool =", "topo.pol =") for l in lines])
+        with pytest.raises(ConfigError, match=r"unknown key topo\.pol$"):
+            load_network(path)
+
+    def test_topology_key_of_another_kind(self, tmp_path):
+        geom = small_geometry()
+        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
+                "in_channels": 1, "seed": 5, "optical": "true", "hidden": "8"}
+        path = tmp_path / "dn.ckpt"
+        save_network(path, build_denoiser(geom, 2, 2, seed=5), "denoiser", geom, topo)
+        with pytest.raises(ConfigError, match=r"topo\.hidden"):
+            load_network(path)
+
+    @pytest.mark.parametrize("line, named", [
+        ("topo.pool = max", "key topo.pool appears twice"),
+        ("kind = classifier", "key kind appears twice"),
+        ("num_layers = 3", r"key \[geometry\] num_layers appears twice"),
+    ])
+    def test_duplicated_key(self, tmp_path, line, named):
+        path = self.saved_classifier(tmp_path)
+
+        def twice(lines):
+            i = lines.index(line)
+            return lines[:i + 1] + [line.replace(" = max", " = mean")] + lines[i + 1:]
+        self.edit(path, twice)
+        with pytest.raises(ConfigError, match=named):
+            load_network(path)
+
+    def test_duplicated_array(self, tmp_path):
+        path = self.saved_classifier(tmp_path)
+
+        def twice(lines):
+            i = lines.index("[array layer0.port_sign]")
+            return lines + lines[i:i + 4]
+        self.edit(path, twice)
+        with pytest.raises(ConfigError, match=r"array layer0\.port_sign appears twice"):
+            load_network(path)
+
+    def test_duplicated_geometry_section(self, tmp_path):
+        path = self.saved_classifier(tmp_path)
+
+        def twice(lines):
+            i = lines.index("[geometry]")
+            end = next(j for j in range(i + 1, len(lines)) if lines[j].startswith("["))
+            return lines + lines[i:end]
+        self.edit(path, twice)
+        with pytest.raises(ConfigError, match=r"section \[geometry\] appears twice"):
+            load_network(path)
+
+    def test_unknown_geometry_key(self, tmp_path):
+        old = tmp_path / "old.ckpt"
+        old.write_text(SLOT_CHECKPOINT.replace("slot_gap = 5e-07", "slot_gaps = 5e-07"))
+        with pytest.raises(ConfigError, match=r"unknown key \[geometry\] slot_gaps"):
+            load_ocu_model(old)

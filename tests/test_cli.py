@@ -324,7 +324,8 @@ dir = {tmp_path / 'evalout'}
 
 class TestEvalDatasetMismatch:
     """eval of a classifier on images unlike its training images exits 2:
-    blobs of another size name [dataset] size, other datasets their shape."""
+    blobs of another size name [dataset] size, other datasets their shape.
+    So does eval of a checkpoint with a misspelled key, naming it."""
 
     @pytest.fixture(scope="class")
     def checkpoint(self, tmp_path_factory):
@@ -358,6 +359,15 @@ class TestEvalDatasetMismatch:
                              f"test_labels = {tmp_path / 'lbl.idx'}\n")
         assert proc.returncode == 2, proc.stderr
         assert "(1, 10, 10)" in proc.stderr and "(1, 8, 8)" in proc.stderr
+
+    def test_misspelled_topology_key(self, tmp_path, checkpoint):
+        # topo.pool misspelled must not load as the default mean pool
+        mutated = tmp_path / "classifier.ckpt"
+        mutated.write_text(checkpoint.read_text().replace("topo.pool = mean", "topo.pol = max"))
+        proc = self.run_eval(tmp_path, mutated, "kind = blobs\ntest_count = 8\nsize = 8\n")
+        assert proc.returncode == 2, proc.stderr
+        assert "topo.pol" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_one_pixel_blobs(self, tmp_path, checkpoint):
         # rejected before synthetic_blobs would divide by size - 1

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ocusim.data import (
     accuracy,
     confusion,
     crop_patches,
+    draw_crops,
     load_cifar4,
     load_idx,
     load_idx_images,
@@ -232,6 +234,41 @@ class TestCrops:
         ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
         assert (crop_patches(imgs, 8, 20, ours).tobytes()
                 == crop_patches_loop(imgs, 8, 20, theirs).tobytes())
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("sizes", [
+        [(64, 64)] * 3,                                     # a corpus
+        [(40, 48), (57, 40), (40, 40), (90, 61)],           # a PGM directory
+    ])
+    def test_gather_equals_the_materialized_crops(self, sizes):
+        rng = np.random.default_rng(40)
+        imgs = [rng.random(size) for size in sizes]
+        crops = draw_crops(imgs, 17, 9, 3)
+        whole = crop_patches(imgs, 17, 9, 3)
+        assert whole.tobytes() == crop_patches_loop(imgs, 17, 9, 3).tobytes()
+        assert len(crops) == len(whole) == 9 * len(imgs)
+        for idx in (rng.permutation(len(whole))[:16], [5, 5, 0, len(whole) - 1], [], [3]):
+            got = crops.gather(idx)
+            assert got.shape == (len(idx), 17, 17)
+            assert got.tobytes() == whole[idx].tobytes()
+
+    def test_crop_set_holds_corners_not_pixels(self):
+        imgs = synthetic_corpus(4, 64, seed=6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            crops = draw_crops(imgs, 16, 2000, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(crops) * 16 * 16 * 8 > 16e6      # what crop_patches builds
+        assert peak < 1e6
+
+    def test_draw_leaves_shared_generator_as_crop_patches_does(self):
+        imgs = [np.random.default_rng(3).random((30, 44))] * 2
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        draw_crops(imgs, 8, 20, ours)
+        crop_patches(imgs, 8, 20, theirs)
         assert ours.random() == theirs.random()
 
     @pytest.mark.parametrize("patch, count, match", [

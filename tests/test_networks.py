@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocusim.data import add_awgn, psnr, synthetic_blobs, synthetic_corpus
+from ocusim.data import add_awgn, psnr, synthetic_blobs, synthetic_corpus, synthetic_image
 from ocusim.networks import (
     DenoiseTrainConfig,
     TrainConfig,
@@ -15,9 +15,11 @@ from ocusim.networks import (
     train_classifier,
     train_denoiser,
 )
-from ocusim.nn import DenseLayer, OclLayer
+from ocusim.nn import BatchNormLayer, DenseLayer, OclLayer
 from ocusim.optics import OcuGeometry
 from ocusim.optim import TrainingDiverged
+
+from helpers import train_denoiser_materialized
 
 
 def blob_geometry(v=16):
@@ -176,6 +178,33 @@ class TestDenoiser:
         assert before == np.inf
         # the clean estimate may differ from the input only marginally
         assert psnr(np.clip(clean[0, 0], 0, 1), test_img) > 40.0
+
+    @pytest.mark.parametrize("images, batch_size, crops_per_image", [
+        (synthetic_corpus(3, 24, seed=15), 5, 4),
+        # unequal sizes; the calibration batch spans three images
+        ([synthetic_image(24, 16), synthetic_image(30, 17)[:, 2:],
+          synthetic_image(20, 18), synthetic_image(26, 19)], 7, 3),
+    ])
+    def test_training_equals_the_materialized_crops(self, images, batch_size,
+                                                    crops_per_image):
+        # drawn corners gathered per batch must train exactly as the crops
+        # built up front did
+        cfg = DenoiseTrainConfig(epochs=2, batch_size=batch_size, learning_rate=3e-3,
+                                 seed=4, patch=12, crops_per_image=crops_per_image)
+        ours, theirs = self._small_net(seed=7), self._small_net(seed=7)
+        history = train_denoiser(ours, images, 20.0, cfg).history
+        assert history == train_denoiser_materialized(theirs, images, 20.0, cfg)
+
+        def state(net):
+            arrays = [p.value for p in net.params()]
+            for layer in net.layers:
+                if isinstance(layer, OclLayer):
+                    arrays.append(layer.port_sign)
+                elif isinstance(layer, BatchNormLayer):
+                    arrays += [layer.running_mean, layer.running_var]
+            return [a.tobytes() for a in arrays]
+
+        assert state(ours) == state(theirs)
 
     def test_evaluate_reports_rows(self):
         net = self._small_net(seed=6)

@@ -23,6 +23,7 @@ from ocusim.optics import (
     OcuModel,
     balanced_detect,
     bank_detect,
+    bank_unit_outputs,
     bank_vjp,
     ocu_forward,
     quadrature_rows,
@@ -34,6 +35,7 @@ from ocusim.srp import conv2d_reference
 from ocusim.tensorize import PaddedWindows, fold_batch, im2col, im2col_batch
 
 from helpers import (
+    calibrate_gains_whole,
     complex_ocu_vjp,
     fd_check_network,
     naive_patch_columns,
@@ -127,6 +129,55 @@ class TestOclLayer:
         with pytest.raises(TrainingDiverged, match=f"num_layers = {layers}"):
             layer.calibrate_gains(x)
         assert np.all(layer.log_gain.value == 0.0)
+
+    @pytest.mark.parametrize("kernels, channels, pad, shape", [
+        (8, 8, 1, (4, 8, 12, 12)), (4, 1, 0, (3, 1, 7, 7))])
+    def test_calibration_equals_whole_array_formula(self, kernels, channels, pad, shape):
+        layer = OclLayer(tiny_geometry(inputs=9), kernels, channels,
+                         np.random.default_rng(8), pad=pad)
+        x = np.random.default_rng(9).random(shape) - 0.3
+        log_gain, port_sign = calibrate_gains_whole(layer, x)
+        layer.calibrate_gains(x)
+        assert layer.log_gain.value.tobytes() == log_gain.tobytes()
+        assert layer.port_sign.tobytes() == port_sign.tobytes()
+        assert np.any(port_sign < 0) and np.any(port_sign > 0)
+
+    def test_calibration_of_a_dark_unit(self):
+        # a zero input channel gives its units all-zero outputs: gain 1, port +1
+        layer = OclLayer(tiny_geometry(inputs=9), 2, 3, np.random.default_rng(10), pad=1)
+        x = np.random.default_rng(11).random((2, 3, 6, 6))
+        x[:, 1] = 0.0
+        log_gain, port_sign = calibrate_gains_whole(layer, x)
+        layer.calibrate_gains(x)
+        assert layer.log_gain.value.tobytes() == log_gain.tobytes()
+        assert layer.port_sign.tobytes() == port_sign.tobytes()
+        assert np.all(layer.log_gain.value[:, 1] == 0.0) and np.all(layer.port_sign[:, 1] == 1.0)
+        assert np.all(layer.log_gain.value[:, [0, 2]] != 0.0)
+
+    def test_calibration_needs_no_more_memory_than_the_engine(self):
+        # the whole-array formula copies all (q, C, B*G^2) unit outputs and
+        # squares them; calibration reduces one unit at a time instead
+        geom = OcuGeometry()
+        layer = OclLayer(geom, 8, 8, np.random.default_rng(12), pad=1)
+        x = np.random.default_rng(13).random((16, 8, 40, 40))
+        layer.calibrate_gains(x)                # diffraction matrices cached
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        engine = peak(lambda: bank_unit_outputs(
+            stacked_transfer_partials(layer.phases.value, geom).quad, PaddedWindows(x, 3, 1)))
+        whole = peak(lambda: calibrate_gains_whole(layer, x))
+        streamed = peak(lambda: layer.calibrate_gains(x))
+        one_copy = 8 * 8 * 16 * 40 * 40 * 8     # 13.1 MB
+        assert streamed < engine + 2**19
+        assert streamed < whole - 0.7 * one_copy
 
     def test_rejects_channel_mismatch(self):
         geom = tiny_geometry()

@@ -8,6 +8,13 @@ byte-identical.  A key, the [geometry] section or an array named twice is
 an error, and so is a [geometry] line that names no OcuGeometry field,
 except the slot_width, slot_gap and slot_height lines of older
 checkpoints, which no computation reads and loading ignores.
+
+A network records its own kind, geometry and topology when its builder
+makes it, and save_network writes those, so a checkpoint cannot disagree
+with its network.  Every topo.* key that TOPOLOGY lists for the kind and
+the [geometry] section are required; a deleted line never loads as a
+default.  topo.seed does not change the loaded network: the arrays
+overwrite every random initial value.
 """
 
 from __future__ import annotations
@@ -36,10 +43,13 @@ class Checkpoint:
 
 def _key_values(path, lines: list[str], i: int, section: str = "") -> tuple[dict[str, str], int]:
     """The key = value lines from ``i`` up to the next section, and its
-    index; a key given twice is a ConfigError naming it."""
+    index; a key given twice, or a line that is not key = value, is a
+    ConfigError naming it."""
     fields: dict[str, str] = {}
     while i < len(lines) and not lines[i].startswith("["):
-        key, _, value = lines[i].partition(" = ")
+        key, sep, value = lines[i].partition(" = ")
+        if not sep:
+            raise ConfigError(f"{path}: line {i + 1} {lines[i]!r} is not key = value")
         if key in fields:
             raise ConfigError(f"{path}: key {section}{key} appears twice")
         fields[key] = value
@@ -160,6 +170,17 @@ def load_ocu_model(path) -> tuple[OcuModel, dict]:
 # network checkpoints
 # ---------------------------------------------------------------------------
 
+# each network kind's topo.* keys with their converters, in the order of its
+# builder's parameters after the geometry; every key is required
+TOPOLOGY = {
+    "classifier": {"kernels": count, "channels": count, "image_size": count,
+                   "n_classes": count, "seed": natural, "optical": boolean,
+                   "hidden": counts, "pool": pool_mode},
+    "denoiser": {"input_kernels": count, "middle_kernels": count, "in_channels": count,
+                 "middle_layers": natural, "seed": natural, "optical": boolean},
+}
+
+
 def _network_arrays(net) -> dict[str, np.ndarray]:
     from .nn import BatchNormLayer, OclLayer
 
@@ -175,61 +196,45 @@ def _network_arrays(net) -> dict[str, np.ndarray]:
     return arrays
 
 
-def save_network(path, net, kind: str, geometry: OcuGeometry | None,
-                 topology: dict, provenance: dict | None = None) -> None:
-    """Persist a classifier or denoiser: topology keys rebuild the stack,
-    array sections restore its parameters and running statistics."""
-    meta = {f"topo.{k}": str(v) for k, v in topology.items()}
+def _topology_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return str(value)
+
+
+def save_network(path, net, provenance: dict | None = None) -> None:
+    """Persist a network that build_classifier or build_denoiser made: its
+    recorded kind, geometry and topology rebuild the stack, and the array
+    sections restore its parameters and running statistics."""
+    meta = {f"topo.{k}": _topology_text(v) for k, v in net.topology.items()}
     meta.update({k: str(v) for k, v in (provenance or {}).items()})
-    write_checkpoint(path, kind, meta, geometry, _network_arrays(net))
+    write_checkpoint(path, net.kind, meta, net.geometry, _network_arrays(net))
 
 
 def load_network(path):
-    """Rebuild a network checkpoint; returns (net, kind, topology, meta).
+    """Rebuild a network checkpoint; returns (net, meta).
 
-    A topo.* key that the checkpoint's kind does not read is a ConfigError
-    naming it, so a misspelled key never loads as its default.
+    The net records its kind and its typed topology, as the builder did.
+    Every topo.* key of TOPOLOGY[kind] and [geometry] are required, and a
+    topo.* key the kind does not read is a ConfigError naming it, so no
+    deleted or misspelled line loads as a different network.
     """
     from .networks import build_classifier, build_denoiser
 
     ckpt = read_checkpoint(path)
-    topo = {k[len("topo."):]: v for k, v in ckpt.meta.items() if k.startswith("topo.")}
-    read = set()
-
-    def setting(key, convert=count, default=None):
-        read.add(key)
-        return parse_key(path, f"topo.{key}", topo.get(key), convert, default)
-
-    optical = setting("optical", boolean, True)
-    if optical and ckpt.geometry is None:
-        raise ConfigError(f"{path}: optical network checkpoint missing section [geometry]")
-    if ckpt.kind == "classifier":
-        net = build_classifier(
-            ckpt.geometry,
-            kernels=setting("kernels"),
-            channels=setting("channels"),
-            image_size=setting("image_size"),
-            n_classes=setting("n_classes"),
-            seed=setting("seed", natural, 0),
-            optical=optical,
-            hidden=setting("hidden", counts),
-            pool_mode=setting("pool", pool_mode, "mean"),
-        )
-    elif ckpt.kind == "denoiser":
-        net = build_denoiser(
-            ckpt.geometry,
-            input_kernels=setting("input_kernels"),
-            middle_kernels=setting("middle_kernels"),
-            in_channels=setting("in_channels", default=1),
-            middle_layers=setting("middle_layers", natural, 1),
-            seed=setting("seed", natural, 0),
-            optical=optical,
-        )
-    else:
+    if ckpt.kind not in TOPOLOGY:
         raise ValueError(f"{path}: unknown network kind {ckpt.kind!r}")
+    topo = {k[len("topo."):]: v for k, v in ckpt.meta.items() if k.startswith("topo.")}
     for key in topo:
-        if key not in read:
+        if key not in TOPOLOGY[ckpt.kind]:
             raise ConfigError(f"{path}: unknown key topo.{key}")
+    if ckpt.geometry is None:
+        raise ConfigError(f"{path}: network checkpoint missing section [geometry]")
+    build = build_classifier if ckpt.kind == "classifier" else build_denoiser
+    net = build(ckpt.geometry, *(parse_key(path, f"topo.{key}", topo.get(key), convert)
+                                 for key, convert in TOPOLOGY[ckpt.kind].items()))
 
     for key, target in _network_arrays(net).items():
         arr = ckpt.arrays.get(key)
@@ -241,4 +246,4 @@ def load_network(path):
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{path}: array {key} holds non-finite values")
         target[...] = arr
-    return net, ckpt.kind, topo, ckpt.meta
+    return net, ckpt.meta

@@ -264,13 +264,7 @@ def cmd_train_classifier(args) -> int:
     train = _load_classification_dataset(cfg, "train")
     test = _load_classification_dataset(cfg, "test")
     n_classes = int(max(train.labels.max(), test.labels.max())) + 1
-    channels = train.images.shape[1]
     image_size = train.images.shape[-1]
-    cfg_channels = cfg.getcount("network", "channels", channels)
-    if cfg_channels != channels:
-        raise ConfigError(
-            f"{cfg.path}: key [network] channels = {cfg_channels} but dataset has {channels}")
-
     kernel_size = cfg.getcount("network", "kernel_size", 3)
     if image_size <= kernel_size:   # the feature map must fit the 2x2 pool
         key = "[dataset] size" if cfg.get("dataset", "kind") == "blobs" else "[network] kernel_size"
@@ -278,25 +272,13 @@ def cmd_train_classifier(args) -> int:
                           f"small for kernel_size {kernel_size} and the 2x2 pool; "
                           f"they need at least {kernel_size + 1} pixels a side")
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
-    hidden = cfg.getcounts("network", "hidden", (128, 64))
-    pool = cfg.getpool("network", "pool", "mean")
     seed = _seed(args, cfg, "train")
-    net_seed = cfg.getnatural("network", "seed", seed)
-    topo = {
-        "kernels": cfg.getcount("network", "kernels", 4),
-        "channels": channels,
-        "image_size": image_size,
-        "n_classes": n_classes,
-        "seed": net_seed,
-        "optical": "true" if cfg.getbool("network", "optical", True) else "false",
-        "hidden": " ".join(str(v) for v in hidden),
-        "pool": pool,
-    }
     net = build_classifier(
-        geometry, topo["kernels"], channels, image_size, n_classes,
-        seed=net_seed, optical=topo["optical"] == "true",
-        hidden=hidden,
-        pool_mode=pool,
+        geometry, cfg.getcount("network", "kernels", 4), train.images.shape[1], image_size,
+        n_classes, seed=cfg.getnatural("network", "seed", seed),
+        optical=cfg.getbool("network", "optical", True),
+        hidden=cfg.getcounts("network", "hidden", (128, 64)),
+        pool_mode=cfg.getpool("network", "pool", "mean"),
     )
     train_cfg = TrainConfig(
         epochs=cfg.getcount("train", "epochs", 100),
@@ -309,7 +291,7 @@ def cmd_train_classifier(args) -> int:
     result = train_classifier(net, train.images, train.labels,
                               test.images, test.labels, n_classes, train_cfg)
 
-    save_network(out / "classifier.ckpt", net, "classifier", geometry, topo, {
+    save_network(out / "classifier.ckpt", net, {
         "seed": seed, "epochs": train_cfg.epochs,
         "final_loss": repr(result.history[-1][1]),
         "accuracy": repr(result.accuracy),
@@ -359,19 +341,12 @@ def cmd_train_denoiser(args) -> int:
                           f"denoiser to keep the image size, got {kernel_size}")
     geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
     seed = _seed(args, cfg, "denoise")
-    net_seed = cfg.getnatural("network", "seed", seed)
-    topo = {
-        "input_kernels": cfg.getcount("network", "input_kernels", 8),
-        "middle_kernels": cfg.getcount("network", "middle_kernels", 8),
-        "middle_layers": cfg.getnatural("network", "middle_layers", 1),
-        "in_channels": 1,
-        "seed": net_seed,
-        "optical": "true" if cfg.getbool("network", "optical", True) else "false",
-    }
     net = build_denoiser(
-        geometry, topo["input_kernels"], topo["middle_kernels"], 1,
-        middle_layers=topo["middle_layers"], seed=net_seed,
-        optical=topo["optical"] == "true",
+        geometry, cfg.getcount("network", "input_kernels", 8),
+        cfg.getcount("network", "middle_kernels", 8), 1,
+        middle_layers=cfg.getnatural("network", "middle_layers", 1),
+        seed=cfg.getnatural("network", "seed", seed),
+        optical=cfg.getbool("network", "optical", True),
     )
     sigma = cfg.getnonnegative("denoise", "sigma", 20.0)
     train_cfg = DenoiseTrainConfig(
@@ -387,13 +362,13 @@ def cmd_train_denoiser(args) -> int:
         raise ConfigError(f"{cfg.path}: key [denoise] patch {train_cfg.patch} must lie between "
                           f"{kernel_size // 2 + 1} and the smallest training image side {side}")
     crops, batch = len(images) * train_cfg.crops_per_image, train_cfg.batch_size
-    if topo["middle_layers"] and (batch == 1 or crops % batch == 1):
+    if net.topology["middle_layers"] and (batch == 1 or crops % batch == 1):
         raise ConfigError(f"{cfg.path}: key [denoise] batch_size {batch} leaves a batch of "
                           f"one of the {crops} crops; batch normalization needs at least 2")
     out = _out_dir(args, cfg)
     result = train_denoiser(net, images, sigma, train_cfg)
 
-    save_network(out / "denoiser.ckpt", net, "denoiser", geometry, topo, {
+    save_network(out / "denoiser.ckpt", net, {
         "seed": seed, "sigma": sigma, "epochs": train_cfg.epochs,
         "final_loss": repr(result.history[-1][1]),
     })
@@ -411,21 +386,21 @@ def cmd_eval(args) -> int:
     ckpt_path = cfg.require("eval", "checkpoint")
     if not Path(ckpt_path).is_file():
         raise ConfigError(f"{cfg.path}: checkpoint not found: {ckpt_path}")
-    net, kind, topo, meta = _load_input(load_network, ckpt_path)
+    net, _ = _load_input(load_network, ckpt_path)
 
-    if kind == "classifier":
+    if net.kind == "classifier":
         from .networks import evaluate_classifier
         test = _load_classification_dataset(cfg, "test")
         got = test.images.shape[1:]
-        want = (int(topo["channels"]), int(topo["image_size"]), int(topo["image_size"]))
+        trained = net.topology
+        want = (trained["channels"], trained["image_size"], trained["image_size"])
         if got != want:
             blobs = cfg.get("dataset", "kind") == "blobs" and got[1:] != want[1:]
             raise ConfigError(f"{cfg.path}: {'key [dataset] size: ' if blobs else ''}dataset "
                               f"images are {got} (channels, size, size), but the checkpoint "
                               f"was trained on {want}")
         out = _out_dir(args, cfg)
-        n_classes = int(topo["n_classes"])
-        acc, conf, _ = evaluate_classifier(net, test.images, test.labels, n_classes)
+        acc, conf, _ = evaluate_classifier(net, test.images, test.labels, trained["n_classes"])
         _write_confusion(out / "confusion.csv", conf)
         with open(out / "metrics.csv", "w") as f:
             f.write("metric,value\n")
@@ -510,7 +485,7 @@ def cmd_export_geometry(args) -> int:
         from .checkpoint import load_network
         from .nn import OclLayer
         from .optics import OcuModel
-        net, _, _, _ = _load_input(load_network, args.checkpoint)
+        net, _ = _load_input(load_network, args.checkpoint)
         count = 0
         for li, layer in enumerate(net.layers):
             if not isinstance(layer, OclLayer):

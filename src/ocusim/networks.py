@@ -35,6 +35,14 @@ def _seeded(seed, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *tags))))
 
 
+def _recorded(layers, kind: str, geometry: OcuGeometry, **topology) -> Sequential:
+    """The stack of ``layers``, recording the kind, geometry and topology
+    (the builder's arguments) that save_network writes and rebuilds it from."""
+    net = Sequential(layers)
+    net.kind, net.geometry, net.topology = kind, geometry, topology
+    return net
+
+
 def _train_epochs(net: Sequential, n: int, cfg, order_rng, batch, loss_fn):
     """Adam over shuffled minibatches of ``n`` samples; yields (epoch, mean loss).
 
@@ -106,7 +114,10 @@ def build_classifier(
     g = feature_dim(image_size, h)
     gp = feature_dim(g, 2, 2)
     head = dense_head(kernels * gp * gp, hidden, n_classes, rng)
-    return Sequential([conv, Pool2dLayer(pool_mode), FlattenLayer(), *head])
+    return _recorded([conv, Pool2dLayer(pool_mode), FlattenLayer(), *head], "classifier",
+                     geometry, kernels=kernels, channels=channels, image_size=image_size,
+                     n_classes=n_classes, seed=seed, optical=optical, hidden=tuple(hidden),
+                     pool=pool_mode)
 
 
 def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> None:
@@ -206,7 +217,9 @@ def build_denoiser(
         layers += [conv(middle_kernels, prev), BatchNormLayer(middle_kernels), ReluLayer()]
         prev = middle_kernels
     layers.append(conv(1, prev))
-    return Sequential(layers)
+    return _recorded(layers, "denoiser", geometry, input_kernels=input_kernels,
+                     middle_kernels=middle_kernels, in_channels=in_channels,
+                     middle_layers=middle_layers, seed=seed, optical=optical)
 
 
 def denoiser_forward(net: Sequential, noisy: np.ndarray):

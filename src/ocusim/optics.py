@@ -95,6 +95,8 @@ class OcuGeometry:
             raise ValueError("layer_gap must be positive")
         if not (self.aperture > 0 and self.metaunit_period > 0):
             raise ValueError("aperture and metaunit_period must be positive")
+        if not (self.amplitude_coeff > 0):    # at 0 every diffraction matrix is zero
+            raise ValueError("amplitude_coeff must be positive")
         if self.num_layers < 2:
             raise ValueError("num_layers counts planes incl. output; need >= 2")
         if self.metaunits_per_layer < 1 or self.num_inputs < 1:

@@ -14,6 +14,7 @@ from ocusim.checkpoint import (
 from ocusim.config import ConfigError
 from ocusim.networks import build_classifier, build_denoiser, calibrate_optical_layers
 from ocusim.optics import OcuGeometry, OcuModel
+from ocusim.optim import Param
 
 
 def small_geometry():
@@ -114,46 +115,46 @@ class TestOcuCheckpoint:
 
 class TestNetworkCheckpoint:
     def test_classifier_round_trip(self, tmp_path):
-        geom = small_geometry()
-        topo = {"kernels": 2, "channels": 1, "image_size": 8, "n_classes": 3,
-                "seed": 4, "optical": "true", "hidden": "16 8", "pool": "mean"}
-        net = build_classifier(geom, 2, 1, 8, 3, seed=4, hidden=(16, 8))
+        net = build_classifier(small_geometry(), 2, 1, 8, 3, seed=4, hidden=(16, 8))
         x = np.random.default_rng(2).random((4, 1, 8, 8))
         calibrate_optical_layers(net, x)
         before = net.forward(x)
         path = tmp_path / "clf.ckpt"
-        save_network(path, net, "classifier", geom, topo, {"seed": 4})
-        loaded, kind, topo2, _ = load_network(path)
-        assert kind == "classifier"
-        assert topo2["kernels"] == "2"
+        save_network(path, net, {"seed": 4})
+        loaded, meta = load_network(path)
+        assert loaded.kind == "classifier" and meta["seed"] == "4"
+        assert loaded.topology == {"kernels": 2, "channels": 1, "image_size": 8,
+                                   "n_classes": 3, "seed": 4, "optical": True,
+                                   "hidden": (16, 8), "pool": "mean"}
         assert np.array_equal(loaded.forward(x), before)
+        # written again, the loaded network gives the same bytes
+        again = tmp_path / "again.ckpt"
+        save_network(again, loaded, meta)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_denoiser_round_trip_with_bn_stats(self, tmp_path):
-        geom = small_geometry()
-        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
-                "in_channels": 1, "seed": 5, "optical": "true"}
-        net = build_denoiser(geom, 2, 2, seed=5)
+        net = build_denoiser(small_geometry(), 2, 2, seed=5)
         x = np.random.default_rng(3).random((4, 1, 10, 10))
         calibrate_optical_layers(net, x)
         net.forward(x, training=True)  # move the BN running stats
         before = net.forward(x, training=False)
         path = tmp_path / "dn.ckpt"
-        save_network(path, net, "denoiser", geom, topo)
-        loaded, kind, _, _ = load_network(path)
-        assert kind == "denoiser"
+        save_network(path, net)
+        loaded, _ = load_network(path)
+        assert loaded.kind == "denoiser"
+        assert loaded.topology == net.topology
         assert np.array_equal(loaded.forward(x, training=False), before)
 
     def test_electrical_round_trip(self, tmp_path):
-        geom = small_geometry()
-        topo = {"kernels": 2, "channels": 1, "image_size": 8, "n_classes": 2,
-                "seed": 6, "optical": "false", "hidden": "8", "pool": "max"}
-        net = build_classifier(geom, 2, 1, 8, 2, seed=6, optical=False,
+        net = build_classifier(small_geometry(), 2, 1, 8, 2, seed=6, optical=False,
                                hidden=(8,), pool_mode="max")
         x = np.random.default_rng(4).random((2, 1, 8, 8))
         before = net.forward(x)
         path = tmp_path / "e.ckpt"
-        save_network(path, net, "classifier", geom, topo)
-        loaded, _, _, _ = load_network(path)
+        save_network(path, net)
+        assert "topo.optical = false" in path.read_text().splitlines()
+        loaded, _ = load_network(path)
+        assert loaded.topology["optical"] is False and loaded.layers[1].mode == "max"
         assert np.array_equal(loaded.forward(x), before)
 
 
@@ -162,11 +163,8 @@ class TestNetworkCheckpointSchema:
     schema error that names the array, never a silent broadcast."""
 
     def saved_denoiser(self, tmp_path):
-        geom = small_geometry()
-        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
-                "in_channels": 1, "seed": 5, "optical": "true"}
         path = tmp_path / "dn.ckpt"
-        save_network(path, build_denoiser(geom, 2, 2, seed=5), "denoiser", geom, topo)
+        save_network(path, build_denoiser(small_geometry(), 2, 2, seed=5))
         return path
 
     @staticmethod
@@ -201,12 +199,11 @@ class TestNetworkCheckpointSchema:
     def test_write_refuses_non_finite_array(self, tmp_path, bad):
         # what load_network would refuse is never written: the -inf log gains
         # of an overflowed calibration, say
-        geom = small_geometry()
-        net = build_denoiser(geom, 2, 2, seed=5)
+        net = build_denoiser(small_geometry(), 2, 2, seed=5)
         net.layers[0].log_gain.value[1, 0] = bad
         path = tmp_path / "dn.ckpt"
         with pytest.raises(ValueError, match=r"layer0\.log_gain"):
-            save_network(path, net, "denoiser", geom, {"input_kernels": 2})
+            save_network(path, net)
         assert not path.exists()
         with pytest.raises(ValueError, match="weights"):
             write_checkpoint(path, "ocu", {}, None, {"weights": np.array([1.0, bad])})
@@ -218,12 +215,9 @@ class TestCheckpointKeys:
     naming it: a mutated checkpoint never loads as a different network."""
 
     def saved_classifier(self, tmp_path, pool="max"):
-        geom = small_geometry()
-        topo = {"kernels": 2, "channels": 1, "image_size": 8, "n_classes": 2,
-                "seed": 4, "optical": "true", "hidden": "8", "pool": pool}
         path = tmp_path / "clf.ckpt"
-        save_network(path, build_classifier(geom, 2, 1, 8, 2, seed=4, hidden=(8,),
-                                            pool_mode=pool), "classifier", geom, topo)
+        save_network(path, build_classifier(small_geometry(), 2, 1, 8, 2, seed=4, hidden=(8,),
+                                            pool_mode=pool))
         return path
 
     @staticmethod
@@ -239,11 +233,9 @@ class TestCheckpointKeys:
             load_network(path)
 
     def test_topology_key_of_another_kind(self, tmp_path):
-        geom = small_geometry()
-        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
-                "in_channels": 1, "seed": 5, "optical": "true", "hidden": "8"}
         path = tmp_path / "dn.ckpt"
-        save_network(path, build_denoiser(geom, 2, 2, seed=5), "denoiser", geom, topo)
+        save_network(path, build_denoiser(small_geometry(), 2, 2, seed=5))
+        self.edit(path, lambda lines: [*lines[:2], "topo.hidden = 8", *lines[2:]])
         with pytest.raises(ConfigError, match=r"topo\.hidden"):
             load_network(path)
 
@@ -251,6 +243,7 @@ class TestCheckpointKeys:
         ("topo.pool = max", "key topo.pool appears twice"),
         ("kind = classifier", "key kind appears twice"),
         ("num_layers = 3", r"key \[geometry\] num_layers appears twice"),
+        ("ocusim-checkpoint 1", "line 2 'ocusim-checkpoint 1' is not key = value"),
     ])
     def test_duplicated_key(self, tmp_path, line, named):
         path = self.saved_classifier(tmp_path)
@@ -288,3 +281,81 @@ class TestCheckpointKeys:
         old.write_text(SLOT_CHECKPOINT.replace("slot_gap = 5e-07", "slot_gaps = 5e-07"))
         with pytest.raises(ConfigError, match=r"unknown key \[geometry\] slot_gaps"):
             load_ocu_model(old)
+
+
+def saved_networks():
+    """An optical mean-pool classifier, an electrical max-pool classifier and
+    a denoiser with batch norm, with calibrated gains and moved running
+    statistics, so that no array holds its initial value."""
+    geom = small_geometry()
+    x = np.random.default_rng(5).random((4, 1, 8, 8))
+    nets = {
+        "optical_classifier": build_classifier(geom, 2, 1, 8, 3, seed=4, hidden=(8,)),
+        "electrical_classifier": build_classifier(geom, 2, 1, 8, 2, seed=6, optical=False,
+                                                  hidden=(8,), pool_mode="max"),
+        "denoiser": build_denoiser(geom, 2, 2, seed=5),
+    }
+    for net in nets.values():
+        calibrate_optical_layers(net, x)
+        net.forward(x, training=True)
+    return nets
+
+
+def network_state(net):
+    """The kind, topology and geometry of ``net`` and each layer's class and
+    public attributes, arrays as their shape and bytes: equal states mean
+    bitwise-equal networks."""
+    def value(v):
+        if isinstance(v, Param):
+            v = v.value
+        if isinstance(v, np.ndarray):
+            return v.shape, v.tobytes()
+        if isinstance(v, OcuGeometry):
+            return tuple(value(getattr(v, f.name)) for f in fields(v))
+        return v
+    layers = [(type(layer), {k: value(v) for k, v in vars(layer).items()
+                             if not k.startswith("_")}) for layer in net.layers]
+    return net.kind, net.topology, value(net.geometry), layers
+
+
+def single_line_mutations(lines):
+    """(description, lines) for each mutation of a header, topo.* or [geometry]
+    line: delete it, duplicate it, misspell its key, or set its value to x,
+    nan, inf or nothing."""
+    end = next(i for i, line in enumerate(lines) if line.startswith("[array "))
+    for i, line in enumerate(lines[:end]):
+        yield f"delete {line!r}", lines[:i] + lines[i + 1:]
+        yield f"duplicate {line!r}", lines[:i + 1] + lines[i:]
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            continue
+        variants = [(f"misspell {line!r}", f"{key[:-1]} = {value}")]
+        variants += [(f"{key} = {bad!r}", f"{key} = {bad}") for bad in ("x", "nan", "inf", "")]
+        for what, mutated in variants:
+            yield what, lines[:i] + [mutated] + lines[i + 1:]
+
+
+class TestSingleLineMutations:
+    """Every single-line mutation of a saved network's header, topo.* and
+    [geometry] lines loads the saved network bitwise, or raises ConfigError
+    or ValueError (the CLI's exit 2): no deleted, doubled, misspelled or bad
+    line loads as a different network."""
+
+    @pytest.mark.parametrize("name", ["optical_classifier", "electrical_classifier",
+                                      "denoiser"])
+    def test_loads_the_same_network_or_raises(self, tmp_path, name):
+        net = saved_networks()[name]
+        path = tmp_path / "net.ckpt"
+        save_network(path, net, {"seed": 4, "epochs": 1})
+        want = network_state(net)
+        lines = path.read_text().splitlines()
+        wrong = []
+        for what, mutated in single_line_mutations(lines):
+            path.write_text("\n".join(mutated) + "\n")
+            try:
+                loaded, _ = load_network(path)
+            except (ConfigError, ValueError):
+                continue
+            if network_state(loaded) != want:
+                wrong.append(what)
+        assert not wrong, f"loaded as a different network: {wrong}"

@@ -463,10 +463,8 @@ dir = {tmp_path / 'evalout2'}
         geom = OcuGeometry(metaunits_per_layer=8, num_layers=3, num_inputs=9)
         net = build_denoiser(geom, 2, 2, seed=2)
         calibrate_optical_layers(net, np.random.default_rng(0).random((4, 1, 12, 12)))
-        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
-                "in_channels": 1, "seed": 2, "optical": "true"}
         ckpt = tmp_path / "dn.ckpt"
-        save_network(ckpt, net, "denoiser", geom, topo)
+        save_network(ckpt, net)
         eval_cfg = tmp_path / "eval.ini"
         eval_cfg.write_text(f"""
 [eval]
@@ -547,11 +545,8 @@ class TestMalformedCheckpoint:
         from ocusim.networks import build_denoiser
         from ocusim.optics import OcuGeometry
 
-        geom = OcuGeometry(metaunits_per_layer=4)
-        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
-                "in_channels": 1, "seed": 2, "optical": "true"}
         path = tmp_path / "dn.ckpt"
-        save_network(path, build_denoiser(geom, 2, 2, seed=2), "denoiser", geom, topo)
+        save_network(path, build_denoiser(OcuGeometry(metaunits_per_layer=4), 2, 2, seed=2))
         self.rewrite(path, "topo.middle_layers = ", "topo.middle_layers = x")
         self.assert_names(path, "topo.middle_layers")
 
@@ -564,14 +559,26 @@ class TestMalformedCheckpoint:
         from ocusim.networks import build_classifier
         from ocusim.optics import OcuGeometry
 
-        geom = OcuGeometry(metaunits_per_layer=4)
-        topo = {"kernels": 1, "channels": 1, "image_size": 8, "n_classes": 2, "seed": 1,
-                "optical": "true", "hidden": "4", "pool": "mean"}
         path = tmp_path / "clf.ckpt"
-        save_network(path, build_classifier(geom, 1, 1, 8, 2, seed=1, hidden=(4,)),
-                     "classifier", geom, topo)
+        save_network(path, build_classifier(OcuGeometry(metaunits_per_layer=4), 1, 1, 8, 2,
+                                            seed=1, hidden=(4,)))
         self.rewrite(path, f"topo.{key} = ", f"topo.{key} = {bad}")
         self.assert_names(path, f"topo.{key}")
+
+    @pytest.mark.parametrize("line, named", [
+        ("topo.pool = ", "topo.pool"), ("[geometry]", "[geometry]")])
+    def test_deleted_line_of_electrical_classifier(self, tmp_path, line, named):
+        # neither loads as another network (a mean pool) nor fails on the
+        # missing geometry as a runtime error (exit 3)
+        from ocusim.checkpoint import save_network
+        from ocusim.networks import build_classifier
+        from ocusim.optics import OcuGeometry
+
+        path = tmp_path / "clf.ckpt"
+        save_network(path, build_classifier(OcuGeometry(metaunits_per_layer=4), 1, 1, 8, 2,
+                                            optical=False, hidden=(4,), pool_mode="max"))
+        self.rewrite(path, line)
+        self.assert_names(path, named)
 
 
 class TestMalformedImage:
@@ -646,10 +653,8 @@ class TestBadNumbers:
         from ocusim.optics import OcuGeometry
 
         geom = OcuGeometry(metaunits_per_layer=8, num_layers=3, num_inputs=9)
-        topo = {"input_kernels": 2, "middle_kernels": 2, "middle_layers": 1,
-                "in_channels": 1, "seed": 2, "optical": "true"}
         ckpt = tmp_path / "dn.ckpt"
-        save_network(ckpt, build_denoiser(geom, 2, 2, seed=2), "denoiser", geom, topo)
+        save_network(ckpt, build_denoiser(geom, 2, 2, seed=2))
         cfg = tmp_path / "eval.ini"
         cfg.write_text(f"[eval]\ncheckpoint = {ckpt}\ntest_count = 1\ntest_size = 1\n\n"
                        f"[output]\ndir = {tmp_path / 'out'}\n")
@@ -671,6 +676,8 @@ class TestBadNumbers:
                           "values = 0 0 0 0 x", "[kernel:mykernel] values"),
         "classifier_hidden": ("train-classifier", BLOBS_CONFIG, "hidden = 8", "hidden = 8 x",
                               "[network] hidden"),
+        "network_channels": ("train-classifier", BLOBS_CONFIG, "hidden = 8",
+                             "hidden = 8\nchannels = 1", "unknown key [network] channels"),
         "classifier_pool": ("train-classifier", BLOBS_CONFIG, "hidden = 8",
                             "hidden = 8\npool = median", "[network] pool"),
         "fit_learning_rate": ("fit-kernel", FIT_CONFIG, "epochs = 40",

@@ -88,7 +88,7 @@ class TestGeometry:
         with pytest.raises(ValueError, match=name):
             OcuGeometry(**{name: value})
 
-    @pytest.mark.parametrize("name", ["aperture", "metaunit_period"])
+    @pytest.mark.parametrize("name", ["aperture", "metaunit_period", "amplitude_coeff"])
     @pytest.mark.parametrize("value", [0.0, -1e-6])
     def test_rejects_non_positive_extent(self, name, value):
         with pytest.raises(ValueError, match=name):

@@ -15,6 +15,11 @@ with its network.  Every topo.* key that TOPOLOGY lists for the kind and
 the [geometry] section are required; a deleted line never loads as a
 default.  topo.seed does not change the loaded network: the arrays
 overwrite every random initial value.
+
+Of the header keys only kind, kappa and topo.* are read.  Every other one
+(seed, epochs, sigma, final_loss, accuracy, kernel, train_mse) is
+provenance: written for people, parsed by nothing, and free to edit, since
+it never changes the loaded model.
 """
 
 from __future__ import annotations

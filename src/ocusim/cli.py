@@ -139,14 +139,13 @@ def cmd_fit_kernel(args) -> int:
     pattern_size = cfg.getcount("fit", "pattern_size", 128)
     _check_holds_kernel(cfg, "pattern_size", (pattern_size, pattern_size), h)
     pattern = generate_pattern(cfg.getnatural("fit", "pattern_seed", 1), pattern_size)
-    stride = cfg.getcount("fit", "stride", 1)
     holdout = _holdout_image(cfg, h)
     out = _out_dir(args, cfg)
 
     rows = []
     for name, kernel in kernels:
         proto = OcuModel.random_init(geometry, np.random.Generator(np.random.PCG64(seed)))
-        result = fit_kernel(proto, kernel, pattern, fit_cfg, holdout=holdout, stride=stride)
+        result = fit_kernel(proto, kernel, pattern, fit_cfg, holdout=holdout)
         save_ocu_model(out / f"{name}.ckpt", result.model, {
             "kernel": name,
             "seed": seed,
@@ -177,16 +176,13 @@ def cmd_convolve(args) -> int:
 
     from .checkpoint import load_ocu_model
     from .config import ConfigError
-    from .optics import balanced_detect, ocu_forward
     from .pgm import read_pgm, write_pgm
-    from .tensorize import im2col
+    from .srp import feature_map
 
     if not Path(args.checkpoint).is_file():
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     if not Path(args.image).is_file():
         raise ConfigError(f"image not found: {args.image}")
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     model, _ = _load_input(load_ocu_model, args.checkpoint)
     img = _load_input(read_pgm, args.image)
     h2 = model.geometry.num_inputs
@@ -198,9 +194,7 @@ def cmd_convolve(args) -> int:
     if img.shape[0] != img.shape[1]:
         raise ConfigError("convolve expects a square image")
 
-    patches = im2col(img, h, args.stride)
-    y = balanced_detect(ocu_forward(model, patches.values), model.detection_gain)
-    fm = y.reshape(patches.grid, patches.grid)
+    fm = feature_map(model, img)
     out = _out_dir(args)
     with open(out / "feature_map.csv", "w") as f:
         for row in fm:
@@ -472,11 +466,10 @@ def cmd_export_geometry(args) -> int:
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     from .checkpoint import read_checkpoint
     ckpt = _load_input(read_checkpoint, args.checkpoint)
-    out = _out_dir(args)
     if ckpt.kind == "ocu":
         from .checkpoint import load_ocu_model
         model, _ = _load_input(load_ocu_model, args.checkpoint)
-        path = out / "geometry.csv"
+        path = _out_dir(args) / "geometry.csv"
         with open(path, "w") as f:
             write_geometry_csv(model, f)
         print(f"geometry table written to {path}")
@@ -486,6 +479,10 @@ def cmd_export_geometry(args) -> int:
         from .nn import OclLayer
         from .optics import OcuModel
         net, _ = _load_input(load_network, args.checkpoint)
+        if not net.topology["optical"]:
+            raise ConfigError(f"{args.checkpoint}: key topo.optical is false: an electrical "
+                              f"{net.kind} has no optical units to export")
+        out = _out_dir(args)
         count = 0
         for li, layer in enumerate(net.layers):
             if not isinstance(layer, OclLayer):
@@ -511,10 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, seed=True):
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS/OpenMP thread count (set before numpy loads)")
         p.add_argument("--out-dir", default=None, help="output directory")
@@ -526,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convolve", help="run a trained OCU over an image")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="input PGM image")
-    p.add_argument("--stride", type=int, default=1)
-    common(p, config=False)
+    common(p, config=False, seed=False)
     p.set_defaults(handler=cmd_convolve)
 
     p = sub.add_parser("train-classifier", help="train an optical classifier")
@@ -543,12 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("perf", help="throughput / energy calculator")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(handler=cmd_perf)
 
     p = sub.add_parser("export-geometry", help="emit fabrication CSV from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    common(p, config=False)
+    common(p, config=False, seed=False)
     p.set_defaults(handler=cmd_export_geometry)
 
     return parser

@@ -5,8 +5,10 @@ convolved with the target kernel to make labels, and the metaline phases
 (plus the detection gain) are regressed so the balanced-detected output of
 the cascade reproduces those labels.  The unit runs as a 1x1 bank of the
 detection engine in optics; gradients are exact adjoints, and a
-finite-difference harness in the test suite guards every term.  Evaluation
-reports through ocu_forward and balanced_detect.
+finite-difference harness in the test suite guards every term.  A unit
+slides at stride 1, as every convolution layer does; feature_map, the one
+path from an image to a unit's detected map, serves the hold-out check and
+the convolve command.
 
 Training epochs never touch the patch columns.  On a real patch x the
 detected output y = kappa (|a+ . x|^2 - |a- . x|^2) is a quadratic form
@@ -89,24 +91,25 @@ def conv2d_reference(img, kernel, stride: int = 1) -> np.ndarray:
     return out
 
 
-@dataclass
-class TrainingPair:
-    """A pattern, the kernel applied to it, and the flattened result."""
+def training_labels(pattern, kernel) -> np.ndarray:
+    """The kernel applied to the pattern, flattened: the labels a unit is fitted to."""
+    pattern = np.asarray(pattern, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
+    # every window times the kernel, each window's products summed in the
+    # order conv2d_reference sums them, so the labels equal it bitwise
+    h = kernel.shape[0]
+    return (sliding_window_view(pattern, (h, h)) * kernel).reshape(-1, h * h).sum(axis=-1)
 
-    pattern: np.ndarray
-    kernel: np.ndarray
-    labels: np.ndarray
 
-    @classmethod
-    def make(cls, pattern, kernel, stride: int = 1) -> "TrainingPair":
-        pattern = np.asarray(pattern, dtype=float)
-        kernel = np.asarray(kernel, dtype=float)
-        # every window times the kernel, each window's products summed in the
-        # order conv2d_reference sums them, so the labels equal it bitwise
-        h = kernel.shape[0]
-        windows = sliding_window_view(pattern, (h, h))[::stride, ::stride]
-        labels = (windows * kernel).reshape(-1, h * h).sum(axis=-1)
-        return cls(pattern, kernel, labels)
+def _check_kernel(model: OcuModel, kernel) -> np.ndarray:
+    """The kernel as a float array; a ValueError unless it has num_inputs taps."""
+    kernel = np.asarray(kernel, dtype=float)
+    h = kernel.shape[0]
+    if h * h != model.geometry.num_inputs:
+        raise ValueError(
+            f"geometry has {model.geometry.num_inputs} inputs but kernel needs {h * h}"
+        )
+    return kernel
 
 
 def _detect(model: OcuModel, values: np.ndarray, partials) -> np.ndarray:
@@ -258,7 +261,6 @@ def fit_kernel(
     pattern: np.ndarray,
     cfg: FitConfig,
     holdout: np.ndarray | None = None,
-    stride: int = 1,
 ) -> FitResult:
     """Fit the model's phases and gain to emulate ``kernel`` on ``pattern``.
 
@@ -267,30 +269,23 @@ def fit_kernel(
     (by training loss) together with the per-epoch loss history of the
     winning restart.
     """
-    kernel = np.asarray(kernel, dtype=float)
-    h = kernel.shape[0]
-    if h * h != model.geometry.num_inputs:
-        raise ValueError(
-            f"geometry has {model.geometry.num_inputs} inputs but kernel needs {h * h}"
-        )
-    pair = TrainingPair.make(pattern, kernel, stride)
-    values = im2col(pattern, h, stride).values
-    moments = PatchMoments.of(values, pair.labels)
+    kernel = _check_kernel(model, kernel)
+    labels = training_labels(pattern, kernel)
+    values = im2col(pattern, kernel.shape[0]).values
+    moments = PatchMoments.of(values, labels)
 
     best: FitResult | None = None
     for restart in range(cfg.restarts):
         rng = np.random.Generator(np.random.PCG64(cfg.seed + restart))
         trial = OcuModel.random_init(model.geometry, rng)
-        trial.detection_gain = _init_gain(trial, values, pair.labels)
+        trial.detection_gain = _init_gain(trial, values, labels)
         fitted, history = _fit_once(trial, moments, cfg)
-        _, train_mse = srp_loss(fitted, values, pair.labels)
+        _, train_mse = srp_loss(fitted, values, labels)
         if best is None or train_mse < best.train_mse:
             best = FitResult(fitted, history, train_mse)
 
     if holdout is not None:
-        best.holdout_mse = evaluate_kernel_emulation(
-            best.model, kernel, holdout, stride
-        ).mse
+        best.holdout_mse = evaluate_kernel_emulation(best.model, kernel, holdout).mse
     return best
 
 
@@ -356,16 +351,22 @@ class EmulationReport:
     reference: np.ndarray
 
 
+def feature_map(model: OcuModel, image) -> np.ndarray:
+    """The unit's (G, G) detected map of an image: every H x H window,
+    H^2 = num_inputs, through ocu_forward and balanced_detect."""
+    patches = im2col(image, math.isqrt(model.geometry.num_inputs))
+    y = balanced_detect(ocu_forward(model, patches.values), model.detection_gain)
+    return y.reshape(patches.grid, patches.grid)
+
+
 def evaluate_kernel_emulation(
-    model: OcuModel, kernel: np.ndarray, image: np.ndarray, stride: int = 1
+    model: OcuModel, kernel: np.ndarray, image: np.ndarray
 ) -> EmulationReport:
     """Compare the trained unit against the true convolution on an image."""
-    kernel = np.asarray(kernel, dtype=float)
-    h = kernel.shape[0]
-    patches = im2col(image, h, stride)
-    y = balanced_detect(ocu_forward(model, patches.values), model.detection_gain)
-    ref = conv2d_reference(image, kernel, stride)
-    predicted = y.reshape(ref.shape)
+    kernel = _check_kernel(model, kernel)
+    predicted = feature_map(model, image)
+    ref = conv2d_reference(image, kernel)
+    y = predicted.ravel()
     err = predicted - ref
     mse = float(np.mean(err * err))
     if np.std(y) == 0.0 or np.std(ref) == 0.0:

@@ -6,8 +6,10 @@ under the window at sliding index m (row-major scan), and within a column
 the channels form contiguous blocks, each block row-major over the window.
 This module is the one window primitive: every layer that slides a window
 (convolution, pooling) goes through it.  im2col_batch and its adjoint
-fold_batch build and scatter the whole patch matrix at any stride; the 2x2
-pool and SRP's strided fits use them.  The convolution layers, which slide
+fold_batch build and scatter the whole patch matrix; their stride serves
+the 2x2 pool, and im2col's the oracle tests that check it against
+srp.conv2d_reference at strides 1 and 2.  SRP fits and evaluates a unit on
+im2col's stride-1 columns.  The convolution layers, which slide
 at stride 1, stream their columns block by block from PaddedWindows, which
 keeps only the reflect-padded input and never holds the whole matrix.
 The only padding is reflection (the edge pixel is not repeated, as numpy's
@@ -37,14 +39,7 @@ class PatchMatrix:
     """Flattened sliding patches of one image: (C*H^2, G^2) real matrix."""
 
     values: np.ndarray
-    image_size: int
-    kernel_size: int
-    stride: int
-    channels: int
-
-    @property
-    def grid(self) -> int:
-        return feature_dim(self.image_size, self.kernel_size, self.stride)
+    grid: int       # G, the side of the feature map
 
 
 def _check_image(img: np.ndarray) -> np.ndarray:
@@ -61,8 +56,7 @@ def _check_image(img: np.ndarray) -> np.ndarray:
 def im2col(img, h: int, s: int = 1) -> PatchMatrix:
     """Rearrange sliding H x H patches of an image into matrix columns."""
     img = _check_image(img)
-    c, n, _ = img.shape
-    return PatchMatrix(im2col_batch(img[None], h, s), n, h, s, c)
+    return PatchMatrix(im2col_batch(img[None], h, s), feature_dim(img.shape[-1], h, s))
 
 
 def _reflect_pad(imgs: np.ndarray, pad: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from ocusim.checkpoint import load_ocu_model
 from ocusim.optics import bank_detect, quadrature_rows, transfer_partials
 from ocusim.pgm import read_pgm, write_pgm
+from ocusim.srp import evaluate_kernel_emulation
 from ocusim.tensorize import im2col
 
 
@@ -19,6 +20,18 @@ def run_cli(*argv, cwd=None):
         [sys.executable, "-m", "ocusim.cli", *argv],
         capture_output=True, text=True, cwd=cwd,
     )
+
+
+def unit_and_image(tmp_path):
+    """A random 3x3 unit's checkpoint and an 8x8 PGM it can convolve."""
+    from ocusim.checkpoint import save_ocu_model
+    from ocusim.optics import OcuGeometry, OcuModel
+
+    ckpt, image = tmp_path / "unit.ckpt", tmp_path / "img.pgm"
+    save_ocu_model(ckpt, OcuModel.random_init(OcuGeometry(metaunits_per_layer=4),
+                                              np.random.default_rng(0)))
+    write_pgm(image, np.random.default_rng(1).random((8, 8)))
+    return ckpt, image
 
 
 FIT_CONFIG = """
@@ -243,6 +256,23 @@ class TestConvolveCommand:
         assert (out / "feature_map.pgm").is_file()
         assert read_pgm(out / "feature_map.pgm").shape == (10, 10)
 
+    def test_feature_map_is_the_holdout_prediction(self, tmp_path, checkpoint):
+        # convolve and the fit's hold-out check detect through one path
+        from ocusim.kernels import STANDARD_KERNELS
+
+        img_path = tmp_path / "input.pgm"
+        write_pgm(img_path, np.random.default_rng(3).random((14, 14)))
+        out = tmp_path / "conv"
+        proc = run_cli("convolve", "--checkpoint", str(checkpoint),
+                       "--image", str(img_path), "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        fm = np.array([[float(v) for v in line.split(",")]
+                       for line in (out / "feature_map.csv").read_text().splitlines()])
+        model, _ = load_ocu_model(checkpoint)
+        report = evaluate_kernel_emulation(model, STANDARD_KERNELS["box_blur"],
+                                           read_pgm(img_path))
+        assert np.array_equal(fm, report.predicted)
+
     def test_zero_image_zero_map(self, tmp_path, checkpoint):
         img_path = tmp_path / "zero.pgm"
         write_pgm(img_path, np.zeros((8, 8)))
@@ -282,6 +312,24 @@ class TestExportGeometry:
         lines = (geo_out / "geometry.csv").read_text().splitlines()
         assert lines[0] == "layer,metaunit,y_um,delta_phi_rad,w2_nm"
         assert len(lines) == 1 + 2 * 8  # 2 metalines x 8 units
+
+    @pytest.mark.parametrize("kind", ["classifier", "denoiser"])
+    def test_electrical_network_exits_2(self, tmp_path, kind):
+        # an electrical network has no device to fabricate
+        from ocusim.checkpoint import save_network
+        from ocusim.networks import build_classifier, build_denoiser
+        from ocusim.optics import OcuGeometry
+
+        geom = OcuGeometry(metaunits_per_layer=4)
+        net = (build_classifier(geom, 1, 1, 8, 2, optical=False, hidden=(4,))
+               if kind == "classifier" else build_denoiser(geom, 2, 2, optical=False))
+        path = tmp_path / "net.ckpt"
+        save_network(path, net)
+        out = tmp_path / "geo"
+        proc = run_cli("export-geometry", "--checkpoint", str(path), "--out-dir", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "topo.optical" in proc.stderr
+        assert not out.exists()
 
 
 class TestClassifierPipeline:
@@ -622,28 +670,22 @@ class TestMalformedImage:
 
 
 class TestBadNumbers:
-    """A count, size or stride below 1, a negative seed, limit or layer count, an
+    """A count or size below 1, a negative seed, limit or layer count, an
     even denoiser kernel, a malformed list, an unknown pool mode, a rate <= 0, a
     noise level, pixel count or energy that is negative or not finite, a class id
     list that is not distinct ids 0-9, blob images under 2 pixels a side,
     classifier images too small for the kernel and pool, a fit pattern or
     hold-out smaller than the kernel, a denoiser crop larger than the images or
     smaller than the padding, denoiser test images smaller than the padding, a
-    denoiser batch of one crop, or a key that nothing reads exits 2 naming the
-    key, with no warning printed first and no output written."""
+    denoiser batch of one crop, or a key or flag that nothing reads exits 2
+    naming the key, with no warning printed first and no output written.  A
+    unit slides at stride 1: [fit] stride and convolve --stride are unknown."""
 
     @staticmethod
-    def convolve_stride_zero(tmp_path):
-        from ocusim.checkpoint import save_ocu_model
-        from ocusim.optics import OcuGeometry, OcuModel
-
-        ckpt = tmp_path / "unit.ckpt"
-        save_ocu_model(ckpt, OcuModel.random_init(OcuGeometry(metaunits_per_layer=4),
-                                                  np.random.default_rng(0)))
-        write_pgm(tmp_path / "img.pgm", np.zeros((8, 8)))
-        return run_cli("convolve", "--checkpoint", str(ckpt), "--image",
-                       str(tmp_path / "img.pgm"), "--stride", "0",
-                       "--out-dir", str(tmp_path / "out"))
+    def convolve_stride(tmp_path):
+        ckpt, image = unit_and_image(tmp_path)
+        return run_cli("convolve", "--checkpoint", str(ckpt), "--image", str(image),
+                       "--stride", "2", "--out-dir", str(tmp_path / "out"))
 
     @staticmethod
     def eval_test_size_one(tmp_path):
@@ -662,8 +704,8 @@ class TestBadNumbers:
 
     CASES = {
         "fit_epochs": ("fit-kernel", FIT_CONFIG, "epochs = 40", "epochs = 0", "[fit] epochs"),
-        "fit_stride": ("fit-kernel", FIT_CONFIG, "epochs = 40", "epochs = 40\nstride = 0",
-                       "[fit] stride"),
+        "fit_stride": ("fit-kernel", FIT_CONFIG, "epochs = 40", "epochs = 40\nstride = 2",
+                       "unknown key [fit] stride"),
         "train_epochs": ("train-classifier", BLOBS_CONFIG, "epochs = 2", "epochs = 0",
                          "[train] epochs"),
         "classifier_kernels": ("train-classifier", BLOBS_CONFIG, "kernels = 1", "kernels = 0",
@@ -750,7 +792,7 @@ class TestBadNumbers:
     @pytest.mark.parametrize("case", ["convolve_stride", "eval_test_size", *CASES])
     def test_exits_2_and_names_key(self, tmp_path, case):
         if case == "convolve_stride":
-            proc, key = self.convolve_stride_zero(tmp_path), "--stride"
+            proc, key = self.convolve_stride(tmp_path), "unrecognized arguments: --stride"
         elif case == "eval_test_size":
             proc, key = self.eval_test_size_one(tmp_path), "[eval] test_size"
         else:
@@ -764,3 +806,29 @@ class TestBadNumbers:
         assert key in proc.stderr
         assert "Warning" not in proc.stderr
         assert not (tmp_path / "out").exists()    # nothing was run or written
+
+
+class TestSeedFlag:
+    """--seed belongs to the commands that draw random numbers; the others
+    reject it as argparse rejects any unknown flag (exit 2), before any output."""
+
+    @pytest.mark.parametrize("command", ["convolve", "export-geometry", "perf"])
+    def test_rejected_where_nothing_reads_it(self, tmp_path, command):
+        ckpt, image = unit_and_image(tmp_path)
+        cfg = tmp_path / "perf.ini"
+        cfg.write_text(PERF_CONFIG.format(out=tmp_path / "out"))
+        inputs = {"convolve": ["--checkpoint", str(ckpt), "--image", str(image)],
+                  "export-geometry": ["--checkpoint", str(ckpt)],
+                  "perf": ["--config", str(cfg)]}[command]
+        proc = run_cli(command, *inputs, "--seed", "12345", "--out-dir", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "unrecognized arguments: --seed" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit-kernel", "train-classifier", "train-denoiser",
+                                         "eval"])
+    def test_accepted_where_a_seed_is_drawn(self, command):
+        from ocusim.cli import build_parser
+
+        args = build_parser().parse_args([command, "--config", "x.ini", "--seed", "5"])
+        assert args.seed == 5

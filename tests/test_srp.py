@@ -17,7 +17,6 @@ from ocusim.srp import (
     FitConfig,
     PatchMoments,
     TrainingDiverged,
-    TrainingPair,
     _init_gain,
     conv2d_reference,
     evaluate_kernel_emulation,
@@ -25,6 +24,7 @@ from ocusim.srp import (
     generate_pattern,
     phase_gradients,
     srp_loss,
+    training_labels,
     write_history_csv,
 )
 from ocusim.tensorize import im2col
@@ -81,21 +81,17 @@ class TestConvReference:
     def test_training_pair_labels(self):
         pattern = generate_pattern(2, 16)
         kernel = np.arange(9.0).reshape(3, 3)
-        pair = TrainingPair.make(pattern, kernel)
-        assert pair.labels.shape == (14 * 14,)
-        assert np.array_equal(pair.labels,
-                              conv2d_reference(pattern, kernel).ravel())
-        # stride 2, an odd size, non-integer kernels; bitwise every time
+        labels = training_labels(pattern, kernel)
+        assert labels.shape == (14 * 14,)
+        assert np.array_equal(labels, conv2d_reference(pattern, kernel).ravel())
+        # an odd size, non-integer kernels; bitwise every time
         odd = generate_pattern(3, 37)
-        for pattern, kernel, stride in (
-                (pattern, kernel, 2),
-                (odd, STANDARD_KERNELS["gaussian_blur"] * 0.37, 1),
-                (odd, np.random.default_rng(4).normal(size=(3, 3)), 2),
-                (odd, np.random.default_rng(5).normal(size=(5, 5)), 3),
-                (odd, np.array([[0.1, -0.7], [1.3, 0.25]]), 1)):
-            pair = TrainingPair.make(pattern, kernel, stride)
-            assert np.array_equal(pair.labels,
-                                  conv2d_reference(pattern, kernel, stride).ravel())
+        for kernel in (STANDARD_KERNELS["gaussian_blur"] * 0.37,
+                       np.random.default_rng(4).normal(size=(3, 3)),
+                       np.random.default_rng(5).normal(size=(5, 5)),
+                       np.array([[0.1, -0.7], [1.3, 0.25]])):
+            assert np.array_equal(training_labels(odd, kernel),
+                                  conv2d_reference(odd, kernel).ravel())
 
 
 class TestLoss:
@@ -259,7 +255,9 @@ def _models(geom, values, labels):
 
 
 class TestPatchMoments:
-    """The probe-column epoch equals the direct loss and gradients over every column."""
+    """The probe-column epoch equals the direct loss and gradients over every
+    column.  A fit uses every window; the moments take any column set, so the
+    stride-2 windows stand for a subset of them."""
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_direct_path(self, stride):
@@ -267,7 +265,7 @@ class TestPatchMoments:
         pattern = generate_pattern(1, 64)
         values = im2col(pattern, 3, stride).values
         for name in (*KERNEL_SUITE, "identity"):
-            labels = TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
+            labels = conv2d_reference(pattern, STANDARD_KERNELS[name], stride).ravel()
             for model in _models(geom, values, labels):
                 _assert_paths_agree(model, values, labels)
 
@@ -283,11 +281,11 @@ class TestPatchMoments:
         geom = OcuGeometry()
         for stride in (1, 2):
             values = im2col(pattern, 3, stride).values
-            label_sets = [TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
+            label_sets = [conv2d_reference(pattern, STANDARD_KERNELS[name], stride).ravel()
                           for name in ("identity", "box_blur", "sharpen")]
             label_sets.append(np.random.default_rng(9).normal(size=values.shape[1]))
             if case != "constant":
-                label_sets += [TrainingPair.make(pattern, STANDARD_KERNELS[name], stride).labels
+                label_sets += [conv2d_reference(pattern, STANDARD_KERNELS[name], stride).ravel()
                                for name in ("sobel_x", "edge8")]
             for labels in label_sets:
                 for model in _models(geom, values, labels):
@@ -303,7 +301,7 @@ class TestPatchMoments:
         geom = OcuGeometry()
         pattern = generate_pattern(1, 16)
         values = im2col(pattern, 3).values
-        labels = TrainingPair.make(pattern, STANDARD_KERNELS["sharpen"]).labels
+        labels = training_labels(pattern, STANDARD_KERNELS["sharpen"])
         moments = PatchMoments.of(values, labels)
         model = OcuModel.random_init(geom, np.random.default_rng(3))
         partials = transfer_partials(model)
@@ -317,7 +315,7 @@ class TestPatchMoments:
         pattern = np.full((20, 20), 0.3)
         geom = OcuGeometry()
         values = im2col(pattern, 3).values
-        labels = TrainingPair.make(pattern, STANDARD_KERNELS["identity"]).labels
+        labels = training_labels(pattern, STANDARD_KERNELS["identity"])
         model = OcuModel.random_init(geom, np.random.default_rng(0))
         model.detection_gain = _init_gain(model, values, labels)
         (loss, _, _), (direct_loss, _, _) = _moment_and_direct(model, values, labels)
@@ -330,7 +328,7 @@ class TestPatchMoments:
         rng = np.random.default_rng(17)
         pattern = generate_pattern(10, 12)
         values = im2col(pattern, 2).values
-        labels = TrainingPair.make(pattern, rng.normal(size=(2, 2))).labels
+        labels = training_labels(pattern, rng.normal(size=(2, 2)))
         moments = PatchMoments.of(values, labels)
         model = OcuModel.random_init(geom, rng)
         model.detection_gain = _init_gain(model, values, labels) * 1.5
@@ -352,17 +350,17 @@ class TestPatchMoments:
         model.detection_gain = kappa
         assert grads.gain == pytest.approx((f_plus - f_minus) / (2 * h), rel=1e-6)
 
-    @pytest.mark.parametrize("name,stride", [("sobel_x", 1), ("identity", 1), ("sharpen", 2)])
-    def test_fit_history_matches_direct_replay(self, name, stride):
+    @pytest.mark.parametrize("name", ["sobel_x", "identity", "sharpen"])
+    def test_fit_history_matches_direct_replay(self, name):
         geom = OcuGeometry()
         pattern = generate_pattern(1, 64)
         kernel = STANDARD_KERNELS[name]
         cfg = FitConfig(epochs=300, learning_rate=1e-3, seed=7)
         proto = OcuModel.random_init(geom, np.random.default_rng(0))
-        result = fit_kernel(proto, kernel, pattern, cfg, stride=stride)
+        result = fit_kernel(proto, kernel, pattern, cfg)
 
-        values = im2col(pattern, 3, stride).values
-        labels = conv2d_reference(pattern, kernel, stride).ravel()
+        values = im2col(pattern, 3).values
+        labels = conv2d_reference(pattern, kernel).ravel()
         start = OcuModel.random_init(geom, np.random.Generator(np.random.PCG64(cfg.seed)))
         start.detection_gain = _init_gain(start, values, labels)
         replay = direct_fit_history(start, values, labels, cfg)
@@ -447,8 +445,10 @@ class TestFit:
     def test_geometry_kernel_mismatch(self):
         geom = small_geometry()  # 4 inputs
         model = OcuModel.random_init(geom, np.random.default_rng(15))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kernel needs 9"):
             fit_kernel(model, np.ones((3, 3)), generate_pattern(8, 16), FitConfig(epochs=1))
+        with pytest.raises(ValueError, match="kernel needs 9"):
+            evaluate_kernel_emulation(model, np.ones((3, 3)), generate_pattern(8, 16))
 
     def test_history_csv(self, tmp_path):
         history = [(0, 1.5, 0.25), (1, 1.0, 0.125)]

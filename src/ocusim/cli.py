@@ -57,13 +57,24 @@ def _load_input(loader, path):
 
 
 def _resolve_kernels(cfg):
-    """Kernel list from [fit] kernels: library names or [kernel:NAME] sections."""
+    """Kernel list from [fit] kernels: library names or [kernel:NAME] sections.
+
+    Each name also names the kernel's output files, so the list must be
+    non-empty, name no kernel twice and hold no path separator."""
     from .config import ConfigError
     from .kernels import STANDARD_KERNELS
 
     names = cfg.require("fit", "kernels").replace(",", " ").split()
+    if not names:
+        raise ConfigError(f"{cfg.path}: key [fit] kernels names no kernel")
     out = []
-    for name in names:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{cfg.path}: key [fit] kernels names kernel {name!r} twice")
+        if "/" in name or "\\" in name:
+            raise ConfigError(
+                f"{cfg.path}: key [fit] kernels: kernel name {name!r} names its output "
+                "files and cannot hold a path separator")
         section = f"kernel:{name}"
         if cfg.has(section):
             size = cfg.getcount(section, "size", 3)

@@ -400,6 +400,7 @@ BLOCK_BYTES = 1 << 20
 
 # detector sign of a unit's four quadrature rows: port+ re/im, port- re/im
 _PORT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_TWICE_PORT_SIGNS = 2.0 * _PORT_SIGNS
 
 
 @dataclass
@@ -411,17 +412,14 @@ class OcuGradients:
 
 def quadrature_rows(total: np.ndarray) -> np.ndarray:
     """(C, 4q, H^2) real rows of (q, C, 2, H^2) collapsed matrices, or (2, H^2)
-    for one unit: port+ re/im and port- re/im, ordered (quadrature, kernel)."""
+    for one unit: port+ re/im and port- re/im, ordered (quadrature, kernel).
+
+    One copy of the interleaved re/im view of ``total``, whose last axis
+    must be contiguous, as the engine's matrices are."""
     q, c = total.shape[:-2] or (1, 1)
-    a = total.reshape(q, c, 2, 1, -1)
-    quad = np.concatenate([a.real, a.imag], axis=3)     # (q, C, port, re/im, H^2)
-    return np.ascontiguousarray(quad.transpose(1, 2, 3, 0, 4)).reshape(c, 4 * q, -1)
-
-
-def _row_weights(gains: np.ndarray) -> np.ndarray:
-    """Signed gain of every quadrature row, (C, 4q), from (q, C) unit gains."""
-    eff = gains.T
-    return (_PORT_SIGNS[None, :, None] * eff[:, None, :]).reshape(eff.shape[0], -1)
+    h2 = total.shape[-1]
+    a = total.view(float).reshape(q, c, 2, h2, 2)       # (q, C, port, H^2, re/im)
+    return np.ascontiguousarray(a.transpose(1, 2, 4, 0, 3)).reshape(c, 4 * q, h2)
 
 
 def block_width(rows: int) -> int:
@@ -429,17 +427,31 @@ def block_width(rows: int) -> int:
     return max(1, BLOCK_BYTES // (8 * rows))
 
 
-def _source(cols):
-    """A real (C, H^2, n) patch array as a column source; a source as it is."""
-    return Columns(cols) if isinstance(cols, np.ndarray) else cols
+def _count(cols) -> int:
+    """Columns of a real (C, H^2, n) patch array or of a column source."""
+    return cols.shape[-1] if isinstance(cols, np.ndarray) else cols.n
+
+
+_ALL = slice(None)
 
 
 def _block_fields(src, quad):
-    """Yield (column slice, (C, H^2, width) patches, (C, 4q, width) real
-    fields) over the blocks of column source ``src``.  The fields of every
-    block are written into one array, valid until the next block is yielded:
-    a fresh array per block can cost more in page faults than the product."""
+    """(column slice, (C, H^2, width) patches, (C, 4q, width) real fields) of
+    every block of column source ``src``, or of a real (C, H^2, n) patch
+    array.  An array of at most one block's width is its own block, in a
+    tuple: an SRP epoch detects 45 probe columns, where a column source and
+    generators cost more than the product.  Else the fields of every block
+    are written into one array, valid until the next block is yielded: a
+    fresh array per block can cost more in page faults than the product."""
     width = block_width(quad.shape[0] * quad.shape[1])
+    if isinstance(src, np.ndarray):
+        if src.shape[-1] <= width:
+            return ((_ALL, src, np.matmul(quad, src)),)
+        src = Columns(src)
+    return _streamed_fields(src, quad, width)
+
+
+def _streamed_fields(src, quad, width):
     fields = None
     for blk, cols in src.blocks(width):
         if fields is None:
@@ -452,23 +464,21 @@ def bank_detect(quad: np.ndarray, cols, gains: np.ndarray) -> np.ndarray:
     quadrature rows, real patch columns (C, H^2, n) or a column source of n
     columns, and (q, C) signed gains."""
     c, q = quad.shape[0], quad.shape[1] // 4
-    src = _source(cols)
-    # gain-weighted sum over channels and quadratures, one gemv per kernel
-    wt = np.ascontiguousarray(_row_weights(gains).reshape(-1, q).T)[:, None, :]
-    out = np.empty((q, src.n))
-    for blk, _, f in _block_fields(src, quad):
+    # gain-weighted sum over channels and quadratures, one gemv per kernel;
+    # the weights of a unit's rows are +-gain exactly
+    wt = (gains[..., None] * _PORT_SIGNS).reshape(q, 1, 4 * c)
+    out = np.empty((q, _count(cols)))
+    for blk, _, f in _block_fields(cols, quad):
         np.square(f, out=f)
-        f = f.reshape(4 * c, q, -1).transpose(1, 0, 2)
-        out[:, blk] = np.matmul(wt, f)[:, 0]
+        np.matmul(wt, f.reshape(4 * c, q, -1).transpose(1, 0, 2), out=out[:, None, blk])
     return out
 
 
 def bank_unit_outputs(quad: np.ndarray, cols) -> np.ndarray:
     """|R+|^2 - |R-|^2 of every unit, before gain and sign: (q, C, n)."""
     c, q = quad.shape[0], quad.shape[1] // 4
-    src = _source(cols)
-    out = np.empty((c, q, src.n))
-    for blk, _, f in _block_fields(src, quad):
+    out = np.empty((c, q, _count(cols)))
+    for blk, _, f in _block_fields(cols, quad):
         f = f.reshape(c, 4, q, -1)
         out[:, :, blk] = (f[:, 0] ** 2 + f[:, 1] ** 2) - (f[:, 2] ** 2 + f[:, 3] ** 2)
     return out.transpose(1, 0, 2)
@@ -490,12 +500,11 @@ def phase_adjoint(partials: TransferPartials, s: np.ndarray) -> np.ndarray:
     dphases = np.empty(masks.shape)
     w = fs[0] @ np.conj(s)
     for l, left in enumerate(partials.left):
-        m = masks[..., l, :]
         if l > 0:
             w = fs[l] @ (masks[..., l - 1, :, None] * w)
         g = w[..., 0] * left[..., 0, :]
         g += w[..., 1] * left[..., 1, :]
-        g *= m
+        g *= masks[..., l, :]
         np.negative(g.imag, out=dphases[..., l, :])
     return dphases
 
@@ -512,14 +521,14 @@ def bank_vjp(partials: TransferPartials, cols, gains: np.ndarray, grad: np.ndarr
     """
     quad = partials.quad
     c, q, h2 = quad.shape[0], quad.shape[1] // 4, quad.shape[2]
-    src = _source(cols)
-    wt2 = 2.0 * _row_weights(gains)
+    src = Columns(cols) if need_patch_grad and isinstance(cols, np.ndarray) else cols
+    wt2 = gains[..., None] * _TWICE_PORT_SIGNS     # (q, C, 4), 2 w per row
 
     # The field adjoint is rbar = 2 w g f for row weight w.  Per block,
     # f becomes u = g f in place; s0 = cols . u^T and dcols = (2 w quad)^T . u.
     s0 = np.zeros((c, h2, 4 * q))
     if need_patch_grad:
-        quad_w = (wt2[:, :, None] * quad).transpose(0, 2, 1)
+        quad_w = (wt2.transpose(1, 2, 0).reshape(c, 4 * q, 1) * quad).transpose(0, 2, 1)
     for blk, block, u in _block_fields(src, quad):
         per_kernel = u.reshape(c, 4, q, -1)
         per_kernel *= grad[:, blk]
@@ -528,17 +537,17 @@ def bank_vjp(partials: TransferPartials, cols, gains: np.ndarray, grad: np.ndarr
             src.add_grad(blk, np.matmul(quad_w, u))
 
     # sum_n g f^2 of a row is its quad row dotted with its s0 column
-    gf2 = (quad * s0.transpose(0, 2, 1)).sum(axis=-1).reshape(c, 4, q)
+    gf2 = np.add.reduce(quad * s0.transpose(0, 2, 1), -1).reshape(c, 4, q)
     lead = partials.masks.shape[:-2]
     dgain = (_PORT_SIGNS @ gf2).T.reshape(lead)
 
-    # complex patch reduction S[m, c, :, port] = sum_n cols (rbar_re + j rbar_im)
-    sw = (s0 * wt2[:, None, :]).reshape(c, h2, 2, 2, q).transpose(4, 0, 1, 2, 3)
-    s = np.empty((q, c, h2, 2), dtype=complex)
-    s.real = sw[..., 0]
-    s.imag = sw[..., 1]
+    # complex patch reduction S[m, c, :, port] = sum_n cols (rbar_re + j rbar_im),
+    # written through the (port, re/im) float view of its last axis
+    s = np.empty(lead + (h2, 2), dtype=complex)
+    np.multiply(s0.reshape(c, h2, 4, q).transpose(3, 0, 1, 2), wt2[:, :, None],
+                out=s.view(float).reshape(q, c, h2, 4))
     dcols = src.gradient() if need_patch_grad else None
-    return OcuGradients(phase_adjoint(partials, s.reshape(lead + (h2, 2))), dgain, dcols)
+    return OcuGradients(phase_adjoint(partials, s), dgain, dcols)
 
 
 def ocu_vjp(model: OcuModel, patches: np.ndarray, grad_detected: np.ndarray,
@@ -550,10 +559,12 @@ def ocu_vjp(model: OcuModel, patches: np.ndarray, grad_detected: np.ndarray,
     the real input patches; ``partials`` is transfer_partials(model).
     """
     g = np.asarray(grad_detected, dtype=float)
-    grads = bank_vjp(partials, np.asarray(patches)[None],
-                     np.full((1, 1), model.detection_gain), g[None], need_patch_grad)
-    dpatches = grads.patches[0] if need_patch_grad else None
-    return OcuGradients(grads.phases, float(grads.gain), dpatches)
+    grads = bank_vjp(partials, np.asarray(patches)[None], np.array(model.detection_gain, ndmin=2),
+                     g[None], need_patch_grad)
+    grads.gain = float(grads.gain)
+    if need_patch_grad:
+        grads.patches = grads.patches[0]
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ class Adam:
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # the usual defaults; only lr is set
+    # the fixed factors as 0-d arrays, which a ufunc takes faster than floats
+    _FACTORS = tuple(np.array(x) for x in (BETA1, 1 - BETA1, BETA2, 1 - BETA2, EPS))
 
     def __init__(self, params, lr: float = 1e-3):
         check_positive("learning_rate", lr)
@@ -59,22 +61,23 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.BETA1, self.BETA2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+        bias1 = 1.0 - self.BETA1 ** self.t
+        bias2 = 1.0 - self.BETA2 ** self.t
+        b1, c1, b2, c2, eps = self._FACTORS
+        # every ufunc writes into its third, positional argument
         for p, m, v, (num, den) in zip(self.params, self._m, self._v, self._scratch):
             g = p.grad
-            m *= b1
-            np.multiply(1 - b1, g, out=num)
-            m += num
-            v *= b2
-            np.multiply(1 - b2, g, out=num)
-            num *= g
-            v += num
-            np.divide(m, bias1, out=num)
-            num *= self.lr
-            np.divide(v, bias2, out=den)
-            np.sqrt(den, out=den)
-            den += self.EPS
-            num /= den
-            p.value -= num
+            np.multiply(m, b1, m)
+            np.multiply(c1, g, num)
+            np.add(m, num, m)
+            np.multiply(v, b2, v)
+            np.multiply(c2, g, num)
+            np.multiply(num, g, num)
+            np.add(v, num, v)
+            np.divide(m, bias1, num)
+            np.multiply(num, self.lr, num)
+            np.divide(v, bias2, den)
+            np.sqrt(den, den)
+            np.add(den, eps, den)
+            np.divide(num, den, num)
+            np.subtract(p.value, num, p.value)

@@ -114,8 +114,7 @@ def _check_kernel(model: OcuModel, kernel) -> np.ndarray:
 
 def _detect(model: OcuModel, values: np.ndarray, partials) -> np.ndarray:
     """Detected output y of the unit on real patch columns, run as a 1x1 bank."""
-    return bank_detect(partials.quad, values[None],
-                       np.full((1, 1), model.detection_gain))[0]
+    return bank_detect(partials.quad, values[None], np.array(model.detection_gain, ndmin=2))[0]
 
 
 def srp_loss(model: OcuModel, patches, labels) -> tuple[float, float]:
@@ -308,10 +307,12 @@ def _fit_once(model, moments: PatchMoments, cfg):
 
     for epoch in range(cfg.epochs):
         # the epoch loss belongs to the parameters the epoch started with
-        epoch_phases = model.phases.copy()
-        epoch_gain = model.detection_gain
         partials = transfer_partials(model)
         loss, r = moments.loss(model, partials)
+        if loss < best_loss:
+            best_loss = loss
+            best_phases = model.phases.copy()
+            best_gain = model.detection_gain
         grads = moments.gradients(model, partials, r)
         params.grad[:-1] = grads.phases.ravel()
         params.grad[-1] = grads.gain * model.detection_gain
@@ -328,10 +329,6 @@ def _fit_once(model, moments: PatchMoments, cfg):
                 f"(gain {model.detection_gain:.3e}); reduce the learning rate"
             )
         history.append((epoch, loss, 2.0 * loss / moments.count))
-        if loss < best_loss:
-            best_loss = loss
-            best_phases = epoch_phases
-            best_gain = epoch_gain
 
     # the very last optimizer step produced an unscored iterate; keep it
     # if it beats everything recorded

@@ -5,7 +5,10 @@ share no code with the vectorized implementations they check.  Two
 exceptions: complex_ocu_vjp shares only the phase adjoint, which
 phase_adjoint_loop checks, and direct_fit_history runs the SRP epoch on
 the direct evaluator (srp_loss, phase_gradients), which the
-finite-difference tests check.  The data generators' references near the
+finite-difference tests check.  The detection engine and the SRP epoch loop
+as first written follow: the leaner engine must equal them bitwise, since
+it performs the same floating-point operations in the same order.  The
+data generators' references near the
 end are their per-image and per-crop forms, which the whole-array generators
 in ocusim.data must equal byte for byte; the last section holds the
 denoiser set-up with every crop and unit output materialized, which the
@@ -21,9 +24,16 @@ import numpy as np
 from ocusim.data import add_awgn, crop_patches
 from ocusim.networks import _match_output_scale, _seeded, _train_epochs, calibrate_optical_layers
 from ocusim.nn import mse_loss
-from ocusim.optics import phase_adjoint
+from ocusim.optics import OcuModel, phase_adjoint, transfer_partials
 from ocusim.optim import Adam, Param, TrainingDiverged
-from ocusim.srp import phase_gradients, srp_loss
+from ocusim.srp import (
+    PatchMoments,
+    _init_gain,
+    phase_gradients,
+    srp_loss,
+    training_labels,
+)
+from ocusim.tensorize import im2col
 
 
 def naive_diffraction_entry(src_xy, dst_xy, wavelength, slab_index,
@@ -281,6 +291,117 @@ def direct_fit_history(model, values, labels, cfg):
         model.detection_gain = float(np.exp(log_gain.value))
         history.append((epoch, loss, mse))
     return history
+
+
+# ---------------------------------------------------------------------------
+# the detection engine and the SRP epoch as first written
+# ---------------------------------------------------------------------------
+
+PORT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def quadrature_rows_concat(total):
+    """(C, 4q, H^2) quadrature rows built by concatenating the real and
+    imaginary parts, as optics.quadrature_rows first did."""
+    q, c = total.shape[:-2] or (1, 1)
+    a = total.reshape(q, c, 2, 1, -1)
+    quad = np.concatenate([a.real, a.imag], axis=3)
+    return np.ascontiguousarray(quad.transpose(1, 2, 3, 0, 4)).reshape(c, 4 * q, -1)
+
+
+def _row_weights(gains):
+    """Signed gain of every quadrature row, (C, 4q), from (q, C) unit gains."""
+    eff = gains.T
+    return (PORT_SIGNS[None, :, None] * eff[:, None, :]).reshape(eff.shape[0], -1)
+
+
+def bank_detect_whole(quad, cols, gains):
+    """optics.bank_detect as first written, on a whole (C, H^2, n) patch array."""
+    c, q = quad.shape[0], quad.shape[1] // 4
+    wt = np.ascontiguousarray(_row_weights(gains).reshape(-1, q).T)[:, None, :]
+    f = np.square(np.matmul(quad, cols))
+    return np.matmul(wt, f.reshape(4 * c, q, -1).transpose(1, 0, 2))[:, 0]
+
+
+def bank_vjp_whole(partials, cols, gains, grad):
+    """optics.bank_vjp as first written, on a whole (C, H^2, n) patch array:
+    (dphases, dgain, dcols)."""
+    quad = quadrature_rows_concat(partials.total)
+    c, q, h2 = quad.shape[0], quad.shape[1] // 4, quad.shape[2]
+    wt2 = 2.0 * _row_weights(gains)
+    u = np.matmul(quad, cols)
+    u.reshape(c, 4, q, -1)[...] *= grad
+    s0 = np.zeros((c, h2, 4 * q))
+    s0 += np.matmul(cols, u.transpose(0, 2, 1))
+    dcols = np.matmul((wt2[:, :, None] * quad).transpose(0, 2, 1), u)
+    gf2 = (quad * s0.transpose(0, 2, 1)).sum(axis=-1).reshape(c, 4, q)
+    lead = partials.masks.shape[:-2]
+    dgain = (PORT_SIGNS @ gf2).T.reshape(lead)
+    sw = (s0 * wt2[:, None, :]).reshape(c, h2, 2, 2, q).transpose(4, 0, 1, 2, 3)
+    s = np.empty((q, c, h2, 2), dtype=complex)
+    s.real = sw[..., 0]
+    s.imag = sw[..., 1]
+    return phase_adjoint(partials, s.reshape(lead + (h2, 2))), dgain, dcols
+
+
+def reference_fit_once(model, moments, cfg):
+    """srp._fit_once as first written: (best unit, history, whether the final
+    unscored iterate won).
+
+    Every epoch copies the phases it starts with, runs moments.loss and
+    moments.gradients and an Adam step, and keeps the copy when the epoch's
+    loss is the lowest yet; after the last step the unscored final iterate
+    is kept if it beats them all.
+    """
+    shape = model.phases.shape
+    params = Param(np.append(model.phases, math.log(model.detection_gain)), "srp")
+    model.phases = params.value[:-1].reshape(shape)
+    opt = Adam([params], lr=cfg.learning_rate)
+    history = []
+    best_loss = math.inf
+    best_phases = model.phases.copy()
+    best_gain = model.detection_gain
+    for epoch in range(cfg.epochs):
+        epoch_phases = model.phases.copy()
+        epoch_gain = model.detection_gain
+        partials = transfer_partials(model)
+        loss, r = moments.loss(model, partials)
+        grads = moments.gradients(model, partials, r)
+        params.grad[:-1] = grads.phases.ravel()
+        params.grad[-1] = grads.gain * model.detection_gain
+        opt.step()
+        model.detection_gain = float(np.exp(params.value[-1]))
+        if not (0.0 < model.detection_gain < math.inf) or not math.isfinite(loss):
+            raise TrainingDiverged(f"reference fit diverged at epoch {epoch}")
+        history.append((epoch, loss, 2.0 * loss / moments.count))
+        if loss < best_loss:
+            best_loss = loss
+            best_phases = epoch_phases
+            best_gain = epoch_gain
+    final_loss, _ = moments.loss(model, transfer_partials(model))
+    final_won = final_loss < best_loss
+    if final_won:
+        best_phases = model.phases.copy()
+        best_gain = model.detection_gain
+    return OcuModel(model.geometry, best_phases, best_gain), history, final_won
+
+
+def reference_fit_kernel(model, kernel, pattern, cfg):
+    """srp.fit_kernel's restarts on reference_fit_once: (best unit, history,
+    train MSE, whether the winning restart's final iterate won)."""
+    labels = training_labels(pattern, kernel)
+    values = im2col(pattern, kernel.shape[0]).values
+    moments = PatchMoments.of(values, labels)
+    best = None
+    for restart in range(cfg.restarts):
+        rng = np.random.Generator(np.random.PCG64(cfg.seed + restart))
+        trial = OcuModel.random_init(model.geometry, rng)
+        trial.detection_gain = _init_gain(trial, values, labels)
+        fitted, history, final_won = reference_fit_once(trial, moments, cfg)
+        _, train_mse = srp_loss(fitted, values, labels)
+        if best is None or train_mse < best[2]:
+            best = (fitted, history, train_mse, final_won)
+    return best
 
 
 def pool_loop(x, w, s, mode):

@@ -203,6 +203,27 @@ class TestFitKernelCommand:
         assert proc.returncode == 2
         assert "nosuch" in proc.stderr
 
+    @pytest.mark.parametrize("config, kernels, names", [
+        (FIT_CONFIG, "", "names no kernel"),
+        (FIT_CONFIG, "box_blur box_blur", "twice"),
+        (CUSTOM_KERNEL_CONFIG.replace("[kernel:mykernel]", "[kernel:a/b]"), "a/b",
+         "path separator"),
+    ], ids=["empty", "repeated", "path"])
+    def test_kernel_list_that_cannot_name_outputs_exits_2(self, tmp_path, config, kernels,
+                                                          names):
+        # each name names the kernel's checkpoint and CSVs: an empty list, a
+        # repeat (which would overwrite them) or a separator fails before any
+        # output directory exists
+        out = tmp_path / "out"
+        cfg = tmp_path / "fit.ini"
+        text = config.format(out=out)
+        old = "kernels = box_blur" if "box_blur" in text else "kernels = mykernel"
+        cfg.write_text(text.replace(old, f"kernels = {kernels}"))
+        proc = run_cli("fit-kernel", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert "[fit] kernels" in proc.stderr and names in proc.stderr
+        assert not out.exists()
+
     def test_divergence_exits_3(self, tmp_path):
         cfg = tmp_path / "fit.ini"
         cfg.write_text(FIT_CONFIG.format(out=tmp_path / "out")

@@ -14,6 +14,7 @@ from ocusim.optics import (
     balanced_detect,
     bank_detect,
     bank_unit_outputs,
+    bank_vjp,
     diffraction_matrix,
     geometry_records,
     layout_positions,
@@ -34,11 +35,14 @@ from ocusim.nn import OclLayer
 from ocusim.srp import FitConfig, fit_kernel, generate_pattern
 
 from helpers import (
+    bank_detect_whole,
+    bank_vjp_whole,
     complex_ocu_vjp,
     einsum_stacked_partials,
     naive_chain,
     naive_diffraction_entry,
     phase_adjoint_loop,
+    quadrature_rows_concat,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -506,6 +510,30 @@ class TestDetectionEngine:
             self.assert_rel(grads.patches, dpatches)
         else:
             assert grads.patches is None
+
+    @pytest.mark.parametrize("lead", [(), (1, 1), (1, 3), (4, 2)])
+    def test_equals_engine_as_first_written_bitwise(self, lead):
+        # quadrature rows, detection and its adjoint perform the operations of
+        # helpers.bank_detect_whole and bank_vjp_whole in the same order; the
+        # gains take both signs, as port_sign makes them
+        q, c = lead or (1, 1)
+        geom = small_geometry(v=6, inputs=9, layers=4)
+        rng = np.random.default_rng(24 + 3 * q + c)
+        partials = stacked_transfer_partials(rng.uniform(0, TWO_PI, lead + (3, 6)), geom)
+        cols = rng.random((c, 9, 40))
+        gains = rng.uniform(0.5, 2.0, (q, c)) * rng.choice([-1.0, 1.0], (q, c))
+        grad = rng.standard_normal((q, 40))
+        quad = quadrature_rows(partials.total)
+        assert quad.tobytes() == quadrature_rows_concat(partials.total).tobytes()
+        assert bank_detect(quad, cols, gains).tobytes() == \
+            bank_detect_whole(quad, cols, gains).tobytes()
+        dphases, dgain, dcols = bank_vjp_whole(partials, cols, gains, grad)
+        for need_patch_grad in (True, False):
+            grads = bank_vjp(partials, cols, gains, grad, need_patch_grad)
+            assert grads.phases.tobytes() == dphases.tobytes()
+            assert np.asarray(grads.gain).tobytes() == dgain.tobytes()
+            if need_patch_grad:
+                assert grads.patches.tobytes() == dcols.tobytes()
 
     def test_quadrature_rows_built_once_per_partials(self, monkeypatch):
         real = optics.quadrature_rows

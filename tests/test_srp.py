@@ -29,7 +29,13 @@ from ocusim.srp import (
 )
 from ocusim.tensorize import im2col
 
-from helpers import assert_grad_close, conv2d_pixel_loop, direct_fit_history, numeric_grad
+from helpers import (
+    assert_grad_close,
+    conv2d_pixel_loop,
+    direct_fit_history,
+    numeric_grad,
+    reference_fit_kernel,
+)
 
 
 def small_geometry():
@@ -370,6 +376,56 @@ class TestPatchMoments:
             assert epoch == want_epoch
             assert loss == pytest.approx(want_loss, rel=1e-9, abs=0.0)
             assert mse == pytest.approx(want_mse, rel=1e-9, abs=0.0)
+
+
+class TestEpoch:
+    """The SRP epoch loop equals the loop as first written bitwise
+    (helpers.reference_fit_once), and runs each traced engine call once."""
+
+    @pytest.mark.parametrize("name, geometry, restarts, lr, epochs, final_wins", [
+        ("sobel_x", {}, 1, 1e-3, 150, True),
+        ("emboss", {}, 2, 1e-3, 150, True),
+        ("gaussian_blur", {"num_layers": 4, "metaunits_per_layer": 20}, 2, 1e-3, 150, True),
+        ("sharpen", {}, 1, 1e-1, 40, False),     # large steps: epoch 31 stays the best
+    ])
+    def test_fit_equals_first_written_loop_bitwise(self, name, geometry, restarts, lr,
+                                                   epochs, final_wins):
+        proto = OcuModel.random_init(OcuGeometry(**geometry), np.random.default_rng(0))
+        kernel, pattern = STANDARD_KERNELS[name], generate_pattern(1, 24)
+        cfg = FitConfig(epochs=epochs, learning_rate=lr, seed=7, restarts=restarts)
+        result = fit_kernel(proto, kernel, pattern, cfg)
+        model, history, train_mse, final_won = reference_fit_kernel(proto, kernel, pattern, cfg)
+        assert final_won == final_wins     # which iterate wins is the case under test
+        assert np.array(result.history).tobytes() == np.array(history).tobytes()
+        assert result.model.phases.tobytes() == model.phases.tobytes()
+        assert repr(result.model.detection_gain) == repr(model.detection_gain)
+        assert repr(result.train_mse) == repr(train_mse)
+
+    def test_epoch_runs_each_traced_engine_call_once(self, monkeypatch):
+        from ocusim import optics, srp
+
+        calls = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        spy(srp, "transfer_partials")
+        spy(srp, "ocu_vjp")
+        spy(optics, "quadrature_rows")
+        pattern = generate_pattern(1, 16)
+        values = im2col(pattern, 3).values
+        labels = training_labels(pattern, STANDARD_KERNELS["sharpen"])
+        moments = PatchMoments.of(values, labels)
+        model = OcuModel.random_init(OcuGeometry(), np.random.default_rng(3))
+        srp._fit_once(model, moments, FitConfig(epochs=5))
+        # one of each per epoch, and the final unscored iterate's loss
+        assert calls == {"transfer_partials": 6, "ocu_vjp": 5, "quadrature_rows": 6}
 
 
 class TestFit:

@@ -5,9 +5,11 @@ metadata, one [geometry] section, then one [array NAME] section per stored
 tensor with its shape and decimal payload rows.  Floats are written with
 repr(), which round-trips float64 exactly, so save -> load -> save is
 byte-identical.  A key, the [geometry] section or an array named twice is
-an error, and so is a [geometry] line that names no OcuGeometry field,
-except the slot_width, slot_gap and slot_height lines of older
-checkpoints, which no computation reads and loading ignores.
+an error, and so is a [geometry] line that names no OcuGeometry field.
+The lines of retired settings that older checkpoints carry are the one
+exception: RETIRED_KEYS lists each with the value under which it loads
+and is ignored, and any other value is an error naming it, because it
+would load a different model.
 
 A network records its own kind, geometry and topology when its builder
 makes it, and save_network writes those, so a checkpoint cannot disagree
@@ -30,12 +32,22 @@ from pathlib import Path
 import numpy as np
 
 from .config import (GEOMETRY_FIELDS, ConfigError, boolean, count, counts, float_row,
-                     natural, parse_key, pool_mode, positive)
+                     natural, parse_key, positive)
 from .optics import OcuGeometry, OcuModel
 
 FORMAT_NAME = "ocusim-checkpoint"
 FORMAT_VERSION = 1
-LEGACY_GEOMETRY_KEYS = ("slot_width", "slot_gap", "slot_height")
+
+# each line older checkpoints carry for a setting that no longer exists, by
+# the name errors give it, with the one value it loads under (None: any)
+RETIRED_KEYS = {
+    "[geometry] slot_width": None,       # read by no computation
+    "[geometry] slot_gap": None,
+    "[geometry] slot_height": None,
+    "[geometry] phase_coeff": None,      # a global phase that detection cancels
+    "[geometry] amplitude_coeff": "1.0",  # any other value scales every field
+    "topo.pool": "mean",                 # the pool is the 2x2 mean pool
+}
 
 
 @dataclass
@@ -47,8 +59,9 @@ class Checkpoint:
 
 
 def _key_values(path, lines: list[str], i: int, section: str = "") -> tuple[dict[str, str], int]:
-    """The key = value lines from ``i`` up to the next section, and its
-    index; a key given twice, or a line that is not key = value, is a
+    """The key = value lines from ``i`` up to the next section, without the
+    retired ones, and its index; a key given twice, a line that is not
+    key = value, or a retired key at a value it cannot load under, is a
     ConfigError naming it."""
     fields: dict[str, str] = {}
     while i < len(lines) and not lines[i].startswith("["):
@@ -59,6 +72,13 @@ def _key_values(path, lines: list[str], i: int, section: str = "") -> tuple[dict
             raise ConfigError(f"{path}: key {section}{key} appears twice")
         fields[key] = value
         i += 1
+    for key in list(fields):
+        name = section + key
+        if name in RETIRED_KEYS:
+            value, loads = fields.pop(key), RETIRED_KEYS[name]
+            if loads is not None and value != loads:
+                raise ConfigError(f"{path}: key {name} is retired and loads only as "
+                                  f"{loads}, got {value!r}")
     return fields, i
 
 
@@ -131,7 +151,7 @@ def read_checkpoint(path) -> Checkpoint:
                 raise ConfigError(f"{path}: section [geometry] appears twice")
             fields, i = _key_values(path, lines, i, "[geometry] ")
             for key in fields:
-                if key not in GEOMETRY_FIELDS and key not in LEGACY_GEOMETRY_KEYS:
+                if key not in GEOMETRY_FIELDS:
                     raise ConfigError(f"{path}: unknown key [geometry] {key}")
             geometry = OcuGeometry(**{
                 name: parse_key(path, f"[geometry] {name}", fields.get(name), convert)
@@ -180,7 +200,7 @@ def load_ocu_model(path) -> tuple[OcuModel, dict]:
 TOPOLOGY = {
     "classifier": {"kernels": count, "channels": count, "image_size": count,
                    "n_classes": count, "seed": natural, "optical": boolean,
-                   "hidden": counts, "pool": pool_mode},
+                   "hidden": counts},
     "denoiser": {"input_kernels": count, "middle_kernels": count, "in_channels": count,
                  "middle_layers": natural, "seed": natural, "optical": boolean},
 }

@@ -102,18 +102,18 @@ def _check_holds_kernel(cfg, key: str, shape, h: int) -> None:
 
 
 def _holdout_image(cfg, h: int):
+    """The [fit] holdout image: none, the synthetic contrast image (seed 5)
+    of side holdout_size, or a PGM file."""
     from .config import ConfigError
-    from .data import synthetic_contrast_image, synthetic_image
+    from .data import synthetic_contrast_image
 
     choice = cfg.get("fit", "holdout", "contrast")
     size = cfg.getcount("fit", "holdout_size", 256)
     if choice == "none":
         return None
-    if choice in ("contrast", "scene"):
+    if choice == "contrast":
         _check_holds_kernel(cfg, "holdout_size", (size, size), h)
-        make, seed = ((synthetic_contrast_image, 5) if choice == "contrast"
-                      else (synthetic_image, 11))
-        return make(size, cfg.getnatural("fit", "holdout_seed", seed))
+        return synthetic_contrast_image(size, 5)
     path = Path(choice)
     if not path.is_file():
         raise ConfigError(f"{cfg.path}: key [fit] holdout file not found: {choice}")
@@ -138,7 +138,7 @@ def cmd_fit_kernel(args) -> int:
         if k.shape[0] != h:
             raise ConfigError(
                 f"{cfg.path}: kernel {name} size {k.shape[0]} differs from {h}")
-    geometry = geometry_from_config(cfg, num_inputs=h * h)
+    geometry = geometry_from_config(cfg, h * h)
 
     seed = _seed(args, cfg, "fit", 7)
     fit_cfg = FitConfig(
@@ -276,14 +276,13 @@ def cmd_train_classifier(args) -> int:
         raise ConfigError(f"{cfg.path}: key {key}: {image_size}x{image_size} images are too "
                           f"small for kernel_size {kernel_size} and the 2x2 pool; "
                           f"they need at least {kernel_size + 1} pixels a side")
-    geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
+    geometry = geometry_from_config(cfg, kernel_size * kernel_size)
     seed = _seed(args, cfg, "train")
     net = build_classifier(
         geometry, cfg.getcount("network", "kernels", 4), train.images.shape[1], image_size,
         n_classes, seed=cfg.getnatural("network", "seed", seed),
         optical=cfg.getbool("network", "optical", True),
         hidden=cfg.getcounts("network", "hidden", (128, 64)),
-        pool_mode=cfg.getpool("network", "pool", "mean"),
     )
     train_cfg = TrainConfig(
         epochs=cfg.getcount("train", "epochs", 100),
@@ -344,7 +343,7 @@ def cmd_train_denoiser(args) -> int:
     if kernel_size % 2 == 0:
         raise ConfigError(f"{cfg.path}: key [network] kernel_size must be odd for the "
                           f"denoiser to keep the image size, got {kernel_size}")
-    geometry = geometry_from_config(cfg, num_inputs=kernel_size * kernel_size)
+    geometry = geometry_from_config(cfg, kernel_size * kernel_size)
     seed = _seed(args, cfg, "denoise")
     net = build_denoiser(
         geometry, cfg.getcount("network", "input_kernels", 8),

@@ -46,7 +46,6 @@ nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf)  # a noise level
 finite_row = _checked(float_row, lambda v: bool(np.all(np.isfinite(v))))
 counts = _checked(lambda raw: tuple(int(v) for v in raw.split()),
                   lambda v: all(x >= 1 for x in v))
-pool_mode = _checked(str, lambda v: v in ("mean", "max"))
 class_ids = _checked(lambda raw: tuple(int(v) for v in raw.split()),   # CIFAR-10 classes
                      lambda v: 0 < len(v) == len(set(v)) and all(0 <= x <= 9 for x in v))
 
@@ -64,7 +63,7 @@ TYPE_NAMES = {
     int: "an integer", count: "an integer >= 1", natural: "an integer >= 0",
     float: "a number", positive: "a finite number > 0", nonnegative: "a finite number >= 0",
     float_row: "a list of numbers", finite_row: "a list of finite numbers",
-    counts: "a list of integers >= 1", boolean: "a boolean", pool_mode: "mean or max",
+    counts: "a list of integers >= 1", boolean: "a boolean",
     class_ids: "a list of distinct class ids 0-9",
 }
 
@@ -157,22 +156,19 @@ class Config:
     def getbool(self, section, key, default: bool | None = None) -> bool:
         return self._typed(section, key, default, boolean)
 
-    def getpool(self, section, key, default: str | None = None) -> str:
-        return self._typed(section, key, default, pool_mode)
 
-
-def geometry_from_config(cfg: Config, num_inputs: int | None = None) -> OcuGeometry:
+def geometry_from_config(cfg: Config, num_inputs: int) -> OcuGeometry:
     """Build an OcuGeometry from the optional [geometry] section.
 
-    Missing keys fall back to the module defaults; ``num_inputs`` (derived
-    from the kernel size elsewhere in the config) overrides the section.
+    Missing keys fall back to the module defaults.  ``num_inputs`` comes
+    from the kernel size elsewhere in the config, so the section does not
+    read it, and a [geometry] num_inputs line is an unknown key.
     """
     sec = "geometry"
     kwargs = {name: cfg._typed(sec, name, None, convert)
-              for name, convert in GEOMETRY_FIELDS.items() if cfg.has(sec, name)}
-    if num_inputs is not None:
-        kwargs["num_inputs"] = num_inputs
+              for name, convert in GEOMETRY_FIELDS.items()
+              if name != "num_inputs" and cfg.has(sec, name)}
     try:
-        return OcuGeometry(**kwargs)
+        return OcuGeometry(**kwargs, num_inputs=num_inputs)
     except ValueError as exc:
         raise ConfigError(f"{cfg.path}: invalid geometry: {exc}") from None

@@ -102,9 +102,8 @@ def build_classifier(
     seed: int = 0,
     optical: bool = True,
     hidden: tuple[int, ...] = (128, 64),
-    pool_mode: str = "mean",
 ) -> Sequential:
-    """One convolution layer (q kernels), 2x2 pooling, and a 3-affine head."""
+    """One convolution layer (q kernels), a 2x2 mean pool, and a 3-affine head."""
     rng = _seeded(seed, 0)
     h = int(round(math.sqrt(geometry.num_inputs)))
     if optical:
@@ -114,10 +113,9 @@ def build_classifier(
     g = feature_dim(image_size, h)
     gp = feature_dim(g, 2, 2)
     head = dense_head(kernels * gp * gp, hidden, n_classes, rng)
-    return _recorded([conv, Pool2dLayer(pool_mode), FlattenLayer(), *head], "classifier",
+    return _recorded([conv, Pool2dLayer(), FlattenLayer(), *head], "classifier",
                      geometry, kernels=kernels, channels=channels, image_size=image_size,
-                     n_classes=n_classes, seed=seed, optical=optical, hidden=tuple(hidden),
-                     pool=pool_mode)
+                     n_classes=n_classes, seed=seed, optical=optical, hidden=tuple(hidden))
 
 
 def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> None:

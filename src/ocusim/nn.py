@@ -268,15 +268,9 @@ class ReluLayer(Layer):
 
 
 class Pool2dLayer(Layer):
-    """2x2 pooling at stride 2; ``mode`` is "mean" (default, gradient-smooth)
-    or "max".  An odd map drops its last row and column."""
+    """2x2 mean pooling at stride 2.  An odd map drops its last row and column."""
 
     WINDOW = 2   # window side and stride
-
-    def __init__(self, mode: str = "mean"):
-        if mode not in ("mean", "max"):
-            raise ValueError("pool mode must be 'mean' or 'max'")
-        self.mode = mode
 
     def out_shape(self, in_shape):
         b, c, n, _ = in_shape
@@ -290,24 +284,14 @@ class Pool2dLayer(Layer):
         n = x.shape[-1]
         taps = im2col_batch(x.transpose(1, 0, 2, 3).reshape(c * b, 1, n, n),
                             self.WINDOW, self.WINDOW)
-        if self.mode == "mean":
-            out = taps.mean(axis=0)
-            self._cache = (x.shape, None)
-        else:
-            idx = taps.argmax(axis=0)
-            out = np.take_along_axis(taps, idx[None], axis=0)[0]
-            self._cache = (x.shape, idx)
-        return out.reshape(c, b, g, g).transpose(1, 0, 2, 3)
+        self._cache = x.shape
+        return taps.mean(axis=0).reshape(c, b, g, g).transpose(1, 0, 2, 3)
 
     def backward(self, grad):
-        in_shape, idx = self._cache
         w = self.WINDOW
-        b, c, n, _ = in_shape
+        b, c, n, _ = self._cache
         flat = grad.transpose(1, 0, 2, 3).reshape(1, -1)
-        if self.mode == "mean":
-            dtaps = np.broadcast_to(flat / (w * w), (w * w, flat.size))
-        else:
-            dtaps = flat * (idx == np.arange(w * w)[:, None])
+        dtaps = np.broadcast_to(flat / (w * w), (w * w, flat.size))
         dx = fold_batch(dtaps, (c * b, 1, n, n), w, w)
         return dx.reshape(c, b, n, n).transpose(1, 0, 2, 3)
 

@@ -77,8 +77,6 @@ class OcuGeometry:
     num_layers: int = 3               # M planes, metalines = M - 1
     metaunits_per_layer: int = 50     # V
     num_inputs: int = 9               # H^2 waveguide ports
-    amplitude_coeff: float = 1.0      # eta
-    phase_coeff: float = 0.0          # delta-psi
     input_positions: np.ndarray = field(default=None, repr=False)
     output_positions: np.ndarray = field(default=None, repr=False)
 
@@ -95,8 +93,6 @@ class OcuGeometry:
             raise ValueError("layer_gap must be positive")
         if not (self.aperture > 0 and self.metaunit_period > 0):
             raise ValueError("aperture and metaunit_period must be positive")
-        if not (self.amplitude_coeff > 0):    # at 0 every diffraction matrix is zero
-            raise ValueError("amplitude_coeff must be positive")
         if self.num_layers < 2:
             raise ValueError("num_layers counts planes incl. output; need >= 2")
         if self.metaunits_per_layer < 1 or self.num_inputs < 1:
@@ -191,9 +187,11 @@ def diffraction_matrix(src, dst, geom: OcuGeometry) -> np.ndarray:
 
     ``src`` is a (U, 2) array of source points, ``dst`` a (V, 2) array of
     destinations; the result is (V, U) with entry (v, u) =
-    1/(j*lambda) * (1 + cos theta)/(2 r) * exp(j 2 pi r n1 / lambda)
-    * eta * exp(j dpsi), where r is the point distance and
-    cos theta = |dx| / r.
+    1/(j*lambda) * (1 + cos theta)/(2 r) * exp(j 2 pi r n1 / lambda),
+    where r is the point distance and cos theta = |dx| / r.  A global
+    factor eta * exp(j dpsi) on every matrix is left out: balanced
+    square-law detection cancels the phase, and a unit's trained detection
+    gain absorbs the amplitude.
     """
     src = np.atleast_2d(np.asarray(src, dtype=float))
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
@@ -206,8 +204,7 @@ def diffraction_matrix(src, dst, geom: OcuGeometry) -> np.ndarray:
     lam = geom.wavelength
     obliquity = (1.0 + cos_theta) / (2.0 * r)
     propagator = np.exp(1j * TWO_PI * r * geom.slab_index / lam)
-    coeff = geom.amplitude_coeff * np.exp(1j * geom.phase_coeff)
-    return (1.0 / (1j * lam)) * obliquity * propagator * coeff
+    return (1.0 / (1j * lam)) * obliquity * propagator
 
 
 def phase_mask_matrix(phases) -> np.ndarray:

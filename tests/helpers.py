@@ -36,8 +36,7 @@ from ocusim.srp import (
 from ocusim.tensorize import im2col
 
 
-def naive_diffraction_entry(src_xy, dst_xy, wavelength, slab_index,
-                            amplitude_coeff=1.0, phase_coeff=0.0) -> complex:
+def naive_diffraction_entry(src_xy, dst_xy, wavelength, slab_index) -> complex:
     """Scalar evaluation of one Huygens-Fresnel matrix element."""
     dx = dst_xy[0] - src_xy[0]
     dy = dst_xy[1] - src_xy[1]
@@ -46,7 +45,6 @@ def naive_diffraction_entry(src_xy, dst_xy, wavelength, slab_index,
     value = (1.0 / (1j * wavelength))
     value *= (1.0 + cos_theta) / (2.0 * r)
     value *= cmath.exp(1j * 2.0 * math.pi * r * slab_index / wavelength)
-    value *= amplitude_coeff * cmath.exp(1j * phase_coeff)
     return value
 
 
@@ -404,30 +402,23 @@ def reference_fit_kernel(model, kernel, pattern, cfg):
     return best
 
 
-def pool_loop(x, w, s, mode):
-    """Window pooling of (B, C, N, N) maps one window at a time: the output and
-    the first arg-max tap of each window (taps row-major; None for "mean")."""
+def pool_loop(x, w, s):
+    """Window mean pooling of (B, C, N, N) maps, one window at a time, its taps
+    summed in row-major order."""
     b, c, n, _ = x.shape
     g = (n - w) // s + 1
     out = np.empty((b, c, g, g))
-    arg = np.zeros((b, c, g, g), dtype=int)
     for i in range(g):
         for j in range(g):
             taps = x[:, :, i * s:i * s + w, j * s:j * s + w].reshape(b, c, w * w)
-            acc, best = taps[..., 0].copy(), np.zeros((b, c), dtype=int)
+            acc = taps[..., 0].copy()
             for t in range(1, w * w):
-                if mode == "mean":
-                    acc = acc + taps[..., t]
-                else:
-                    better = taps[..., t] > acc
-                    acc = np.where(better, taps[..., t], acc)
-                    best = np.where(better, t, best)
-            out[:, :, i, j] = acc / (w * w) if mode == "mean" else acc
-            arg[:, :, i, j] = best
-    return out, (None if mode == "mean" else arg)
+                acc = acc + taps[..., t]
+            out[:, :, i, j] = acc / (w * w)
+    return out
 
 
-def pool_grad_loop(grad, in_shape, w, s, arg):
+def pool_grad_loop(grad, in_shape, w, s):
     """Adjoint of pool_loop: each window's gradient back onto its taps, tap by
     tap in row-major order (shared by every window, so overlaps add in the
     same order as any tap-major scatter)."""
@@ -437,9 +428,7 @@ def pool_grad_loop(grad, in_shape, w, s, arg):
         ki, kj = divmod(t, w)
         for i in range(g):
             for j in range(g):
-                share = grad[:, :, i, j] / (w * w) if arg is None else \
-                    np.where(arg[:, :, i, j] == t, grad[:, :, i, j], 0.0)
-                dx[:, :, i * s + ki, j * s + kj] += share
+                dx[:, :, i * s + ki, j * s + kj] += grad[:, :, i, j] / (w * w)
     return dx
 
 
@@ -577,3 +566,29 @@ def train_denoiser_materialized(net, train_images, sigma, cfg):
         return sample.noisy, sample.noise
 
     return list(_train_epochs(net, n, cfg, _seeded(cfg.seed, 12), batch, mse_loss))
+
+
+# ---------------------------------------------------------------------------
+# checkpoints of older versions
+# ---------------------------------------------------------------------------
+
+# every retired checkpoint line at the one value older versions wrote, after
+# the line its writer put it after
+RETIRED_LINES = {
+    "topo.optical = ": ["topo.pool = mean"],
+    "metaunit_period = ": ["slot_width = 2e-07", "slot_gap = 5e-07", "slot_height = 2.2e-07"],
+    "num_inputs = ": ["amplitude_coeff = 1.0", "phase_coeff = 0.0"],
+}
+
+
+def old_format_lines(lines):
+    """The lines of a unit or classifier checkpoint written today, as an
+    older version wrote them: with every retired line, each at its old
+    default."""
+    out = []
+    for line in lines:
+        out.append(line)
+        for prefix, retired in RETIRED_LINES.items():
+            if line.startswith(prefix):
+                out.extend(retired)
+    return out

@@ -28,6 +28,9 @@ def test_tiny_aa_pair_writes_a_complete_report(tmp_path):
         assert r["workload"] == "srp_fit" and r["pair"] == 0 and r["returncode"] == 0
         assert r["result"]["correct"] and r["result"]["failed"] == 0
     assert runs[0]["seed"] == runs[1]["seed"] and runs[0]["digest"] == runs[1]["digest"]
+    for r in runs:   # the whole detail line, not only its digest
+        assert r["detail"]["digest"] == r["digest"]
+        assert {"env", "digest", "rounds", "end_to_end"} <= set(r["detail"]), sorted(r["detail"])
 
     entry = report["summary"]["srp_fit"]
     assert entry["pairs"] == entry["pairs_compared"] == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ocusim.checkpoint import (
+    RETIRED_KEYS,
     load_network,
     load_ocu_model,
     read_checkpoint,
@@ -16,13 +17,16 @@ from ocusim.networks import build_classifier, build_denoiser, calibrate_optical_
 from ocusim.optics import OcuGeometry, OcuModel
 from ocusim.optim import Param
 
+from helpers import RETIRED_LINES, old_format_lines
+
 
 def small_geometry():
     return OcuGeometry(metaunits_per_layer=6, num_inputs=9, num_layers=3)
 
 
 # an ocu checkpoint as written before OcuGeometry lost its slot_width,
-# slot_gap and slot_height fields, which no computation read
+# slot_gap and slot_height fields, which no computation read, and its
+# amplitude_coeff and phase_coeff, which no result could see
 SLOT_CHECKPOINT = """\
 ocusim-checkpoint 1
 kind = ocu
@@ -86,13 +90,12 @@ class TestOcuCheckpoint:
             assert np.array_equal(getattr(model.geometry, f.name), getattr(geom, f.name)), f.name
         assert np.array_equal(model.phases, [[0.5, 1.25], [2.0, -0.75]])
         assert model.detection_gain == 3.5e-21 and meta["kernel"] == "sharpen"
-        # written again, it loses the three slot lines and nothing else
+        # written again, it loses the five retired lines and nothing else
         new = tmp_path / "new.ckpt"
         save_ocu_model(new, model, {"kernel": "sharpen"})
-        slots = ("slot_width = ", "slot_gap = ", "slot_height = ")
-        kept = [line for line in SLOT_CHECKPOINT.splitlines() if not line.startswith(slots)]
-        assert len(kept) == len(SLOT_CHECKPOINT.splitlines()) - 3
-        assert new.read_text().splitlines() == kept
+        lines = new.read_text().splitlines()
+        assert len(lines) == len(SLOT_CHECKPOINT.splitlines()) - 5
+        assert old_format_lines(lines) == SLOT_CHECKPOINT.splitlines()
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -125,7 +128,7 @@ class TestNetworkCheckpoint:
         assert loaded.kind == "classifier" and meta["seed"] == "4"
         assert loaded.topology == {"kernels": 2, "channels": 1, "image_size": 8,
                                    "n_classes": 3, "seed": 4, "optical": True,
-                                   "hidden": (16, 8), "pool": "mean"}
+                                   "hidden": (16, 8)}
         assert np.array_equal(loaded.forward(x), before)
         # written again, the loaded network gives the same bytes
         again = tmp_path / "again.ckpt"
@@ -147,14 +150,14 @@ class TestNetworkCheckpoint:
 
     def test_electrical_round_trip(self, tmp_path):
         net = build_classifier(small_geometry(), 2, 1, 8, 2, seed=6, optical=False,
-                               hidden=(8,), pool_mode="max")
+                               hidden=(8,))
         x = np.random.default_rng(4).random((2, 1, 8, 8))
         before = net.forward(x)
         path = tmp_path / "e.ckpt"
         save_network(path, net)
         assert "topo.optical = false" in path.read_text().splitlines()
         loaded, _ = load_network(path)
-        assert loaded.topology["optical"] is False and loaded.layers[1].mode == "max"
+        assert loaded.topology["optical"] is False
         assert np.array_equal(loaded.forward(x), before)
 
 
@@ -214,10 +217,9 @@ class TestCheckpointKeys:
     """A key the reader would not use, or a name given twice, is a ConfigError
     naming it: a mutated checkpoint never loads as a different network."""
 
-    def saved_classifier(self, tmp_path, pool="max"):
+    def saved_classifier(self, tmp_path):
         path = tmp_path / "clf.ckpt"
-        save_network(path, build_classifier(small_geometry(), 2, 1, 8, 2, seed=4, hidden=(8,),
-                                            pool_mode=pool))
+        save_network(path, build_classifier(small_geometry(), 2, 1, 8, 2, seed=4, hidden=(8,)))
         return path
 
     @staticmethod
@@ -227,9 +229,8 @@ class TestCheckpointKeys:
 
     def test_misspelled_topology_key(self, tmp_path):
         path = self.saved_classifier(tmp_path)
-        assert load_network(path)[0].layers[1].mode == "max"
-        self.edit(path, lambda lines: [l.replace("topo.pool =", "topo.pol =") for l in lines])
-        with pytest.raises(ConfigError, match=r"unknown key topo\.pol$"):
+        self.edit(path, lambda lines: [l.replace("topo.hidden =", "topo.hiden =") for l in lines])
+        with pytest.raises(ConfigError, match=r"unknown key topo\.hiden$"):
             load_network(path)
 
     def test_topology_key_of_another_kind(self, tmp_path):
@@ -240,7 +241,7 @@ class TestCheckpointKeys:
             load_network(path)
 
     @pytest.mark.parametrize("line, named", [
-        ("topo.pool = max", "key topo.pool appears twice"),
+        ("topo.hidden = 8", "key topo.hidden appears twice"),
         ("kind = classifier", "key kind appears twice"),
         ("num_layers = 3", r"key \[geometry\] num_layers appears twice"),
         ("ocusim-checkpoint 1", "line 2 'ocusim-checkpoint 1' is not key = value"),
@@ -250,7 +251,7 @@ class TestCheckpointKeys:
 
         def twice(lines):
             i = lines.index(line)
-            return lines[:i + 1] + [line.replace(" = max", " = mean")] + lines[i + 1:]
+            return lines[:i + 1] + [line] + lines[i + 1:]
         self.edit(path, twice)
         with pytest.raises(ConfigError, match=named):
             load_network(path)
@@ -283,22 +284,77 @@ class TestCheckpointKeys:
             load_ocu_model(old)
 
 
-def saved_networks():
-    """An optical mean-pool classifier, an electrical max-pool classifier and
-    a denoiser with batch norm, with calibrated gains and moved running
-    statistics, so that no array holds its initial value."""
+class TestRetiredKeys:
+    """The lines of retired settings load and are ignored at the value every
+    older checkpoint wrote; a value that would load a different network is
+    a ConfigError naming the key."""
+
+    @staticmethod
+    def old_classifier(tmp_path):
+        net = build_classifier(small_geometry(), 2, 1, 8, 3, seed=4, hidden=(8,))
+        calibrate_optical_layers(net, np.random.default_rng(2).random((4, 1, 8, 8)))
+        path = tmp_path / "clf.ckpt"
+        save_network(path, net, {"seed": 4})
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(old_format_lines(lines)) + "\n")
+        return net, path, lines
+
+    def test_old_classifier_loads_bitwise(self, tmp_path):
+        net, path, lines = self.old_classifier(tmp_path)
+        assert len(path.read_text().splitlines()) == len(lines) + 6
+        loaded, _ = load_network(path)
+        assert network_state(loaded) == network_state(net)
+        again = tmp_path / "again.ckpt"
+        save_network(again, loaded, {"seed": 4})
+        assert again.read_text().splitlines() == lines
+
+    @pytest.mark.parametrize("old, new", [("phase_coeff = 0.0", "phase_coeff = 0.3"),
+                                          ("slot_gap = 5e-07", "slot_gap = x")])
+    def test_value_ignored(self, tmp_path, old, new):
+        # a global phase is unobservable, and no computation read the slot sizes
+        net, path, _ = self.old_classifier(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        assert network_state(load_network(path)[0]) == network_state(net)
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("amplitude_coeff = 1.0", "amplitude_coeff = 0.5", r"\[geometry\] amplitude_coeff"),
+        ("topo.pool = mean", "topo.pool = max", r"topo\.pool"),
+    ])
+    def test_other_value_names_key(self, tmp_path, old, new, named):
+        _, path, _ = self.old_classifier(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=f"key {named} is retired"):
+            load_network(path)
+
+    def test_retired_lines_of_older_writers(self):
+        retired = {line.partition(" = ")[0] for lines in RETIRED_LINES.values()
+                   for line in lines}
+        assert {name.removeprefix("[geometry] ") for name in RETIRED_KEYS} == retired
+
+
+def saved_networks(path):
+    """Name -> (network, the lines of its checkpoint, saved at ``path``) of an
+    optical classifier, an electrical classifier, a denoiser with batch norm,
+    each with calibrated gains and moved running statistics, so that no
+    array holds its initial value, and of the optical classifier's checkpoint
+    as an older version wrote it, with every retired line."""
     geom = small_geometry()
     x = np.random.default_rng(5).random((4, 1, 8, 8))
     nets = {
         "optical_classifier": build_classifier(geom, 2, 1, 8, 3, seed=4, hidden=(8,)),
         "electrical_classifier": build_classifier(geom, 2, 1, 8, 2, seed=6, optical=False,
-                                                  hidden=(8,), pool_mode="max"),
+                                                  hidden=(8,)),
         "denoiser": build_denoiser(geom, 2, 2, seed=5),
     }
-    for net in nets.values():
+    saved = {}
+    for name, net in nets.items():
         calibrate_optical_layers(net, x)
         net.forward(x, training=True)
-    return nets
+        save_network(path, net, {"seed": 4, "epochs": 1})
+        saved[name] = net, path.read_text().splitlines()
+    net, lines = saved["optical_classifier"]
+    saved["old_format_classifier"] = net, old_format_lines(lines)
+    return saved
 
 
 def network_state(net):
@@ -337,18 +393,17 @@ def single_line_mutations(lines):
 
 class TestSingleLineMutations:
     """Every single-line mutation of a saved network's header, topo.* and
-    [geometry] lines loads the saved network bitwise, or raises ConfigError
-    or ValueError (the CLI's exit 2): no deleted, doubled, misspelled or bad
-    line loads as a different network."""
+    [geometry] lines, retired lines of an older checkpoint included, loads
+    the saved network bitwise, or raises ConfigError or ValueError (the
+    CLI's exit 2): no deleted, doubled, misspelled or bad line loads as a
+    different network."""
 
     @pytest.mark.parametrize("name", ["optical_classifier", "electrical_classifier",
-                                      "denoiser"])
+                                      "denoiser", "old_format_classifier"])
     def test_loads_the_same_network_or_raises(self, tmp_path, name):
-        net = saved_networks()[name]
         path = tmp_path / "net.ckpt"
-        save_network(path, net, {"seed": 4, "epochs": 1})
+        net, lines = saved_networks(path)[name]
         want = network_state(net)
-        lines = path.read_text().splitlines()
         wrong = []
         for what, mutated in single_line_mutations(lines):
             path.write_text("\n".join(mutated) + "\n")

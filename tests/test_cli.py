@@ -11,6 +11,8 @@ from ocusim.pgm import read_pgm, write_pgm
 from ocusim.srp import evaluate_kernel_emulation
 from ocusim.tensorize import im2col
 
+from helpers import old_format_lines
+
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -430,12 +432,11 @@ class TestEvalDatasetMismatch:
         assert "(1, 10, 10)" in proc.stderr and "(1, 8, 8)" in proc.stderr
 
     def test_misspelled_topology_key(self, tmp_path, checkpoint):
-        # topo.pool misspelled must not load as the default mean pool
         mutated = tmp_path / "classifier.ckpt"
-        mutated.write_text(checkpoint.read_text().replace("topo.pool = mean", "topo.pol = max"))
+        mutated.write_text(checkpoint.read_text().replace("topo.hidden = 8", "topo.hiden = 8"))
         proc = self.run_eval(tmp_path, mutated, "kind = blobs\ntest_count = 8\nsize = 8\n")
         assert proc.returncode == 2, proc.stderr
-        assert "topo.pol" in proc.stderr
+        assert "topo.hiden" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_one_pixel_blobs(self, tmp_path, checkpoint):
@@ -619,11 +620,10 @@ class TestMalformedCheckpoint:
         self.rewrite(path, "topo.middle_layers = ", "topo.middle_layers = x")
         self.assert_names(path, "topo.middle_layers")
 
-    @pytest.mark.parametrize("key, bad", [
-        ("pool", "median"), ("optical", "maybe"), ("hidden", "0"),
-        ("kernels", "0"), ("n_classes", "0"), ("seed", "-1"),
-    ])
-    def test_bad_classifier_topology(self, tmp_path, key, bad):
+    @staticmethod
+    def old_classifier(tmp_path):
+        """A small classifier's checkpoint as an older version wrote it, with
+        every retired line at its old default."""
         from ocusim.checkpoint import save_network
         from ocusim.networks import build_classifier
         from ocusim.optics import OcuGeometry
@@ -631,23 +631,41 @@ class TestMalformedCheckpoint:
         path = tmp_path / "clf.ckpt"
         save_network(path, build_classifier(OcuGeometry(metaunits_per_layer=4), 1, 1, 8, 2,
                                             seed=1, hidden=(4,)))
+        path.write_text("\n".join(old_format_lines(path.read_text().splitlines())) + "\n")
+        return path
+
+    @pytest.mark.parametrize("key, bad", [
+        ("pool", "median"), ("optical", "maybe"), ("hidden", "0"),
+        ("kernels", "0"), ("n_classes", "0"), ("seed", "-1"),
+    ])
+    def test_bad_classifier_topology(self, tmp_path, key, bad):
+        # the retired topo.pool line loads only as mean
+        path = self.old_classifier(tmp_path)
         self.rewrite(path, f"topo.{key} = ", f"topo.{key} = {bad}")
         self.assert_names(path, f"topo.{key}")
 
-    @pytest.mark.parametrize("line, named", [
-        ("topo.pool = ", "topo.pool"), ("[geometry]", "[geometry]")])
+    @pytest.mark.parametrize("line, named", [("[geometry]", "[geometry]")])
     def test_deleted_line_of_electrical_classifier(self, tmp_path, line, named):
-        # neither loads as another network (a mean pool) nor fails on the
-        # missing geometry as a runtime error (exit 3)
+        # does not fail on the missing geometry as a runtime error (exit 3)
         from ocusim.checkpoint import save_network
         from ocusim.networks import build_classifier
         from ocusim.optics import OcuGeometry
 
         path = tmp_path / "clf.ckpt"
         save_network(path, build_classifier(OcuGeometry(metaunits_per_layer=4), 1, 1, 8, 2,
-                                            optical=False, hidden=(4,), pool_mode="max"))
+                                            optical=False, hidden=(4,)))
         self.rewrite(path, line)
         self.assert_names(path, named)
+
+    def test_old_classifier(self, tmp_path):
+        # loads with every retired line at its old default, but an amplitude
+        # factor of 0.5 would load every field mis-scaled
+        path = self.old_classifier(tmp_path)
+        proc = run_cli("export-geometry", "--checkpoint", str(path),
+                       "--out-dir", str(tmp_path / "geo"))
+        assert proc.returncode == 0, proc.stderr
+        self.rewrite(path, "amplitude_coeff = ", "amplitude_coeff = 0.5")
+        self.assert_names(path, "[geometry] amplitude_coeff")
 
 
 class TestMalformedImage:
@@ -692,15 +710,18 @@ class TestMalformedImage:
 
 class TestBadNumbers:
     """A count or size below 1, a negative seed, limit or layer count, an
-    even denoiser kernel, a malformed list, an unknown pool mode, a rate <= 0, a
-    noise level, pixel count or energy that is negative or not finite, a class id
-    list that is not distinct ids 0-9, blob images under 2 pixels a side,
-    classifier images too small for the kernel and pool, a fit pattern or
-    hold-out smaller than the kernel, a denoiser crop larger than the images or
-    smaller than the padding, denoiser test images smaller than the padding, a
-    denoiser batch of one crop, or a key or flag that nothing reads exits 2
-    naming the key, with no warning printed first and no output written.  A
-    unit slides at stride 1: [fit] stride and convolve --stride are unknown."""
+    even denoiser kernel, a malformed list, a rate <= 0, a noise level, pixel
+    count or energy that is negative or not finite, a class id list that is not
+    distinct ids 0-9, blob images under 2 pixels a side, classifier images too
+    small for the kernel and pool, a fit pattern or hold-out smaller than the
+    kernel, a hold-out file that does not exist, a denoiser crop larger than the
+    images or smaller than the padding, denoiser test images smaller than the
+    padding, a denoiser batch of one crop, or a key or flag that nothing reads
+    exits 2 naming the key, with no warning printed first and no output
+    written.  A unit slides at stride 1: [fit] stride and convolve --stride are
+    unknown, and so are the retired [network] pool, [fit] holdout_seed and
+    [geometry] amplitude_coeff, and [geometry] num_inputs, which the kernel
+    size sets."""
 
     @staticmethod
     def convolve_stride(tmp_path):
@@ -741,8 +762,9 @@ class TestBadNumbers:
                               "[network] hidden"),
         "network_channels": ("train-classifier", BLOBS_CONFIG, "hidden = 8",
                              "hidden = 8\nchannels = 1", "unknown key [network] channels"),
+        # the pool is always the 2x2 mean pool
         "classifier_pool": ("train-classifier", BLOBS_CONFIG, "hidden = 8",
-                            "hidden = 8\npool = median", "[network] pool"),
+                            "hidden = 8\npool = mean", "unknown key [network] pool"),
         "fit_learning_rate": ("fit-kernel", FIT_CONFIG, "epochs = 40",
                               "epochs = 40\nlearning_rate = 0", "[fit] learning_rate"),
         "train_learning_rate": ("train-classifier", BLOBS_CONFIG, "epochs = 2",
@@ -781,8 +803,12 @@ class TestBadNumbers:
         "fit_holdout_below_kernel": ("fit-kernel", FIT_CONFIG, "holdout = none",
                                      "holdout = contrast\nholdout_size = 2",
                                      "[fit] holdout_size"),
-        "fit_scene_below_kernel": ("fit-kernel", FIT_CONFIG, "holdout = none",
-                                   "holdout = scene\nholdout_size = 1", "[fit] holdout_size"),
+        # the hold-out is none, the contrast image (seed 5) or a PGM file
+        "fit_holdout_scene": ("fit-kernel", FIT_CONFIG, "holdout = none", "holdout = scene",
+                              "[fit] holdout file not found: scene"),
+        "fit_holdout_seed": ("fit-kernel", FIT_CONFIG, "holdout = none",
+                             "holdout = contrast\nholdout_seed = 11",
+                             "unknown key [fit] holdout_seed"),
         "denoise_patch_above_images": ("train-denoiser", DENOISE_CONFIG, "patch = 16",
                                        "patch = 33", "[denoise] patch"),
         # a 3x3 kernel reflect-pads by one pixel, which a 1-pixel crop cannot
@@ -805,6 +831,18 @@ class TestBadNumbers:
                                       "[dataset] train_images"),
         "geometry_slot_key": ("fit-kernel", FIT_CONFIG, "num_layers = 3",
                               "num_layers = 3\nslot_width = 1e-7", "[geometry] slot_width"),
+        "geometry_amplitude_coeff": ("fit-kernel", FIT_CONFIG, "num_layers = 3",
+                                     "num_layers = 3\namplitude_coeff = 1.0",
+                                     "unknown key [geometry] amplitude_coeff"),
+        # the kernel size sets num_inputs, so the key would be overwritten
+        "fit_num_inputs": ("fit-kernel", FIT_CONFIG, "num_layers = 3",
+                           "num_layers = 3\nnum_inputs = 25", "unknown key [geometry] num_inputs"),
+        "classifier_num_inputs": ("train-classifier", BLOBS_CONFIG, "metaunits_per_layer = 8",
+                                  "metaunits_per_layer = 8\nnum_inputs = 25",
+                                  "unknown key [geometry] num_inputs"),
+        "denoiser_num_inputs": ("train-denoiser", DENOISE_CONFIG, "metaunits_per_layer = 8",
+                                "metaunits_per_layer = 8\nnum_inputs = 25",
+                                "unknown key [geometry] num_inputs"),
         "unreferenced_kernel": ("fit-kernel", FIT_CONFIG, "[output]",
                                 "[kernel:unused]\nsize = 3\n\n[output]",
                                 "[kernel:unused] size"),

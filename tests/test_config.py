@@ -64,25 +64,35 @@ class TestConfig:
 class TestGeometryFromConfig:
     def test_defaults_when_sectionless(self, tmp_path):
         cfg = load(tmp_path, "[fit]\nkernels = sobel_x\n")
-        geom = geometry_from_config(cfg)
+        geom = geometry_from_config(cfg, 9)
         assert geom.metaunits_per_layer == 50
         assert geom.num_layers == 3
+        assert geom.num_inputs == 9
 
     def test_overrides(self, tmp_path):
         cfg = load(tmp_path, "[geometry]\nmetaunits_per_layer = 10\n"
                              "wavelength = 1.31e-6\noutput_positions = 5e-5 -5e-5\n")
-        geom = geometry_from_config(cfg, num_inputs=4)
+        geom = geometry_from_config(cfg, 4)
         assert geom.metaunits_per_layer == 10
         assert geom.wavelength == 1.31e-6
         assert geom.num_inputs == 4
         assert list(geom.output_positions) == [5e-5, -5e-5]
+        cfg.check_all_read()
+
+    def test_num_inputs_key_is_not_read(self, tmp_path):
+        # the kernel size is the one source of num_inputs: the key is unknown,
+        # never read and then overwritten
+        cfg = load(tmp_path, "[geometry]\nnum_inputs = 25\n")
+        assert geometry_from_config(cfg, 9).num_inputs == 9
+        with pytest.raises(ConfigError, match=r"unknown key \[geometry\] num_inputs"):
+            cfg.check_all_read()
 
     def test_malformed_positions_name_key(self, tmp_path):
         cfg = load(tmp_path, "[geometry]\ninput_positions = 1e-5 x\n")
         with pytest.raises(ConfigError, match=r"\[geometry\] input_positions"):
-            geometry_from_config(cfg)
+            geometry_from_config(cfg, 9)
 
     def test_invalid_geometry_is_config_error(self, tmp_path):
         cfg = load(tmp_path, "[geometry]\nmetaunits_per_layer = 500\n")
         with pytest.raises(ConfigError, match="geometry"):
-            geometry_from_config(cfg)
+            geometry_from_config(cfg, 9)

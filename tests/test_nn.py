@@ -462,40 +462,27 @@ class TestConv2dLayer:
 class TestPool:
     def test_mean_pool_example(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert Pool2dLayer("mean").forward(x)[0, 0, 0, 0] == 2.5
-
-    def test_max_pool_example(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert Pool2dLayer("max").forward(x)[0, 0, 0, 0] == 4.0
+        assert Pool2dLayer().forward(x)[0, 0, 0, 0] == 2.5
 
     def test_constant_map_invariant(self):
         x = np.full((1, 2, 4, 4), 0.7)
-        for mode in ("mean", "max"):
-            out = Pool2dLayer(mode).forward(x)
-            assert np.allclose(out, 0.7)
+        assert np.allclose(Pool2dLayer().forward(x), 0.7)
 
     def test_rejects_oversized_window(self):
         with pytest.raises(ValueError):
             Pool2dLayer().forward(np.zeros((1, 1, 1, 1)))
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            Pool2dLayer("median")
-
-    @pytest.mark.parametrize("mode", ["mean", "max"])
     @pytest.mark.parametrize("window,stride,n", [(2, 2, 8), (2, 2, 7)])
-    def test_bitwise_equal_to_loops(self, mode, window, stride, n):
+    def test_bitwise_equal_to_loops(self, window, stride, n):
         rng = np.random.default_rng(100 * window + 10 * stride + n)
-        # a coarse grid of values, so max windows hold ties
         x = np.round(rng.standard_normal((2, 3, n, n)), 1)
-        layer = Pool2dLayer(mode)
+        layer = Pool2dLayer()
         assert window == stride == layer.WINDOW
         out = layer.forward(x)
-        expected, arg = pool_loop(x, window, stride, mode)
-        assert np.array_equal(out, expected)
+        assert np.array_equal(out, pool_loop(x, window, stride))
         grad = rng.standard_normal(out.shape)
         assert np.array_equal(layer.backward(grad),
-                              pool_grad_loop(grad, x.shape, window, stride, arg))
+                              pool_grad_loop(grad, x.shape, window, stride))
 
 
 class TestBatchNorm:
@@ -661,16 +648,15 @@ class TestEndToEndGradients:
 
     def test_electrical_stack_with_pools(self):
         rng = np.random.default_rng(20)
-        for mode in ("mean", "max"):
-            net = Sequential([
-                Conv2dLayer(2, 1, 2, rng),
-                Pool2dLayer(mode),
-                FlattenLayer(),
-                DenseLayer(2, 3, rng),
-            ])
-            x = rng.random((3, 1, 4, 4))
-            y = rng.integers(0, 3, 3)
-            fd_check_network(net, x, y, softmax_cross_entropy)
+        net = Sequential([
+            Conv2dLayer(2, 1, 2, rng),
+            Pool2dLayer(),
+            FlattenLayer(),
+            DenseLayer(2, 3, rng),
+        ])
+        x = rng.random((3, 1, 4, 4))
+        y = rng.integers(0, 3, 3)
+        fd_check_network(net, x, y, softmax_cross_entropy)
 
 
 class TestShapeAlgebra:
@@ -681,7 +667,7 @@ class TestShapeAlgebra:
             Sequential([OclLayer(geom, 3, 1, rng), Pool2dLayer(),
                         FlattenLayer(), DenseLayer(3 * 4, 5, rng)]),
             Sequential([Conv2dLayer(4, 2, 3, rng, pad=1), ReluLayer(),
-                        BatchNormLayer(4), Pool2dLayer("max")]),
+                        BatchNormLayer(4), Pool2dLayer()]),
         ]
         inputs = [np.random.default_rng(22).random((2, 1, 7, 7)),
                   np.random.default_rng(23).random((2, 2, 6, 6))]

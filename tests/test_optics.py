@@ -86,13 +86,13 @@ class TestGeometry:
 
     @pytest.mark.parametrize("name", [
         "wavelength", "slab_index", "slot_index", "layer_gap", "aperture",
-        "metaunit_period", "amplitude_coeff", "phase_coeff"])
+        "metaunit_period"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             OcuGeometry(**{name: value})
 
-    @pytest.mark.parametrize("name", ["aperture", "metaunit_period", "amplitude_coeff"])
+    @pytest.mark.parametrize("name", ["aperture", "metaunit_period"])
     @pytest.mark.parametrize("value", [0.0, -1e-6])
     def test_rejects_non_positive_extent(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -197,7 +197,7 @@ class TestDiffraction:
         assert m[0, 0] == m[1, 0]
 
     def test_matches_scalar_oracle(self):
-        geom = OcuGeometry(amplitude_coeff=0.7, phase_coeff=0.3)
+        geom = OcuGeometry()
         p = geom.metaunit_period
         src = [(0.0, -p), (0.0, 0.0), (0.0, +p)]
         dst = [(geom.layer_gap, -p), (geom.layer_gap, 0.0), (geom.layer_gap, +p)]
@@ -205,8 +205,7 @@ class TestDiffraction:
         for v in range(3):
             for u in range(3):
                 expected = naive_diffraction_entry(
-                    src[u], dst[v], geom.wavelength, geom.slab_index,
-                    geom.amplitude_coeff, geom.phase_coeff)
+                    src[u], dst[v], geom.wavelength, geom.slab_index)
                 assert m[v, u] == pytest.approx(expected, rel=1e-12)
 
     def test_reciprocity(self):

@@ -19,7 +19,7 @@ def test_presets_exist():
 def test_preset_parses(preset):
     cfg = Config.load(preset)
     if cfg.has("geometry"):
-        geom = geometry_from_config(cfg)
+        geom = geometry_from_config(cfg, 9)
         assert geom.metaunits_per_layer >= 1
     assert cfg.has("output", "dir")
 

@@ -10,7 +10,7 @@ base side is ``--base REV`` exported with ``git archive``, or, with
 alone).  Both live in a temporary directory that is removed at the end.  Each pair runs ``perfbench/run.py`` once per side on a
 fresh seed (pair i uses seed ``--seed0 + i`` on both sides), the two sides
 taking turns to go first.  The file holds the environment, every run's
-result line and digest, and per workload and end-to-end metric of
+result line and ``detail:`` line, and per workload and end-to-end metric of
 BENCHMARK.json: the median [Q1, Q3] of each side, the relative change of
 the medians, the pairs the change won, whether the change's median is
 worse than the base's by more than the metric's bound, and whether the
@@ -80,18 +80,19 @@ def copy_working_tree(dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    """One perfbench run: its result line, digest and environment (None on failure)."""
+    """One perfbench run: its result line, its parsed ``detail:`` line and the
+    digest that line holds (None on failure)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
     began = time.perf_counter()
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     run = {"returncode": done.returncode, "wall_s": time.perf_counter() - began,
-           "result": None, "digest": None, "env": None}
+           "result": None, "detail": None, "digest": None}
     lines = done.stdout.strip().splitlines()
     try:
         run["result"] = json.loads(lines[-1])
-        detail = json.loads(next(line for line in lines if line.startswith("detail: "))[8:])
-        run["digest"], run["env"] = detail["digest"], detail["env"]
+        run["detail"] = json.loads(next(line for line in lines if line.startswith("detail: "))[8:])
+        run["digest"] = run["detail"]["digest"]
     except (IndexError, StopIteration, ValueError, KeyError):
         run["stderr"] = done.stderr[-2000:]
     return run
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    env = next((r["env"] for r in runs if r["env"]), {})
+    env = next((r["detail"]["env"] for r in runs if r["detail"]), {})
     report = {
         "label": args.label,
         "mode": "A/A" if args.aa else "parent/change",
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
         },
         "summary": summarize(runs, spec),
         "runs": [{k: r[k] for k in ("workload", "pair", "side", "position", "seed",
-                                    "returncode", "wall_s", "digest", "result")}
+                                    "returncode", "wall_s", "digest", "result", "detail")}
                  for r in runs],
     }
     out.write_text(json.dumps(report, indent=1) + "\n")

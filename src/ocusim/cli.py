@@ -42,7 +42,9 @@ def _out_dir(args, cfg=None) -> Path:
 
 def _seed(args, cfg, section: str, default: int = 0) -> int:
     """--seed, else [section] seed, which is read (and checked) either way."""
-    seed = cfg.getnatural(section, "seed", default)
+    from .config import natural
+
+    seed = cfg.typed(section, "seed", natural, default)
     return seed if args.seed is None else args.seed
 
 
@@ -61,7 +63,7 @@ def _resolve_kernels(cfg):
 
     Each name also names the kernel's output files, so the list must be
     non-empty, name no kernel twice and hold no path separator."""
-    from .config import ConfigError
+    from .config import ConfigError, count, finite_row
     from .kernels import STANDARD_KERNELS
 
     names = cfg.require("fit", "kernels").replace(",", " ").split()
@@ -77,8 +79,8 @@ def _resolve_kernels(cfg):
                 "files and cannot hold a path separator")
         section = f"kernel:{name}"
         if cfg.has(section):
-            size = cfg.getcount(section, "size", 3)
-            values = cfg.getfloats(section, "values")
+            size = cfg.typed(section, "size", count, 3)
+            values = cfg.typed(section, "values", finite_row)
             if len(values) != size * size:
                 raise ConfigError(
                     f"{cfg.path}: key [{section}] values must hold {size * size} numbers")
@@ -104,14 +106,14 @@ def _check_holds_kernel(cfg, key: str, shape, h: int) -> None:
 def _holdout_image(cfg, h: int):
     """The [fit] holdout image: none, the synthetic contrast image (seed 5)
     of side holdout_size, or a PGM file."""
-    from .config import ConfigError
+    from .config import ConfigError, count
     from .data import synthetic_contrast_image
 
     choice = cfg.get("fit", "holdout", "contrast")
-    size = cfg.getcount("fit", "holdout_size", 256)
     if choice == "none":
         return None
     if choice == "contrast":
+        size = cfg.typed("fit", "holdout_size", count, 256)
         _check_holds_kernel(cfg, "holdout_size", (size, size), h)
         return synthetic_contrast_image(size, 5)
     path = Path(choice)
@@ -127,7 +129,7 @@ def cmd_fit_kernel(args) -> int:
     import numpy as np
 
     from .checkpoint import save_ocu_model
-    from .config import Config, ConfigError, geometry_from_config
+    from .config import Config, ConfigError, count, geometry_from_config, natural, positive
     from .optics import OcuModel, write_geometry_csv
     from .srp import FitConfig, fit_kernel, generate_pattern, write_history_csv
 
@@ -141,15 +143,11 @@ def cmd_fit_kernel(args) -> int:
     geometry = geometry_from_config(cfg, h * h)
 
     seed = _seed(args, cfg, "fit", 7)
-    fit_cfg = FitConfig(
-        epochs=cfg.getcount("fit", "epochs", 4000),
-        learning_rate=cfg.getpositive("fit", "learning_rate", 1e-3),
-        seed=seed,
-        restarts=cfg.getcount("fit", "restarts", 1),
-    )
-    pattern_size = cfg.getcount("fit", "pattern_size", 128)
+    fit_cfg = FitConfig(seed=seed, **cfg.settings(
+        "fit", epochs=count, learning_rate=positive, restarts=count))
+    pattern_size = cfg.typed("fit", "pattern_size", count, 128)
     _check_holds_kernel(cfg, "pattern_size", (pattern_size, pattern_size), h)
-    pattern = generate_pattern(cfg.getnatural("fit", "pattern_seed", 1), pattern_size)
+    pattern = generate_pattern(cfg.typed("fit", "pattern_seed", natural, 1), pattern_size)
     holdout = _holdout_image(cfg, h)
     out = _out_dir(args, cfg)
 
@@ -218,7 +216,7 @@ def cmd_convolve(args) -> int:
 
 
 def _load_classification_dataset(cfg, split: str):
-    from .config import ConfigError, class_ids, parse_key
+    from .config import ConfigError, class_ids, count, natural
     from .data import load_cifar4, load_idx, synthetic_blobs
 
     kind = cfg.require("dataset", "kind")
@@ -230,23 +228,22 @@ def _load_classification_dataset(cfg, split: str):
                 raise ConfigError(f"{cfg.path}: dataset file not found: {path}")
         ds = load_idx(images, labels, split)
     elif kind == "cifar4":
-        classes = parse_key(cfg.path, "[dataset] classes", cfg.get("dataset", "classes"),
-                            class_ids, (0, 1, 2, 3))
+        classes = cfg.typed("dataset", "classes", class_ids, (0, 1, 2, 3))
         paths = cfg.require("dataset", f"{split}_batches").split()
         for path in paths:
             if not Path(path).is_file():
                 raise ConfigError(f"{cfg.path}: dataset file not found: {path}")
         ds = load_cifar4(paths, classes, split=split)
     elif kind == "blobs":
-        count = cfg.getcount("dataset", f"{split}_count", 512 if split == "train" else 128)
-        size = cfg.getcount("dataset", "size", 8)
+        n = cfg.typed("dataset", f"{split}_count", count, 512 if split == "train" else 128)
+        size = cfg.typed("dataset", "size", count, 8)
         if size < 2:
             raise ConfigError(f"{cfg.path}: key [dataset] size must be >= 2, got {size}")
-        ds = synthetic_blobs(count, size,
-                             seed=cfg.getnatural("dataset", "seed", 0) + (0 if split == "train" else 1))
+        seed = cfg.typed("dataset", "seed", natural, 0)
+        ds = synthetic_blobs(n, size, seed=seed + (0 if split == "train" else 1))
     else:
         raise ConfigError(f"{cfg.path}: key [dataset] kind must be idx, cifar4, or blobs")
-    limit = cfg.getnatural("dataset", f"limit_{split}", 0)
+    limit = cfg.typed("dataset", f"limit_{split}", natural, 0)
     if limit:
         ds.images = ds.images[:limit]
         ds.labels = ds.labels[:limit]
@@ -261,7 +258,8 @@ def _write_confusion(path, matrix) -> None:
 
 def cmd_train_classifier(args) -> int:
     from .checkpoint import save_network
-    from .config import Config, ConfigError, geometry_from_config
+    from .config import (Config, ConfigError, boolean, count, counts, geometry_from_config,
+                         natural, positive)
     from .networks import TrainConfig, build_classifier, train_classifier
     from .srp import write_history_csv
 
@@ -270,7 +268,7 @@ def cmd_train_classifier(args) -> int:
     test = _load_classification_dataset(cfg, "test")
     n_classes = int(max(train.labels.max(), test.labels.max())) + 1
     image_size = train.images.shape[-1]
-    kernel_size = cfg.getcount("network", "kernel_size", 3)
+    kernel_size = cfg.typed("network", "kernel_size", count, 3)
     if image_size <= kernel_size:   # the feature map must fit the 2x2 pool
         key = "[dataset] size" if cfg.get("dataset", "kind") == "blobs" else "[network] kernel_size"
         raise ConfigError(f"{cfg.path}: key {key}: {image_size}x{image_size} images are too "
@@ -279,18 +277,11 @@ def cmd_train_classifier(args) -> int:
     geometry = geometry_from_config(cfg, kernel_size * kernel_size)
     seed = _seed(args, cfg, "train")
     net = build_classifier(
-        geometry, cfg.getcount("network", "kernels", 4), train.images.shape[1], image_size,
-        n_classes, seed=cfg.getnatural("network", "seed", seed),
-        optical=cfg.getbool("network", "optical", True),
-        hidden=cfg.getcounts("network", "hidden", (128, 64)),
-    )
-    train_cfg = TrainConfig(
-        epochs=cfg.getcount("train", "epochs", 100),
-        batch_size=cfg.getcount("train", "batch_size", 32),
-        learning_rate=cfg.getpositive("train", "learning_rate", 1e-3),
-        seed=seed,
-        eval_every=cfg.getnatural("train", "eval_every", 0),
-    )
+        geometry, cfg.typed("network", "kernels", count, 4), train.images.shape[1], image_size,
+        n_classes, seed=cfg.typed("network", "seed", natural, seed),
+        **cfg.settings("network", optical=boolean, hidden=counts))
+    train_cfg = TrainConfig(seed=seed, **cfg.settings(
+        "train", epochs=count, batch_size=count, learning_rate=positive, eval_every=natural))
     out = _out_dir(args, cfg)
     result = train_classifier(net, train.images, train.labels,
                               test.images, test.labels, n_classes, train_cfg)
@@ -308,21 +299,21 @@ def cmd_train_classifier(args) -> int:
 
 
 def _load_denoise_images(cfg, section: str, key_prefix: str):
-    from .config import ConfigError
+    from .config import ConfigError, count, natural
     from .data import synthetic_corpus
 
     kind = cfg.get(section, f"{key_prefix}kind", "synthetic")
     if kind == "synthetic":
-        count = cfg.getcount(section, f"{key_prefix}count", 40)
-        size = cfg.getcount(section, f"{key_prefix}size", 180)
-        seed = cfg.getnatural(section, f"{key_prefix}seed", 21)
-        return synthetic_corpus(count, size, seed)
+        n = cfg.typed(section, f"{key_prefix}count", count, 40)
+        size = cfg.typed(section, f"{key_prefix}size", count, 180)
+        seed = cfg.typed(section, f"{key_prefix}seed", natural, 21)
+        return synthetic_corpus(n, size, seed)
     if kind == "pgm-dir":
         from .data import load_grayscale_dir
         directory = Path(cfg.require(section, f"{key_prefix}dir"))
         if not directory.is_dir():
             raise ConfigError(f"{cfg.path}: directory not found: {directory}")
-        resize = cfg.getnatural(section, f"{key_prefix}resize", 0)
+        resize = cfg.typed(section, f"{key_prefix}resize", natural, 0)
         try:
             return load_grayscale_dir(directory, resize if resize else None)
         except ValueError as exc:
@@ -333,34 +324,27 @@ def _load_denoise_images(cfg, section: str, key_prefix: str):
 
 def cmd_train_denoiser(args) -> int:
     from .checkpoint import save_network
-    from .config import Config, ConfigError, geometry_from_config
+    from .config import (Config, ConfigError, boolean, count, geometry_from_config, natural,
+                         nonnegative, positive)
     from .networks import DenoiseTrainConfig, build_denoiser, train_denoiser
     from .srp import write_history_csv
 
     cfg = Config.load(args.config)
     images = _load_denoise_images(cfg, "dataset", "")
-    kernel_size = cfg.getcount("network", "kernel_size", 3)
+    kernel_size = cfg.typed("network", "kernel_size", count, 3)
     if kernel_size % 2 == 0:
         raise ConfigError(f"{cfg.path}: key [network] kernel_size must be odd for the "
                           f"denoiser to keep the image size, got {kernel_size}")
     geometry = geometry_from_config(cfg, kernel_size * kernel_size)
     seed = _seed(args, cfg, "denoise")
     net = build_denoiser(
-        geometry, cfg.getcount("network", "input_kernels", 8),
-        cfg.getcount("network", "middle_kernels", 8), 1,
-        middle_layers=cfg.getnatural("network", "middle_layers", 1),
-        seed=cfg.getnatural("network", "seed", seed),
-        optical=cfg.getbool("network", "optical", True),
-    )
-    sigma = cfg.getnonnegative("denoise", "sigma", 20.0)
-    train_cfg = DenoiseTrainConfig(
-        epochs=cfg.getcount("denoise", "epochs", 12),
-        batch_size=cfg.getcount("denoise", "batch_size", 16),
-        learning_rate=cfg.getpositive("denoise", "learning_rate", 1e-3),
-        seed=seed,
-        patch=cfg.getcount("denoise", "patch", 40),
-        crops_per_image=cfg.getcount("denoise", "crops_per_image", 64),
-    )
+        geometry, seed=cfg.typed("network", "seed", natural, seed),
+        **cfg.settings("network", input_kernels=count, middle_kernels=count,
+                       middle_layers=natural, optical=boolean))
+    sigma = cfg.typed("denoise", "sigma", nonnegative, 20.0)
+    train_cfg = DenoiseTrainConfig(seed=seed, **cfg.settings(
+        "denoise", epochs=count, batch_size=count, learning_rate=positive, patch=count,
+        crops_per_image=count))
     side = min(min(img.shape) for img in images)
     if not kernel_size // 2 < train_cfg.patch <= side:   # reflection padding needs pad < patch
         raise ConfigError(f"{cfg.path}: key [denoise] patch {train_cfg.patch} must lie between "
@@ -384,7 +368,7 @@ def cmd_train_denoiser(args) -> int:
 
 def cmd_eval(args) -> int:
     from .checkpoint import load_network
-    from .config import Config, ConfigError
+    from .config import Config, ConfigError, natural, nonnegative
 
     cfg = Config.load(args.config)
     ckpt_path = cfg.require("eval", "checkpoint")
@@ -394,6 +378,9 @@ def cmd_eval(args) -> int:
 
     if net.kind == "classifier":
         from .networks import evaluate_classifier
+        if args.seed is not None:
+            raise ConfigError("--seed: a classifier's eval draws no random numbers; only a "
+                              "denoiser's eval reads it, as its noise seed")
         test = _load_classification_dataset(cfg, "test")
         got = test.images.shape[1:]
         trained = net.topology
@@ -403,8 +390,13 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"{cfg.path}: {'key [dataset] size: ' if blobs else ''}dataset "
                               f"images are {got} (channels, size, size), but the checkpoint "
                               f"was trained on {want}")
+        n_classes = trained["n_classes"]
+        if (test.labels >= n_classes).any():
+            raise ConfigError(f"{cfg.path}: the test labels reach {int(test.labels.max())}, but "
+                              f"the checkpoint has topo.n_classes = {n_classes} "
+                              f"(labels 0-{n_classes - 1})")
         out = _out_dir(args, cfg)
-        acc, conf, _ = evaluate_classifier(net, test.images, test.labels, trained["n_classes"])
+        acc, conf, _ = evaluate_classifier(net, test.images, test.labels, n_classes)
         _write_confusion(out / "confusion.csv", conf)
         with open(out / "metrics.csv", "w") as f:
             f.write("metric,value\n")
@@ -418,10 +410,10 @@ def cmd_eval(args) -> int:
     pad = net.layers[0].pad     # every convolution reflect-pads its input by pad pixels
     if min(min(img.shape) for img in images) <= pad:
         key = ("test_size" if cfg.get("eval", "test_kind", "synthetic") == "synthetic" else
-               "test_resize" if cfg.getnatural("eval", "test_resize", 0) else "test_dir")
+               "test_resize" if cfg.typed("eval", "test_resize", natural, 0) else "test_dir")
         raise ConfigError(f"{cfg.path}: key [eval] {key}: the test images must be at least "
                           f"{pad + 1} pixels a side for the reflection pad")
-    sigma = cfg.getnonnegative("eval", "sigma", 20.0)
+    sigma = cfg.typed("eval", "sigma", nonnegative, 20.0)
     seed = _seed(args, cfg, "eval")
     out = _out_dir(args, cfg)
 
@@ -443,20 +435,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    from .config import Config
+    from .config import Config, count, nonnegative, positive
     from .perf import PerfSpec, report_rows
 
     cfg = Config.load(args.config)
-    spec = PerfSpec(
-        kernel_size=cfg.getcount("perf", "kernel_size", 3),
-        channels=cfg.getcount("perf", "channels", 1),
-        kernels=cfg.getcount("perf", "kernels", 1),
-        rate=cfg.getpositive("perf", "rate_gbaud", 100.0) * 1e9,
-        pixels=cfg.getnonnegative("perf", "pixels", 8e6),
-        bit_depth=cfg.getcount("perf", "bit_depth", 8),
-        energy_per_bit=cfg.getnonnegative("perf", "energy_fj_per_bit", 100.0) * 1e-15,
-        detector_power=cfg.getnonnegative("perf", "detector_power_mw", 100.0) * 1e-3,
-    )
+    given = cfg.settings("perf", kernel_size=count, channels=count, kernels=count,
+                         rate_gbaud=positive, pixels=nonnegative, bit_depth=count,
+                         energy_fj_per_bit=nonnegative, detector_power_mw=nonnegative)
+    # the config states these in GBaud, fJ/bit and mW; PerfSpec in SI units
+    for key, field, scale in (("rate_gbaud", "rate", 1e9),
+                              ("energy_fj_per_bit", "energy_per_bit", 1e-15),
+                              ("detector_power_mw", "detector_power", 1e-3)):
+        if key in given:
+            given[field] = given.pop(key) * scale
+    spec = PerfSpec(**given)
     out = _out_dir(args, cfg)
     rows = report_rows(spec)
     width = max(len(r[0]) for r in rows)

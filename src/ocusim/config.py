@@ -1,6 +1,6 @@
 """Experiment configuration files: sectioned key = value text (INI dialect).
 
-Every getter names the offending section/key on failure so the CLI can
+Every read names the offending section/key on failure so the CLI can
 report schema violations precisely (exit code 2) before any work starts.
 A Config records every key it is asked about; once a command has read all
 it needs, check_all_read names the first key nothing read, so a misspelled
@@ -130,31 +130,18 @@ class Config:
                 if (section, key) not in self._read:
                     raise ConfigError(f"{self.path}: unknown key [{section}] {key}")
 
-    def _typed(self, section, key, default, convert):
+    def typed(self, section: str, key: str, convert, default=None):
+        """[section] key parsed by ``convert``, one of this module's converters;
+        an absent key takes ``default``, and without one is a ConfigError."""
         return parse_key(self.path, f"[{section}] {key}", self.get(section, key),
                          convert, default)
 
-    def getcount(self, section, key, default: int | None = None) -> int:
-        return self._typed(section, key, default, count)
-
-    def getnatural(self, section, key, default: int | None = None) -> int:
-        return self._typed(section, key, default, natural)
-
-    def getpositive(self, section, key, default: float | None = None) -> float:
-        return self._typed(section, key, default, positive)
-
-    def getnonnegative(self, section, key, default: float | None = None) -> float:
-        return self._typed(section, key, default, nonnegative)
-
-    def getfloats(self, section, key) -> np.ndarray:
-        """A required whitespace-separated list of finite numbers."""
-        return self._typed(section, key, None, finite_row)
-
-    def getcounts(self, section, key, default: tuple[int, ...] | None = None) -> tuple[int, ...]:
-        return self._typed(section, key, default, counts)
-
-    def getbool(self, section, key, default: bool | None = None) -> bool:
-        return self._typed(section, key, default, boolean)
+    def settings(self, section: str, **converters) -> dict:
+        """{key: value} of the keys of ``converters`` that [section] sets, each
+        parsed by its converter.  A key the section leaves out is left out here
+        too, so the callee given these as keyword arguments keeps its own default."""
+        return {key: self.typed(section, key, convert)
+                for key, convert in converters.items() if self.has(section, key)}
 
 
 def geometry_from_config(cfg: Config, num_inputs: int) -> OcuGeometry:
@@ -164,10 +151,8 @@ def geometry_from_config(cfg: Config, num_inputs: int) -> OcuGeometry:
     from the kernel size elsewhere in the config, so the section does not
     read it, and a [geometry] num_inputs line is an unknown key.
     """
-    sec = "geometry"
-    kwargs = {name: cfg._typed(sec, name, None, convert)
-              for name, convert in GEOMETRY_FIELDS.items()
-              if name != "num_inputs" and cfg.has(sec, name)}
+    kwargs = cfg.settings("geometry", **{name: convert for name, convert
+                                         in GEOMETRY_FIELDS.items() if name != "num_inputs"})
     try:
         return OcuGeometry(**kwargs, num_inputs=num_inputs)
     except ValueError as exc:

@@ -210,7 +210,7 @@ class PatchMoments:
 
 @dataclass
 class FitConfig:
-    epochs: int = 3000
+    epochs: int = 4000
     learning_rate: float = 1e-3
     seed: int = 0
     restarts: int = 1                 # independent inits, best train loss wins

@@ -1,9 +1,50 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WIDE = [5.0, 15.0, 6.0, 14.0, 7.0, 13.0, 8.0, 12.0, 9.0, 11.0]   # median 10, IQR 5.5
+STEADY = [10.0 + 0.01 * i for i in range(10)]
+
+# (better, base runs, change runs, verdict) under a bound of 0.25
+VERDICTS = {
+    "worse": ("lower", STEADY, [13.0 + 0.01 * i for i in range(10)], "worse"),
+    "worse_higher": ("higher", STEADY, [7.0 + 0.01 * i for i in range(10)], "worse"),
+    "better": ("lower", STEADY, [8.0 + 0.01 * i for i in range(10)], "better"),
+    "better_in_9_of_10": ("higher", STEADY, [12.0] * 9 + [9.0], "better"),
+    # 8 of 10 wins is short of the rule's 9
+    "wins_8_of_10": ("lower", STEADY, [8.0] * 8 + [11.0] * 2, "unchanged"),
+    "unresolved": ("lower", WIDE, WIDE[1:] + WIDE[:1], "unresolved"),
+    # every change run beats every base run, by a median gap inside the IQR
+    "wide_but_dominated": ("lower", WIDE, [4.9] * 10, "unchanged"),
+    "unchanged": ("lower", STEADY, [10.05 + 0.01 * i for i in range(10)], "unchanged"),
+}
+
+
+@pytest.mark.parametrize("case", VERDICTS)
+def test_summarize_gives_one_verdict_per_metric(case):
+    better, base, change, expected = VERDICTS[case]
+    spec = {"end_to_end": [{"name": "m", "unit": "ms", "better": better, "bound": 0.25}]}
+    runs = [{"workload": "w", "pair": pair, "side": side, "digest": "d",
+             "result": {"correct": True, "metrics": {"m": {"value": value}}}}
+            for pair, values in enumerate(zip(base, change))
+            for side, value in zip(("base", "change"), values)]
+    metric = bench_pairs().summarize(runs, spec)["w"]["metrics"]["m"]
+    assert metric["verdict"] == expected
+    assert metric["within_bound"] == (expected != "worse")
 
 
 def test_tiny_aa_pair_writes_a_complete_report(tmp_path):
@@ -43,5 +84,6 @@ def test_tiny_aa_pair_writes_a_complete_report(tmp_path):
             stats = m[side]
             assert stats["q1"] <= stats["median"] <= stats["q3"], name
         assert m["wins"] in (0, 1) and isinstance(m["within_bound"], bool)
+        assert m["verdict"] in ("worse", "better", "unresolved", "unchanged")
         value = next(r for r in runs if r["side"] == "base")["result"]["metrics"][name]["value"]
         assert m["base"]["median"] == value

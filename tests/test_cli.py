@@ -395,8 +395,9 @@ dir = {tmp_path / 'evalout'}
 
 class TestEvalDatasetMismatch:
     """eval of a classifier on images unlike its training images exits 2:
-    blobs of another size name [dataset] size, other datasets their shape.
-    So does eval of a checkpoint with a misspelled key, naming it."""
+    blobs of another size name [dataset] size, other datasets their shape,
+    and labels beyond the trained classes topo.n_classes.  So does eval of a
+    checkpoint with a misspelled key, naming it."""
 
     @pytest.fixture(scope="class")
     def checkpoint(self, tmp_path_factory):
@@ -430,6 +431,18 @@ class TestEvalDatasetMismatch:
                              f"test_labels = {tmp_path / 'lbl.idx'}\n")
         assert proc.returncode == 2, proc.stderr
         assert "(1, 10, 10)" in proc.stderr and "(1, 8, 8)" in proc.stderr
+
+    def test_labels_beyond_the_trained_classes(self, tmp_path, checkpoint):
+        from test_data import make_idx_images, make_idx_labels
+
+        make_idx_images(tmp_path / "img.idx", np.zeros((16, 8, 8)))
+        make_idx_labels(tmp_path / "lbl.idx", np.arange(16) % 10)
+        proc = self.run_eval(tmp_path, checkpoint,
+                             f"kind = idx\ntest_images = {tmp_path / 'img.idx'}\n"
+                             f"test_labels = {tmp_path / 'lbl.idx'}\n")
+        assert proc.returncode == 2, proc.stderr
+        assert "topo.n_classes = 2" in proc.stderr and "labels reach 9" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_misspelled_topology_key(self, tmp_path, checkpoint):
         mutated = tmp_path / "classifier.ckpt"
@@ -803,6 +816,10 @@ class TestBadNumbers:
         "fit_holdout_below_kernel": ("fit-kernel", FIT_CONFIG, "holdout = none",
                                      "holdout = contrast\nholdout_size = 2",
                                      "[fit] holdout_size"),
+        # only the contrast image has a size to set
+        "fit_holdout_size_without_contrast": ("fit-kernel", FIT_CONFIG, "holdout = none",
+                                              "holdout = none\nholdout_size = 2",
+                                              "unknown key [fit] holdout_size"),
         # the hold-out is none, the contrast image (seed 5) or a PGM file
         "fit_holdout_scene": ("fit-kernel", FIT_CONFIG, "holdout = none", "holdout = scene",
                               "[fit] holdout file not found: scene"),
@@ -869,7 +886,9 @@ class TestBadNumbers:
 
 class TestSeedFlag:
     """--seed belongs to the commands that draw random numbers; the others
-    reject it as argparse rejects any unknown flag (exit 2), before any output."""
+    reject it as argparse rejects any unknown flag (exit 2), before any output.
+    eval draws noise only for a denoiser, so a classifier's eval rejects it
+    once the checkpoint says what it is."""
 
     @pytest.mark.parametrize("command", ["convolve", "export-geometry", "perf"])
     def test_rejected_where_nothing_reads_it(self, tmp_path, command):
@@ -891,3 +910,91 @@ class TestSeedFlag:
 
         args = build_parser().parse_args([command, "--config", "x.ini", "--seed", "5"])
         assert args.seed == 5
+
+    def test_rejected_by_a_classifier_eval(self, tmp_path):
+        from ocusim.checkpoint import save_network
+        from ocusim.networks import build_classifier
+        from ocusim.optics import OcuGeometry
+
+        ckpt = tmp_path / "clf.ckpt"
+        save_network(ckpt, build_classifier(OcuGeometry(metaunits_per_layer=8, num_inputs=9),
+                                            1, 1, 8, 2, hidden=(8,)))
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\ncheckpoint = {ckpt}\n\n[dataset]\nkind = blobs\n"
+                       f"test_count = 8\n\n[output]\ndir = {tmp_path / 'out'}\n")
+        proc = run_cli("eval", "--config", str(cfg), "--seed", "5")
+        assert proc.returncode == 2, proc.stderr
+        assert "--seed" in proc.stderr and "classifier" in proc.stderr
+        assert not (tmp_path / "out").exists()
+        assert run_cli("eval", "--config", str(cfg)).returncode == 0
+
+
+class TestLibraryDefaults:
+    """A config that leaves a setting out hands the library its own default:
+    the CLI passes only the keys a config sets, so each default lives in one
+    place, the library's dataclass or builder."""
+
+    class Captured(Exception):
+        pass
+
+    def captured(self, monkeypatch, tmp_path, module, name, command, config):
+        """The positional arguments of ``module.name`` when ``command`` runs ``config``."""
+        from ocusim.cli import build_parser
+
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append(args)
+            raise self.Captured
+
+        monkeypatch.setattr(module, name, capture)
+        path = tmp_path / "exp.ini"
+        path.write_text(config + f"\n[output]\ndir = {tmp_path / 'out'}\n")
+        args = build_parser().parse_args([command, "--config", str(path)])
+        with pytest.raises(self.Captured):
+            args.handler(args)
+        return calls[0]
+
+    @staticmethod
+    def builder_defaults(builder, *names):
+        import inspect
+
+        params = inspect.signature(builder).parameters
+        return {name: params[name].default for name in names}
+
+    def test_fit_kernel(self, monkeypatch, tmp_path):
+        from ocusim import srp
+
+        _, _, _, fit_cfg = self.captured(monkeypatch, tmp_path, srp, "fit_kernel", "fit-kernel",
+                                         "[fit]\nkernels = box_blur\nholdout = none\n")
+        assert fit_cfg == srp.FitConfig(seed=7)
+        assert fit_cfg.epochs == 4000
+
+    def test_train_classifier(self, monkeypatch, tmp_path):
+        from ocusim import networks
+
+        config = ("[dataset]\nkind = blobs\ntrain_count = 8\ntest_count = 4\n\n"
+                  "[geometry]\nmetaunits_per_layer = 8\n")
+        net, *_, train_cfg = self.captured(monkeypatch, tmp_path, networks, "train_classifier",
+                                           "train-classifier", config)
+        assert train_cfg == networks.TrainConfig()
+        defaults = self.builder_defaults(networks.build_classifier, "hidden", "optical")
+        assert {k: net.topology[k] for k in defaults} == defaults
+
+    def test_train_denoiser(self, monkeypatch, tmp_path):
+        from ocusim import networks
+
+        config = ("[dataset]\nkind = synthetic\ncount = 2\nsize = 48\n\n"
+                  "[geometry]\nmetaunits_per_layer = 8\n")
+        net, _, _, train_cfg = self.captured(monkeypatch, tmp_path, networks, "train_denoiser",
+                                             "train-denoiser", config)
+        assert train_cfg == networks.DenoiseTrainConfig()
+        defaults = self.builder_defaults(networks.build_denoiser, "input_kernels",
+                                         "middle_kernels", "middle_layers", "optical")
+        assert {k: net.topology[k] for k in defaults} == defaults
+
+    def test_perf(self, monkeypatch, tmp_path):
+        from ocusim import perf
+
+        (spec,) = self.captured(monkeypatch, tmp_path, perf, "report_rows", "perf", "[perf]\n")
+        assert spec == perf.PerfSpec()

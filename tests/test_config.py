@@ -1,6 +1,6 @@
 import pytest
 
-from ocusim.config import Config, ConfigError, geometry_from_config
+from ocusim.config import Config, ConfigError, boolean, count, geometry_from_config, positive
 
 
 def load(tmp_path, text):
@@ -21,26 +21,34 @@ class TestConfig:
 
     def test_typed_getters(self, tmp_path):
         cfg = load(tmp_path, "[a]\nx = 3\ny = 2.5\nz = yes\n")
-        assert cfg.getcount("a", "x") == 3
-        assert cfg.getpositive("a", "y") == 2.5
-        assert cfg.getbool("a", "z") is True
-        assert cfg.getcount("a", "missing", 7) == 7
+        assert cfg.typed("a", "x", count) == 3
+        assert cfg.typed("a", "y", positive) == 2.5
+        assert cfg.typed("a", "z", boolean) is True
+        assert cfg.typed("a", "missing", count, 7) == 7
+
+    def test_settings_holds_only_the_keys_set(self, tmp_path):
+        cfg = load(tmp_path, "[a]\nx = 3\nz = no\n")
+        assert cfg.settings("a", x=count, y=positive, z=boolean) == {"x": 3, "z": False}
+        assert cfg.settings("b", x=count) == {}
+        cfg.check_all_read()
+        with pytest.raises(ConfigError, match=r"\[a\] x must be an integer >= 1"):
+            load(tmp_path, "[a]\nx = 0\n").settings("a", x=count)
 
     def test_bad_type_names_key(self, tmp_path):
         cfg = load(tmp_path, "[a]\nx = hello\n")
         with pytest.raises(ConfigError, match=r"\[a\] x"):
-            cfg.getcount("a", "x")
+            cfg.typed("a", "x", count)
 
     def test_count_must_be_positive(self, tmp_path):
         cfg = load(tmp_path, "[a]\nx = 0\ny = 2\n")
-        assert cfg.getcount("a", "y") == 2
-        assert cfg.getcount("a", "missing", 5) == 5
+        assert cfg.typed("a", "y", count) == 2
+        assert cfg.typed("a", "missing", count, 5) == 5
         with pytest.raises(ConfigError, match=r"\[a\] x must be an integer >= 1"):
-            cfg.getcount("a", "x")
+            cfg.typed("a", "x", count)
 
     def test_unread_key_is_named(self, tmp_path):
         cfg = load(tmp_path, "[a]\nx = 1\ny = 2\n\n[b]\nz = 3\n")
-        assert cfg.getcount("a", "x") == 1
+        assert cfg.typed("a", "x", count) == 1
         assert cfg.has("b", "z")
         with pytest.raises(ConfigError, match=r"unknown key \[a\] y"):
             cfg.check_all_read()
@@ -50,7 +58,7 @@ class TestConfig:
     def test_default_section_is_not_inherited(self, tmp_path):
         cfg = load(tmp_path, "[DEFAULT]\nseed = 1\n\n[a]\nx = 1\n")
         assert cfg.get("a", "seed") is None
-        assert cfg.getcount("a", "x") == 1
+        assert cfg.typed("a", "x", count) == 1
         with pytest.raises(ConfigError, match=r"unknown key \[DEFAULT\] seed"):
             cfg.check_all_read()
 

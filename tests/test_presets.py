@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ocusim.config import Config, geometry_from_config
+from ocusim.config import Config, count, geometry_from_config, positive
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PRESETS = sorted(CONFIG_DIR.glob("*.ini"))
@@ -28,17 +28,17 @@ def test_fit_preset_schema():
     cfg = Config.load(CONFIG_DIR / "fit_kernels.ini")
     kernels = cfg.require("fit", "kernels").split()
     assert len(kernels) == 8
-    assert cfg.getcount("fit", "epochs") >= 1
-    assert cfg.getcount("fit", "pattern_size") == 128
+    assert cfg.typed("fit", "epochs", count) >= 1
+    assert cfg.typed("fit", "pattern_size", count) == 128
 
 
 def test_training_preset_schemas():
     for name in ("fashion_mnist_desk.ini", "fashion_mnist_full.ini", "cifar4_full.ini"):
         cfg = Config.load(CONFIG_DIR / name)
         assert cfg.require("dataset", "kind") in ("idx", "cifar4")
-        assert cfg.getcount("train", "epochs") >= 100
-        assert cfg.getcount("network", "kernels") in (4, 16)
+        assert cfg.typed("train", "epochs", count) >= 100
+        assert cfg.typed("network", "kernels", count) in (4, 16)
     for name in ("denoise_desk.ini", "denoise_sigma20_full.ini"):
         cfg = Config.load(CONFIG_DIR / name)
-        assert cfg.getpositive("denoise", "sigma") == 20.0
-        assert cfg.getcount("network", "input_kernels") == 8
+        assert cfg.typed("denoise", "sigma", positive) == 20.0
+        assert cfg.typed("network", "input_kernels", count) == 8

@@ -13,8 +13,9 @@ taking turns to go first.  The file holds the environment, every run's
 result line and ``detail:`` line, and per workload and end-to-end metric of
 BENCHMARK.json: the median [Q1, Q3] of each side, the relative change of
 the medians, the pairs the change won, whether the change's median is
-worse than the base's by more than the metric's bound, and whether the
-medians differ by more than the base's interquartile range.
+worse than the base's by more than the metric's bound, whether the
+medians differ by more than the base's interquartile range, and the one
+verdict that ``compare`` draws from these.
 """
 
 from __future__ import annotations
@@ -108,6 +109,42 @@ def iqr(values) -> float:
     return float(q3 - q1)
 
 
+def compare(base: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric's paired runs: each side's quartiles, the pairs the change
+    won, and one verdict, the benchmark's rule, decided in this order:
+
+    - ``worse``: the change's median is worse than the base's by more than ``bound``;
+    - ``better``: the change wins at least 9 of 10 pairs, in the ``better``
+      direction, and the medians differ by more than the base's IQR;
+    - ``unresolved``: the base's IQR is wider than ``bound`` times its median,
+      unless every change run beats every base run;
+    - ``unchanged``: otherwise.
+    """
+    lower = better == "lower"
+
+    def beats(x, y):    # x reads better than y
+        return x < y if lower else x > y
+
+    b, c = float(np.median(base)), float(np.median(change))
+    worse = ((c - b) if lower else (b - c)) / b if b else 0.0
+    wins = sum(beats(y, x) for x, y in zip(base, change))
+    # a gain is told from noise only by a median gap wider than the spread
+    # of the base's own runs
+    gap = abs(c - b) > iqr(base)
+    if worse > bound:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(base) and beats(c, b) and gap:
+        verdict = "better"
+    elif iqr(base) > bound * b and not all(beats(y, x) for x in base for y in change):
+        verdict = "unresolved"
+    else:
+        verdict = "unchanged"
+    return {"base": quartiles(base), "change": quartiles(change),
+            "change_vs_base": c / b - 1.0 if b else None,
+            "wins": wins, "within_bound": worse <= bound,
+            "gap_exceeds_base_iqr": gap, "verdict": verdict}
+
+
 def summarize(runs: list[dict], spec: dict) -> dict:
     """Per workload: failures, digest agreement and per-metric statistics."""
     summary = {}
@@ -135,18 +172,9 @@ def summarize(runs: list[dict], spec: dict) -> dict:
                 continue
             base = [p["base"]["result"]["metrics"][name]["value"] for p in ok]
             change = [p["change"]["result"]["metrics"][name]["value"] for p in ok]
-            lower = metric["better"] == "lower"
-            b, c = float(np.median(base)), float(np.median(change))
-            worse = ((c - b) if lower else (b - c)) / b if b else 0.0
             entry["metrics"][name] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                "base": quartiles(base), "change": quartiles(change),
-                "change_vs_base": c / b - 1.0 if b else None,
-                "wins": sum((y < x) if lower else (y > x) for x, y in zip(base, change)),
-                "within_bound": worse <= metric["bound"],
-                # a gain is told from noise only by a median gap wider than
-                # the spread of the base's own runs
-                "gap_exceeds_base_iqr": abs(c - b) > iqr(base),
+                **compare(base, change, metric["better"], metric["bound"]),
             }
         summary[workload] = entry
     return summary
@@ -227,7 +255,7 @@ def main(argv=None) -> int:
                   f"{m['base']['q3']:.4g}]  change {m['change']['median']:.4g} "
                   f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}]  "
                   f"{m['change_vs_base'] or 0:+.1%}  wins {m['wins']}/{entry['pairs_compared']}"
-                  f"{'' if m['within_bound'] else '  WORSE THAN BOUND'}")
+                  f"  {m['verdict']}")
     print(f"wrote {out}")
     return 0
 

@@ -31,12 +31,15 @@ def _out_dir(args, cfg=None) -> Path:
     """Create and return the output directory: --out-dir, else [output] dir,
     else out.  With a config this ends the command's set-up, before any
     training or output: a key that nothing has read is unknown (ConfigError)."""
+    from .config import read_input
+
     configured = None
     if cfg is not None:
         configured = cfg.get("output", "dir")
         cfg.check_all_read()
+    key = f"{cfg.path}: key [output] dir" if configured and not args.out_dir else "--out-dir"
     path = Path(args.out_dir or configured or "out")
-    path.mkdir(parents=True, exist_ok=True)
+    read_input(key, path.mkdir, parents=True, exist_ok=True)
     return path
 
 
@@ -46,16 +49,6 @@ def _seed(args, cfg, section: str, default: int = 0) -> int:
 
     seed = cfg.typed(section, "seed", natural, default)
     return seed if args.seed is None else args.seed
-
-
-def _load_input(loader, path):
-    """Run a file loader; an unreadable input file is a schema error (exit 2)."""
-    from .config import ConfigError
-
-    try:
-        return loader(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _resolve_kernels(cfg):
@@ -104,24 +97,24 @@ def _check_holds_kernel(cfg, key: str, shape, h: int) -> None:
 
 
 def _holdout_image(cfg, h: int):
-    """The [fit] holdout image: none, the synthetic contrast image (seed 5)
-    of side holdout_size, or a PGM file."""
-    from .config import ConfigError, count
+    """The [fit] holdout image: none, the synthetic contrast image of side
+    holdout_size, or a PGM file."""
+    from .config import count, read_input
     from .data import synthetic_contrast_image
+    from .pgm import read_pgm
 
     choice = cfg.get("fit", "holdout", "contrast")
     if choice == "none":
         return None
     if choice == "contrast":
-        size = cfg.typed("fit", "holdout_size", count, 256)
-        _check_holds_kernel(cfg, "holdout_size", (size, size), h)
-        return synthetic_contrast_image(size, 5)
-    path = Path(choice)
-    if not path.is_file():
-        raise ConfigError(f"{cfg.path}: key [fit] holdout file not found: {choice}")
-    from .pgm import read_pgm
-    image = _load_input(read_pgm, path)
-    _check_holds_kernel(cfg, "holdout", image.shape, h)
+        key = "holdout_size"
+        # the side, when the config sets one, is the first argument; the
+        # default side and the seed are synthetic_contrast_image's own
+        image = synthetic_contrast_image(*cfg.settings("fit", holdout_size=count).values())
+    else:
+        key = "holdout"
+        image = read_input(f"{cfg.path}: key [fit] holdout", read_pgm, choice)
+    _check_holds_kernel(cfg, key, image.shape, h)
     return image
 
 
@@ -184,16 +177,12 @@ def cmd_convolve(args) -> int:
     import numpy as np
 
     from .checkpoint import load_ocu_model
-    from .config import ConfigError
+    from .config import ConfigError, read_input
     from .pgm import read_pgm, write_pgm
     from .srp import feature_map
 
-    if not Path(args.checkpoint).is_file():
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    if not Path(args.image).is_file():
-        raise ConfigError(f"image not found: {args.image}")
-    model, _ = _load_input(load_ocu_model, args.checkpoint)
-    img = _load_input(read_pgm, args.image)
+    model, _ = read_input("--checkpoint", load_ocu_model, args.checkpoint)
+    img = read_input("--image", read_pgm, args.image)
     h2 = model.geometry.num_inputs
     h = int(round(h2 ** 0.5))
     if h * h != h2:
@@ -216,24 +205,21 @@ def cmd_convolve(args) -> int:
 
 
 def _load_classification_dataset(cfg, split: str):
-    from .config import ConfigError, class_ids, count, natural
+    """The [dataset] ``split`` set; an empty one cannot train or be scored (ConfigError)."""
+    from .config import ConfigError, class_ids, count, natural, read_input
     from .data import load_cifar4, load_idx, synthetic_blobs
 
     kind = cfg.require("dataset", "kind")
     if kind == "idx":
         images = cfg.require("dataset", f"{split}_images")
         labels = cfg.require("dataset", f"{split}_labels")
-        for path in (images, labels):
-            if not Path(path).is_file():
-                raise ConfigError(f"{cfg.path}: dataset file not found: {path}")
-        ds = load_idx(images, labels, split)
+        ds = read_input(f"{cfg.path}: keys [dataset] {split}_images and {split}_labels",
+                        load_idx, images, labels, split)
     elif kind == "cifar4":
-        classes = cfg.typed("dataset", "classes", class_ids, (0, 1, 2, 3))
+        classes = cfg.settings("dataset", classes=class_ids)
         paths = cfg.require("dataset", f"{split}_batches").split()
-        for path in paths:
-            if not Path(path).is_file():
-                raise ConfigError(f"{cfg.path}: dataset file not found: {path}")
-        ds = load_cifar4(paths, classes, split=split)
+        ds = read_input(f"{cfg.path}: key [dataset] {split}_batches",
+                        load_cifar4, paths, split=split, **classes)
     elif kind == "blobs":
         n = cfg.typed("dataset", f"{split}_count", count, 512 if split == "train" else 128)
         size = cfg.typed("dataset", "size", count, 8)
@@ -243,6 +229,8 @@ def _load_classification_dataset(cfg, split: str):
         ds = synthetic_blobs(n, size, seed=seed + (0 if split == "train" else 1))
     else:
         raise ConfigError(f"{cfg.path}: key [dataset] kind must be idx, cifar4, or blobs")
+    if not len(ds):
+        raise ConfigError(f"{cfg.path}: [dataset] {split} set holds no images")
     limit = cfg.typed("dataset", f"limit_{split}", natural, 0)
     if limit:
         ds.images = ds.images[:limit]
@@ -299,7 +287,7 @@ def cmd_train_classifier(args) -> int:
 
 
 def _load_denoise_images(cfg, section: str, key_prefix: str):
-    from .config import ConfigError, count, natural
+    from .config import ConfigError, count, natural, read_input
     from .data import synthetic_corpus
 
     kind = cfg.get(section, f"{key_prefix}kind", "synthetic")
@@ -310,14 +298,10 @@ def _load_denoise_images(cfg, section: str, key_prefix: str):
         return synthetic_corpus(n, size, seed)
     if kind == "pgm-dir":
         from .data import load_grayscale_dir
-        directory = Path(cfg.require(section, f"{key_prefix}dir"))
-        if not directory.is_dir():
-            raise ConfigError(f"{cfg.path}: directory not found: {directory}")
+        directory = cfg.require(section, f"{key_prefix}dir")
         resize = cfg.typed(section, f"{key_prefix}resize", natural, 0)
-        try:
-            return load_grayscale_dir(directory, resize if resize else None)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.path}: {exc}") from None
+        return read_input(f"{cfg.path}: key [{section}] {key_prefix}dir",
+                          load_grayscale_dir, directory, resize if resize else None)
     raise ConfigError(f"{cfg.path}: key [{section}] {key_prefix}kind must be "
                       "synthetic or pgm-dir")
 
@@ -368,13 +352,11 @@ def cmd_train_denoiser(args) -> int:
 
 def cmd_eval(args) -> int:
     from .checkpoint import load_network
-    from .config import Config, ConfigError, natural, nonnegative
+    from .config import Config, ConfigError, natural, nonnegative, read_input
 
     cfg = Config.load(args.config)
-    ckpt_path = cfg.require("eval", "checkpoint")
-    if not Path(ckpt_path).is_file():
-        raise ConfigError(f"{cfg.path}: checkpoint not found: {ckpt_path}")
-    net, _ = _load_input(load_network, ckpt_path)
+    net, _ = read_input(f"{cfg.path}: key [eval] checkpoint",
+                        load_network, cfg.require("eval", "checkpoint"))
 
     if net.kind == "classifier":
         from .networks import evaluate_classifier
@@ -461,16 +443,14 @@ def cmd_perf(args) -> int:
 
 
 def cmd_export_geometry(args) -> int:
-    from .config import ConfigError
+    from .checkpoint import read_checkpoint
+    from .config import ConfigError, read_input
     from .optics import write_geometry_csv
 
-    if not Path(args.checkpoint).is_file():
-        raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    from .checkpoint import read_checkpoint
-    ckpt = _load_input(read_checkpoint, args.checkpoint)
+    ckpt = read_input("--checkpoint", read_checkpoint, args.checkpoint)
     if ckpt.kind == "ocu":
         from .checkpoint import load_ocu_model
-        model, _ = _load_input(load_ocu_model, args.checkpoint)
+        model, _ = read_input("--checkpoint", load_ocu_model, args.checkpoint)
         path = _out_dir(args) / "geometry.csv"
         with open(path, "w") as f:
             write_geometry_csv(model, f)
@@ -480,7 +460,7 @@ def cmd_export_geometry(args) -> int:
         from .checkpoint import load_network
         from .nn import OclLayer
         from .optics import OcuModel
-        net, _ = _load_input(load_network, args.checkpoint)
+        net, _ = read_input("--checkpoint", load_network, args.checkpoint)
         if not net.topology["optical"]:
             raise ConfigError(f"{args.checkpoint}: key topo.optical is false: an electrical "
                               f"{net.kind} has no optical units to export")

@@ -24,6 +24,19 @@ class ConfigError(Exception):
     """Configuration or input-schema violation (CLI exit code 2)."""
 
 
+def read_input(key: str, loader, *args, **kwargs):
+    """``loader(*args, **kwargs)``: the read of an input file that ``key`` names,
+    a flag or a config path and key.  A file that is missing, unreadable or
+    malformed (the loader raises OSError or ValueError) is a ConfigError
+    that starts with ``key``."""
+    try:
+        return loader(*args, **kwargs)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{key} file not found: {exc.filename}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def float_row(raw: str) -> np.ndarray:
     return np.array([float(v) for v in raw.split()])
 
@@ -97,14 +110,12 @@ class Config:
 
     @classmethod
     def load(cls, path) -> "Config":
-        file = Path(path)
-        if not file.is_file():
-            raise ConfigError(f"config file not found: {path}")
+        text = read_input("--config", Path(path).read_text)
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            parser.read_string(file.read_text())
+            parser.read_string(text)
         except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise ConfigError(f"--config {path}: {exc}") from None
         return cls(parser, str(path))
 
     def has(self, section: str, key: str | None = None) -> bool:

@@ -126,15 +126,17 @@ def write_checkpoint(path, kind: str, meta: dict, geometry: OcuGeometry | None,
 
 
 def read_checkpoint(path) -> Checkpoint:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines:
+    # the header is checked before the text is decoded, so that a file of
+    # another format is named as such, not by the first byte ASCII rejects
+    data = Path(path).read_bytes()
+    if not data:
         raise ValueError(f"{path}: empty checkpoint")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != FORMAT_NAME:
+    head = data.splitlines()[0].split()
+    if len(head) != 2 or head[0] != FORMAT_NAME.encode():
         raise ValueError(f"{path}: not an {FORMAT_NAME} file")
-    if head[1] != str(FORMAT_VERSION):
-        raise ValueError(f"{path}: unsupported checkpoint version {head[1]}")
+    lines = data.decode("ascii").splitlines()
+    if head[1] != str(FORMAT_VERSION).encode():
+        raise ValueError(f"{path}: unsupported checkpoint version {head[1].decode()}")
 
     geometry = None
     arrays: dict[str, np.ndarray] = {}

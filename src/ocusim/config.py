@@ -113,7 +113,7 @@ class Config:
         text = read_input("--config", Path(path).read_text)
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            parser.read_string(text)
+            parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"--config {path}: {exc}") from None
         return cls(parser, str(path))

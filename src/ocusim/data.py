@@ -402,6 +402,81 @@ def synthetic_blobs(count: int, size: int = 8, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(images, labels.astype(np.int64), "synthetic")
 
 
+def _bar(u, v, angle: float) -> np.ndarray:
+    """Distance from (u, v) to a segment of half-length 0.3 through the
+    origin at ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    along = np.abs(u * c + v * s) - 0.3
+    return np.hypot(np.maximum(along, 0.0), v * c - u * s)
+
+
+# synthetic_shapes' ten classes: the distance from shape coordinates (u, v)
+# to the class's strokes, or to its filled region
+SHAPES = (
+    ("bar 0", lambda u, v: _bar(u, v, 0.0)),
+    ("bar 45", lambda u, v: _bar(u, v, math.pi / 4)),
+    ("bar 90", lambda u, v: _bar(u, v, math.pi / 2)),
+    ("bar 135", lambda u, v: _bar(u, v, 3 * math.pi / 4)),
+    ("plus", lambda u, v: np.minimum(_bar(u, v, 0.0), _bar(u, v, math.pi / 2))),
+    ("cross", lambda u, v: np.minimum(_bar(u, v, math.pi / 4), _bar(u, v, 3 * math.pi / 4))),
+    ("ring", lambda u, v: np.abs(np.hypot(u, v) - 0.25)),
+    ("disc", lambda u, v: np.maximum(np.hypot(u, v) - 0.22, 0.0)),
+    ("square", lambda u, v: np.abs(np.maximum(np.abs(u), np.abs(v)) - 0.22)),
+    ("dot pair", lambda u, v: np.maximum(
+        np.minimum(np.hypot(u - 0.18, v), np.hypot(u + 0.18, v)) - 0.08, 0.0)),
+)
+
+# (low, high) of each image's jitter, in image widths and radians
+SHAPE_JITTER = np.array([
+    (0.32, 0.68),     # centre row
+    (0.32, 0.68),     # centre column
+    (-0.2, 0.2),      # rotation
+    (0.75, 1.15),     # scale
+    (0.025, 0.045),   # stroke half-width
+    (0.4, 1.0),       # contrast
+    (0.0, 0.25),      # background
+])
+SHAPE_NOISE = 0.4     # amplitude of the uniform pixel noise
+
+
+def synthetic_shapes(count: int, size: int = 28, seed: int = 0) -> LabeledDataset:
+    """Ten classes of jittered strokes (SHAPES): four bar orientations, a
+    plus, a cross, a ring, a disc, a square outline and a dot pair.
+
+    Each image moves, rotates and scales its shape, and draws its stroke
+    width, contrast and background (SHAPE_JITTER), with a one-pixel soft
+    edge and uniform pixel noise.  The labels, then every image's jitter,
+    then the noise of chunks of images are drawn in one call each; the
+    images of a chunk are made in whole-array passes, one per class.
+    """
+    if size < 2:
+        raise ValueError(f"shape images need at least 2 pixels a side, got {size}")
+    rng = _rng(np.random.SeedSequence((0x5BA9E5, seed)))
+    labels = rng.integers(0, len(SHAPES), size=count)
+    low, high = SHAPE_JITTER.T
+    jitter = low + (high - low) * rng.random((count, len(SHAPE_JITTER)))
+    grid = (np.arange(size) + 0.5) / size
+    images = np.empty((count, 1, size, size))
+    chunk = max(1, _BLOB_CHUNK_VALUES // (size * size))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        cy, cx, theta, scale, width, contrast, background = (
+            a[:, None, None] for a in jitter[start:stop].T)
+        dy, dx = grid[:, None] - cy, grid[None, :] - cx
+        cos, sin = np.cos(theta), np.sin(theta)
+        u = (dx * cos + dy * sin) / scale
+        v = (dy * cos - dx * sin) / scale
+        dist = np.empty(u.shape)
+        for cls, (_, shape) in enumerate(SHAPES):
+            mine = labels[start:stop] == cls
+            dist[mine] = shape(u[mine], v[mine])
+        ink = np.clip(0.5 + (width - dist * scale) * size, 0.0, 1.0)
+        noise = rng.random((stop - start, size, size))
+        img = background + contrast * ink + SHAPE_NOISE * (noise - 0.5)
+        np.clip(img, 0.0, 1.0, out=images[start:stop, 0])
+    return LabeledDataset(images, labels.astype(np.int64), "synthetic")
+
+
 def synthetic_contrast_image(size: int = 256, seed: int = 5) -> np.ndarray:
     """Deterministic high-contrast test image (two dominant gray levels).
 

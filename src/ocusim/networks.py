@@ -3,6 +3,12 @@
 Both tasks come in an optical flavor (OclLayer convolutions trained through
 the diffraction model) and an electrical twin (Conv2dLayer) built from the
 same layer code path, so like-for-like parity comparisons are one flag away.
+
+The functions here cast a network's input to float32 (_WORK_DTYPE), so the
+column work of every convolution runs in float32; parameters, Adam, the
+batch-norm statistics and calibration's unit outputs stay float64.  A layer
+or a network called directly with float64 input runs the float64 reference
+path.
 """
 
 from __future__ import annotations
@@ -29,6 +35,14 @@ from .nn import (
 from .optics import OcuGeometry
 from .optim import Adam, TrainingDiverged, check_positive
 from .tensorize import feature_dim
+
+
+_WORK_DTYPE = np.float32
+
+
+def _work(x) -> np.ndarray:
+    """A network input in the dtype of the column work."""
+    return np.asarray(x).astype(_WORK_DTYPE, copy=False)
 
 
 def _seeded(seed, *tags) -> np.random.Generator:
@@ -60,7 +74,7 @@ def _train_epochs(net: Sequential, n: int, cfg, order_rng, batch, loss_fn):
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             x, target = batch(idx)
-            pred = net.forward(x, training=True)
+            pred = net.forward(_work(x), training=True)
             if not np.all(np.isfinite(pred)):
                 raise TrainingDiverged(f"network output non-finite at epoch {epoch}")
             loss, dpred = loss_fn(pred, target)
@@ -125,6 +139,7 @@ def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> None:
     seen at their training-time scale; the single running-stat refresh this
     causes is deterministic.
     """
+    x = _work(x)
     for layer in net.layers:
         if isinstance(layer, OclLayer):
             layer.calibrate_gains(x)
@@ -145,7 +160,7 @@ def predict_classes(net: Sequential, images: np.ndarray) -> np.ndarray:
     preds = []
     batch = 256     # images per forward pass
     for start in range(0, len(images), batch):
-        scores = net.forward(images[start:start + batch], training=False)
+        scores = net.forward(_work(images[start:start + batch]), training=False)
         preds.append(np.argmax(scores, axis=1))
     return np.concatenate(preds)
 
@@ -224,7 +239,7 @@ def denoiser_forward(net: Sequential, noisy: np.ndarray):
     """Predict the noise residual and subtract it: clean = noisy - residual."""
     if noisy.ndim != 4:
         raise ValueError("denoiser input must be (B, C, N, N)")
-    residual = net.forward(noisy, training=False)
+    residual = net.forward(_work(noisy), training=False)
     if residual.shape != noisy.shape[:1] + (1,) + noisy.shape[2:]:
         raise ValueError(f"residual shape {residual.shape} does not match input")
     return residual, noisy[:, :1] - residual
@@ -254,8 +269,8 @@ class DenoiserResult:
 def _match_output_scale(net: Sequential, x: np.ndarray, target: np.ndarray) -> None:
     """Scale the output layer so first predictions match the target power
     (the denoiser analogue of gain-to-label-power initialization)."""
-    pred = net.forward(x, training=True)
-    p_rms = float(np.sqrt(np.mean(pred * pred)))
+    pred = net.forward(_work(x), training=True)
+    p_rms = float(np.sqrt(np.mean(pred * pred, dtype=float)))
     t_rms = float(np.sqrt(np.mean(target * target)))
     if p_rms == 0.0:
         return

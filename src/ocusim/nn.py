@@ -12,6 +12,11 @@ reflect-padded input, streamed by tensorize.PaddedWindows; the pool is 2x2
 at stride 2, through im2col_batch and fold_batch.
 
 Shapes: images and feature maps are (B, C, N, N); dense activations (B, F).
+
+Precision follows the input: a convolution, ReLU, pool or batch norm layer
+returns its input's dtype, float32 or float64, and works in it; parameters,
+their gradients and the batch-norm statistics are float64 either way.  The
+dense layers take float64 weights, so the head promotes to float64.
 """
 
 from __future__ import annotations
@@ -47,8 +52,11 @@ class Sequential(Layer):
         self.layers = list(layers)
 
     def forward(self, x, training=False):
-        for layer in self.layers:
-            x = layer.forward(x, training)
+        for i, layer in enumerate(self.layers):
+            try:
+                x = layer.forward(x, training)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"layer {i} ({type(layer).__name__}): {exc}") from None
         return x
 
     def backward(self, grad):
@@ -147,11 +155,19 @@ class OclLayer(_Convolution):
         return self._windows(x), stacked_transfer_partials(self.phases.value, self.geometry)
 
     def forward(self, x, training=False):
+        """Raises TrainingDiverged when the detected output overflows its
+        dtype, as it does at the physical field scale of uncalibrated gains."""
         self._cache = None
         src, partials = self._operators(x)
-        fm = src.crop(bank_detect(partials.quad, src, self.gains() * self.port_sign))
+        try:
+            with np.errstate(over="raise"):
+                detected = bank_detect(partials.quad, src, self.gains() * self.port_sign)
+        except FloatingPointError:
+            raise TrainingDiverged(
+                f"the detected output overflows {src.dtype}; are the gains calibrated "
+                f"(networks.calibrate_optical_layers)?") from None
         self._cache = (src, partials)
-        return fm.transpose(1, 0, 2, 3)
+        return src.crop(detected).transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
         src, partials = self._cache
@@ -165,9 +181,10 @@ class OclLayer(_Convolution):
     def unit_outputs(self, x: np.ndarray) -> np.ndarray:
         """|R+|^2 - |R-|^2 of every unit, before gain and port sign: (q, C, n).
 
-        Column n runs over the batch-major patch positions of ``x``.
+        Column n runs over the batch-major patch positions of ``x``; the
+        outputs are float64 whatever the dtype of ``x``.
         """
-        src, partials = self._operators(x)
+        src, partials = self._operators(np.asarray(x, dtype=float))
         return src.crop(bank_unit_outputs(partials.quad, src)).reshape(self.q, self.c, -1)
 
     def calibrate_gains(self, x: np.ndarray) -> None:
@@ -180,12 +197,13 @@ class OclLayer(_Convolution):
         not negative almost everywhere (which a downstream ReLU would
         silence permanently).  The detection engine runs once; the RMS and
         mean are then taken one unit at a time, so calibration needs no
-        more memory than the engine.  Raises TrainingDiverged naming
-        num_layers when the detected power overflows float64.
+        more memory than the engine.  The outputs are float64 whatever the
+        dtype of ``x``.  Raises TrainingDiverged naming num_layers when the
+        detected power overflows float64.
         """
         rms, mean = np.empty((self.q, self.c)), np.empty((self.q, self.c))
         with np.errstate(over="ignore", invalid="ignore"):
-            src, partials = self._operators(x)
+            src, partials = self._operators(np.asarray(x, dtype=float))
             out = bank_unit_outputs(partials.quad, src)
             for unit in np.ndindex(self.q, self.c):
                 # the unit's B*G^2 outputs copied into one contiguous row:
@@ -231,20 +249,20 @@ class Conv2dLayer(_Convolution):
     def forward(self, x, training=False):
         self._cache = None
         src = self._windows(x)
-        w = self.weight.value.reshape(self.q, -1)
-        fm = np.empty((self.q, src.n))
+        w = self.weight.value.reshape(self.q, -1).astype(src.dtype, copy=False)
+        fm = np.empty((self.q, src.n), dtype=src.dtype)
         for blk, cols in self._blocks(src):
             fm[:, blk] = w @ cols
-        fm = src.crop(fm) + self.bias.value[:, None, None, None]
+        fm = src.crop(fm) + self.bias.value.astype(src.dtype, copy=False)[:, None, None, None]
         self._cache = src
         return fm.transpose(1, 0, 2, 3)
 
     def backward(self, grad, need_input_grad: bool = True):
         src = self._cache
         gq = grad.transpose(1, 0, 2, 3)
-        self.bias.grad += gq.sum(axis=(1, 2, 3))
+        self.bias.grad += gq.sum(axis=(1, 2, 3), dtype=float)
         gq = src.spread(gq)
-        w = self.weight.value.reshape(self.q, -1)
+        w = self.weight.value.reshape(self.q, -1).astype(src.dtype, copy=False)
         dw = np.zeros(w.shape)
         for blk, cols in self._blocks(src):
             dw += gq[:, blk] @ cols.T
@@ -301,7 +319,8 @@ class BatchNormLayer(Layer):
 
     Training mode uses batch statistics (batch >= 2) and refreshes the
     running estimates by an exponential average of weight MOMENTUM;
-    inference normalizes with the running statistics.
+    inference normalizes with the running statistics.  The statistics and
+    the parameter gradients are reduced in float64; the maps keep their dtype.
     """
 
     MOMENTUM, EPS = 0.1, 1e-5   # EPS is added to the variance
@@ -322,8 +341,8 @@ class BatchNormLayer(Layer):
         if training:
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs batch size >= 2 in training")
-            mean = x.mean(axis=self._AXES)
-            var = x.var(axis=self._AXES)
+            mean = x.mean(axis=self._AXES, dtype=float)
+            var = x.var(axis=self._AXES, dtype=float)
             m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
@@ -331,23 +350,29 @@ class BatchNormLayer(Layer):
             mean = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mean[:, None, None]) * inv[:, None, None]
+        xhat = (x - _channels(mean, x)) * _channels(inv, x)
         self._cache = (xhat, inv, training)
-        return self.gamma.value[:, None, None] * xhat + self.beta.value[:, None, None]
+        return _channels(self.gamma.value, x) * xhat + _channels(self.beta.value, x)
 
     def backward(self, grad):
         xhat, inv, training = self._cache
-        self.gamma.grad += (grad * xhat).sum(axis=self._AXES)
-        self.beta.grad += grad.sum(axis=self._AXES)
-        gamma = self.gamma.value[:, None, None]
-        inv_e = inv[:, None, None]
+        self.gamma.grad += (grad * xhat).sum(axis=self._AXES, dtype=float)
+        self.beta.grad += grad.sum(axis=self._AXES, dtype=float)
+        gamma = _channels(self.gamma.value, xhat)
+        inv_e = _channels(inv, xhat)
         if not training:
             return grad * gamma * inv_e
         m = grad.size // grad.shape[1]
         dxhat = grad * gamma
-        sum_dxhat = dxhat.sum(axis=self._AXES)[:, None, None]
-        sum_dxhat_x = (dxhat * xhat).sum(axis=self._AXES)[:, None, None]
+        sum_dxhat = _channels(dxhat.sum(axis=self._AXES, dtype=float), xhat)
+        sum_dxhat_x = _channels((dxhat * xhat).sum(axis=self._AXES, dtype=float), xhat)
         return (inv_e / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_x)
+
+
+def _channels(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Per-channel values (C,) in the dtype of the (B, C, N, N) maps ``like``,
+    shaped to broadcast over them."""
+    return v.astype(like.dtype, copy=False)[:, None, None]
 
 
 class FlattenLayer(Layer):

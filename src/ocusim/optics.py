@@ -30,6 +30,11 @@ Conventions:
       ocu_forward/balanced_detect are the single-unit reference: ocu_forward
       multiplies the real patches by the rows [Re T; Im T] of the collapsed
       matrix T in one real product and returns the complex response
+    * the detection engine works in the dtype of its columns: float64
+      columns take the quadrature rows as they are; float32 columns take
+      them in a power-of-two scaled frame (_frame), where the fields stay
+      within float32's range and every scale cancels exactly.  The cascade
+      and the phase and gain gradients are float64 either way
     * the diffraction matrices depend only on the geometry, so no caller
       passes them: the cascade engine looks them up in
       propagation_matrices, which computes them once per geometry object
@@ -392,7 +397,8 @@ def balanced_detect(response: np.ndarray, gain: float) -> np.ndarray:
 # Detection walks the patch columns in blocks whose (C, 4q, width) float64
 # field array takes about this many bytes, so a block's fields stay in L2 cache;
 # the electrical twin sizes its (C*H^2, width) patch blocks the same way.  A
-# streamed source rounds the width to whole padded image rows.
+# streamed source rounds the width to whole padded image rows.  float32 blocks
+# have the same width (twice as wide measured slower on the desk layers).
 BLOCK_BYTES = 1 << 20
 
 # detector sign of a unit's four quadrature rows: port+ re/im, port- re/im
@@ -417,6 +423,23 @@ def quadrature_rows(total: np.ndarray) -> np.ndarray:
     h2 = total.shape[-1]
     a = total.view(float).reshape(q, c, 2, h2, 2)       # (q, C, port, H^2, re/im)
     return np.ascontiguousarray(a.transpose(1, 2, 4, 0, 3)).reshape(c, 4 * q, h2)
+
+
+def _frame(quad: np.ndarray, weights: np.ndarray, dtype):
+    """(k, rows, weights) that the engine applies to columns of ``dtype``.
+
+    float64 columns take the quadrature rows and the weights of the squared
+    fields as they are, with k = 0.  float32 columns take them in a frame
+    scaled by exact powers of two, each scaled in float64 and then cast: the
+    rows by 2^-k, with k the binary exponent of max |quad|, and the weights
+    by 4^k.  Every detected value is unchanged, and the fields stay within
+    float32's range however large the physical fields are; a reduction over
+    the fields (s0 of bank_vjp) is scaled back by 2^k.
+    """
+    if dtype != np.float32:
+        return 0, quad, weights
+    k = int(np.frexp(np.abs(quad).max())[1])
+    return k, np.ldexp(quad, -k).astype(np.float32), np.ldexp(weights, 2 * k).astype(np.float32)
 
 
 def block_width(rows: int) -> int:
@@ -452,19 +475,21 @@ def _streamed_fields(src, quad, width):
     fields = None
     for blk, cols in src.blocks(width):
         if fields is None:
-            fields = np.empty(quad.shape[:2] + cols.shape[-1:])
+            fields = np.empty(quad.shape[:2] + cols.shape[-1:], dtype=quad.dtype)
         yield blk, cols, np.matmul(quad, cols, out=fields[:, :, :cols.shape[-1]])
 
 
 def bank_detect(quad: np.ndarray, cols, gains: np.ndarray) -> np.ndarray:
     """Balanced detection of a bank, summed over channels: (q, n), from its
     quadrature rows, real patch columns (C, H^2, n) or a column source of n
-    columns, and (q, C) signed gains."""
+    columns, and (q, C) signed gains.  The work and the output take the
+    columns' dtype, float32 or float64."""
     c, q = quad.shape[0], quad.shape[1] // 4
     # gain-weighted sum over channels and quadratures, one gemv per kernel;
     # the weights of a unit's rows are +-gain exactly
-    wt = (gains[..., None] * _PORT_SIGNS).reshape(q, 1, 4 * c)
-    out = np.empty((q, _count(cols)))
+    _, quad, wt = _frame(quad, gains[..., None] * _PORT_SIGNS, cols.dtype)
+    wt = wt.reshape(q, 1, 4 * c)
+    out = np.empty((q, _count(cols)), dtype=quad.dtype)
     for blk, _, f in _block_fields(cols, quad):
         np.square(f, out=f)
         np.matmul(wt, f.reshape(4 * c, q, -1).transpose(1, 0, 2), out=out[:, None, blk])
@@ -514,24 +539,29 @@ def bank_vjp(partials: TransferPartials, cols, gains: np.ndarray, grad: np.ndarr
 
     The patch gradient is with respect to the input of the column source:
     the (C, H^2, n) array itself when ``cols`` is one, else the source's
-    ``gradient()``, such as the input batch of streamed windows.
+    ``gradient()``, such as the input batch of streamed windows.  It takes
+    the columns' dtype; the phase and gain gradients are float64.
     """
     quad = partials.quad
     c, q, h2 = quad.shape[0], quad.shape[1] // 4, quad.shape[2]
     src = Columns(cols) if need_patch_grad and isinstance(cols, np.ndarray) else cols
     wt2 = gains[..., None] * _TWICE_PORT_SIGNS     # (q, C, 4), 2 w per row
+    k, rows, rows_wt2 = _frame(quad, wt2, cols.dtype)
 
     # The field adjoint is rbar = 2 w g f for row weight w.  Per block,
     # f becomes u = g f in place; s0 = cols . u^T and dcols = (2 w quad)^T . u.
+    # In a scaled frame u is 2^-k times its value and (2 w quad) 2^k times.
     s0 = np.zeros((c, h2, 4 * q))
     if need_patch_grad:
-        quad_w = (wt2.transpose(1, 2, 0).reshape(c, 4 * q, 1) * quad).transpose(0, 2, 1)
-    for blk, block, u in _block_fields(src, quad):
+        quad_w = (rows_wt2.transpose(1, 2, 0).reshape(c, 4 * q, 1) * rows).transpose(0, 2, 1)
+    for blk, block, u in _block_fields(src, rows):
         per_kernel = u.reshape(c, 4, q, -1)
         per_kernel *= grad[:, blk]
         s0 += np.matmul(block, u.transpose(0, 2, 1))
         if need_patch_grad:
             src.add_grad(blk, np.matmul(quad_w, u))
+    if k:
+        s0 = np.ldexp(s0, k)
 
     # sum_n g f^2 of a row is its quad row dotted with its s0 column
     gf2 = np.add.reduce(quad * s0.transpose(0, 2, 1), -1).reshape(c, 4, q)

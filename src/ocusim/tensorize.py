@@ -83,7 +83,10 @@ def _unpad_adjoint(padded: np.ndarray, n: int, pad: int) -> np.ndarray:
 
 
 def _check_batch(imgs) -> np.ndarray:
-    imgs = np.asarray(imgs, dtype=float)
+    """A (B, C, N, N) batch as float32 if it is float32, else as float64."""
+    imgs = np.asarray(imgs)
+    if imgs.dtype != np.float32:
+        imgs = imgs.astype(float, copy=False)
     if imgs.ndim != 4 or imgs.shape[2] != imgs.shape[3]:
         raise ValueError("batch must be (B, C, N, N) with square images")
     return imgs
@@ -140,7 +143,7 @@ class Columns:
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        self.n = values.shape[-1]
+        self.n, self.dtype = values.shape[-1], values.dtype
         self._grad = None
 
     def blocks(self, width: int):
@@ -150,7 +153,7 @@ class Columns:
 
     def add_grad(self, blk: slice, d: np.ndarray) -> None:
         if self._grad is None:
-            self._grad = np.empty(self.values.shape)
+            self._grad = np.empty(self.values.shape, dtype=self.dtype)
         self._grad[:, :, blk] = d
 
     def gradient(self) -> np.ndarray:
@@ -169,7 +172,8 @@ class PaddedWindows:
     columns, those with a row or column index >= G wrap around an image
     edge; blocks of whole padded rows run up to the last window, and ``crop``
     keeps the B*G^2 windows, batch-major.  A block's gradient is added back
-    into a padded gradient buffer by the same slices.
+    into a padded gradient buffer by the same slices.  Blocks, gradients and
+    spread columns take the batch's dtype, float32 or float64.
     """
 
     def __init__(self, imgs: np.ndarray, h: int, pad: int = 0):
@@ -181,6 +185,7 @@ class PaddedWindows:
         # a copy either way: the cached buffer must not alias the caller's batch
         padded = _reflect_pad(channel_major, pad) if pad else channel_major.copy()
         self.buffer = padded.reshape(c, -1)
+        self.dtype = self.buffer.dtype
         self.shape, self.h, self.pad, self.side, self.grid = imgs.shape, h, pad, side, g
         self.n = b * side * side
         self._end = self.n - (side - g) * (side + 1)    # one past the last window
@@ -193,7 +198,7 @@ class PaddedWindows:
         until the next block is yielded."""
         c, h2 = self.buffer.shape[0], len(self._taps)
         width = max(1, (width + self.side // 2) // self.side) * self.side
-        block = np.empty((c, h2, min(width, self._end)))
+        block = np.empty((c, h2, min(width, self._end)), dtype=self.dtype)
         for start in range(0, self._end, width):
             stop = min(start + width, self._end)
             out = block[:, :, :stop - start]
@@ -203,7 +208,7 @@ class PaddedWindows:
 
     def add_grad(self, blk: slice, d: np.ndarray) -> None:
         if self._grad is None:
-            self._grad = np.zeros(self.buffer.shape)
+            self._grad = np.zeros(self.buffer.shape, dtype=self.dtype)
         for t, off in enumerate(self._taps):
             self._grad[:, blk.start + off:blk.stop + off] += d[:, t]
 
@@ -221,7 +226,7 @@ class PaddedWindows:
 
     def spread(self, a: np.ndarray) -> np.ndarray:
         """(..., B, G, G) maps -> (..., n) grid columns, zero where no window."""
-        out = np.zeros(a.shape[:-3] + (self.n,))
+        out = np.zeros(a.shape[:-3] + (self.n,), dtype=self.dtype)
         self.crop(out)[...] = a
         return out
 

@@ -10,9 +10,11 @@ as first written follow: the leaner engine must equal them bitwise, since
 it performs the same floating-point operations in the same order.  The
 data generators' references near the
 end are their per-image and per-crop forms, which the whole-array generators
-in ocusim.data must equal byte for byte; the last section holds the
-denoiser set-up with every crop and unit output materialized, which the
-streamed set-up must equal bitwise.
+in ocusim.data must equal byte for byte; then come the denoiser set-up with
+every crop and unit output materialized, which the streamed set-up must
+equal bitwise, checkpoints of older versions, and the float64 column engine
+and convolution layers as they were before the engine took the columns'
+dtype, which a float64 call must equal bitwise.
 """
 
 import cmath
@@ -24,7 +26,7 @@ import numpy as np
 from ocusim.data import add_awgn, crop_patches
 from ocusim.networks import _match_output_scale, _seeded, _train_epochs, calibrate_optical_layers
 from ocusim.nn import mse_loss
-from ocusim.optics import OcuModel, phase_adjoint, transfer_partials
+from ocusim.optics import OcuModel, phase_adjoint, stacked_transfer_partials, transfer_partials
 from ocusim.optim import Adam, Param, TrainingDiverged
 from ocusim.srp import (
     PatchMoments,
@@ -533,6 +535,46 @@ def crop_patches_loop(images, patch, count_per_image, seed_or_rng=0):
     return np.stack(out)
 
 
+def synthetic_shapes_loop(count, size, seed):
+    """(images, labels) of synthetic_shapes, one image at a time, with the
+    distances to its class's strokes written out again."""
+    def bar(u, v, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.hypot(np.maximum(np.abs(u * c + v * s) - 0.3, 0.0), v * c - u * s)
+
+    quarter = math.pi / 4
+    distance = [
+        lambda u, v: bar(u, v, 0.0),
+        lambda u, v: bar(u, v, quarter),
+        lambda u, v: bar(u, v, math.pi / 2),
+        lambda u, v: bar(u, v, 3 * quarter),
+        lambda u, v: np.minimum(bar(u, v, 0.0), bar(u, v, math.pi / 2)),
+        lambda u, v: np.minimum(bar(u, v, quarter), bar(u, v, 3 * quarter)),
+        lambda u, v: np.abs(np.hypot(u, v) - 0.25),
+        lambda u, v: np.maximum(np.hypot(u, v) - 0.22, 0.0),
+        lambda u, v: np.abs(np.maximum(np.abs(u), np.abs(v)) - 0.22),
+        lambda u, v: np.maximum(np.minimum(np.hypot(u - 0.18, v), np.hypot(u + 0.18, v))
+                                - 0.08, 0.0),
+    ]
+    jitter_range = np.array([(0.32, 0.68), (0.32, 0.68), (-0.2, 0.2), (0.75, 1.15),
+                             (0.025, 0.045), (0.4, 1.0), (0.0, 0.25)])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0x5BA9E5, seed))))
+    labels = rng.integers(0, 10, size=count)
+    low, high = jitter_range[:, 0], jitter_range[:, 1]
+    jitters = [low + (high - low) * rng.random(7) for _ in range(count)]
+    grid = (np.arange(size) + 0.5) / size
+    images = np.empty((count, 1, size, size))
+    for i, (cls, jitter) in enumerate(zip(labels, jitters)):
+        cy, cx, theta, scale, width, contrast, background = jitter
+        dy, dx = grid[:, None] - cy, grid[None, :] - cx
+        u = (dx * np.cos(theta) + dy * np.sin(theta)) / scale
+        v = (dy * np.cos(theta) - dx * np.sin(theta)) / scale
+        ink = np.clip(0.5 + (width - distance[cls](u, v) * scale) * size, 0.0, 1.0)
+        img = background + contrast * ink + 0.4 * (rng.random((size, size)) - 0.5)
+        images[i, 0] = np.clip(img, 0.0, 1.0)
+    return images, labels.astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # the materialized forms of the denoiser set-up, the oracles of its streamed
 # one (each must equal it bitwise)
@@ -592,3 +634,138 @@ def old_format_lines(lines):
             if line.startswith(prefix):
                 out.extend(retired)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the float64 column engine and convolution layers as they were before the
+# engine took the columns' dtype; a float64 call of today's must equal them
+# bitwise
+# ---------------------------------------------------------------------------
+
+class PaddedWindows64:
+    """tensorize.PaddedWindows of a float64 batch: stride-1 windows streamed
+    from the reflect-padded copy, blocks of whole padded rows."""
+
+    def __init__(self, imgs, h, pad):
+        b, c, n, _ = imgs.shape
+        side = n + 2 * pad
+        channel_major = imgs.transpose(1, 0, 2, 3)
+        width = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+        padded = np.pad(channel_major, width, mode="reflect") if pad else channel_major.copy()
+        self.buffer = padded.reshape(c, -1)
+        self.shape, self.pad, self.side, self.grid = imgs.shape, pad, side, side - h + 1
+        self.n = b * side * side
+        self._end = self.n - (side - self.grid) * (side + 1)
+        self._taps = [ki * side + kj for ki in range(h) for kj in range(h)]
+        self._grad = None
+
+    def blocks(self, width):
+        c, h2 = self.buffer.shape[0], len(self._taps)
+        width = max(1, (width + self.side // 2) // self.side) * self.side
+        block = np.empty((c, h2, min(width, self._end)))
+        for start in range(0, self._end, width):
+            stop = min(start + width, self._end)
+            out = block[:, :, :stop - start]
+            for t, off in enumerate(self._taps):
+                out[:, t] = self.buffer[:, start + off:stop + off]
+            yield slice(start, stop), out
+
+    def add_grad(self, blk, d):
+        if self._grad is None:
+            self._grad = np.zeros(self.buffer.shape)
+        for t, off in enumerate(self._taps):
+            self._grad[:, blk.start + off:blk.stop + off] += d[:, t]
+
+    def gradient(self):
+        b, c, n, _ = self.shape
+        grad, self._grad = self._grad, None
+        grad = reflect_pad_grad_loop(grad.reshape(c, b, self.side, self.side), self.pad, n)
+        return grad.transpose(1, 0, 2, 3)
+
+    def crop(self, a):
+        b, g = self.shape[0], self.grid
+        return a.reshape(a.shape[:-1] + (b, self.side, self.side))[..., :g, :g]
+
+    def spread(self, a):
+        out = np.zeros(a.shape[:-3] + (self.n,))
+        self.crop(out)[...] = a
+        return out
+
+
+def _fields64(src, quad):
+    width = max(1, (1 << 20) // (8 * quad.shape[0] * quad.shape[1]))
+    fields = None
+    for blk, cols in src.blocks(width):
+        if fields is None:
+            fields = np.empty(quad.shape[:2] + cols.shape[-1:])
+        yield blk, cols, np.matmul(quad, cols, out=fields[:, :, :cols.shape[-1]])
+
+
+def bank_detect64(quad, src, gains):
+    """optics.bank_detect of a float64 window source."""
+    c, q = quad.shape[0], quad.shape[1] // 4
+    wt = (gains[..., None] * PORT_SIGNS).reshape(q, 1, 4 * c)
+    out = np.empty((q, src.n))
+    for blk, _, f in _fields64(src, quad):
+        np.square(f, out=f)
+        np.matmul(wt, f.reshape(4 * c, q, -1).transpose(1, 0, 2), out=out[:, None, blk])
+    return out
+
+
+def bank_vjp64(partials, src, gains, grad, need_patch_grad):
+    """optics.bank_vjp of a float64 window source: (dphases, dgain, dinput)."""
+    quad = partials.quad
+    c, q, h2 = quad.shape[0], quad.shape[1] // 4, quad.shape[2]
+    wt2 = gains[..., None] * (2.0 * PORT_SIGNS)
+    s0 = np.zeros((c, h2, 4 * q))
+    if need_patch_grad:
+        quad_w = (wt2.transpose(1, 2, 0).reshape(c, 4 * q, 1) * quad).transpose(0, 2, 1)
+    for blk, block, u in _fields64(src, quad):
+        per_kernel = u.reshape(c, 4, q, -1)
+        per_kernel *= grad[:, blk]
+        s0 += np.matmul(block, u.transpose(0, 2, 1))
+        if need_patch_grad:
+            src.add_grad(blk, np.matmul(quad_w, u))
+    gf2 = np.add.reduce(quad * s0.transpose(0, 2, 1), -1).reshape(c, 4, q)
+    lead = partials.masks.shape[:-2]
+    dgain = (PORT_SIGNS @ gf2).T.reshape(lead)
+    s = np.empty(lead + (h2, 2), dtype=complex)
+    np.multiply(s0.reshape(c, h2, 4, q).transpose(3, 0, 1, 2), wt2[:, :, None],
+                out=s.view(float).reshape(q, c, h2, 4))
+    return phase_adjoint(partials, s), dgain, src.gradient() if need_patch_grad else None
+
+
+def ocl_layer_64(layer, x, grad, need_input_grad=True):
+    """(output, input gradient, phase gradient, log-gain gradient) of an
+    OclLayer's float64 forward and backward on the engine above."""
+    src = PaddedWindows64(x, layer.h, layer.pad)
+    partials = stacked_transfer_partials(layer.phases.value, layer.geometry)
+    eff = layer.gains() * layer.port_sign
+    out = src.crop(bank_detect64(partials.quad, src, eff)).transpose(1, 0, 2, 3)
+    dphases, dgain, dx = bank_vjp64(partials, src, eff, src.spread(grad.transpose(1, 0, 2, 3)),
+                                    need_input_grad)
+    return out, dx, dphases, eff * dgain
+
+
+def conv_layer_64(layer, x, grad, need_input_grad=True):
+    """(output, input gradient, weight gradient, bias gradient) of a
+    Conv2dLayer's float64 forward and backward on the window source above."""
+    src = PaddedWindows64(x, layer.h, layer.pad)
+    rows = layer.c * layer.h * layer.h
+    width = max(1, (1 << 20) // (8 * rows))
+    w = layer.weight.value.reshape(layer.q, -1)
+    fm = np.empty((layer.q, src.n))
+    for blk, cols in src.blocks(width):
+        fm[:, blk] = w @ cols.reshape(rows, -1)
+    out = (src.crop(fm) + layer.bias.value[:, None, None, None]).transpose(1, 0, 2, 3)
+    gq = grad.transpose(1, 0, 2, 3)
+    dbias = gq.sum(axis=(1, 2, 3))
+    gq = src.spread(gq)
+    dw = np.zeros(w.shape)
+    for blk, cols in src.blocks(width):
+        cols = cols.reshape(rows, -1)
+        dw += gq[:, blk] @ cols.T
+        if need_input_grad:
+            src.add_grad(blk, (w.T @ gq[:, blk]).reshape(layer.c, layer.h * layer.h, -1))
+    dx = src.gradient() if need_input_grad else None
+    return out, dx, dw.reshape(layer.weight.value.shape), dbias

@@ -26,11 +26,13 @@ from ocusim.data import (
     synthetic_contrast_image,
     synthetic_corpus,
     synthetic_image,
+    synthetic_shapes,
 )
 from ocusim.kernels import KERNEL_SUITE, STANDARD_KERNELS
 from ocusim.networks import (
     DenoiseTrainConfig,
     TrainConfig,
+    _seeded,
     build_classifier,
     build_denoiser,
     calibrate_optical_layers,
@@ -426,6 +428,42 @@ def test_criterion_7_classification(desk_classifier_accuracy):
     ok = optical_acc >= 0.80 and optical_acc >= electrical_acc - 0.05
     report(7, ok, f"classification: optical {optical_acc:.4f} (gate 0.80), "
                   f"electrical baseline {electrical_acc:.4f} (parity -0.05)")
+    assert ok
+
+
+# Supplementary to criterion 7, and run without any dataset: ten classes of
+# jittered strokes (data.synthetic_shapes).  Over seeds 0-7 of this set-up,
+# measured at float64 before the network column work went to float32, the
+# optical net reached 0.942-0.976, its electrical twin 0.880-0.934 and the
+# dense head alone 0.790-0.878; the floor sits below the worst optical seed.
+SHAPES_FLOOR = 0.90
+SHAPES_SEED = 0
+
+
+def run_shapes_classifier(kind: str) -> float:
+    """Test accuracy of the ``optical``, ``electrical`` or ``head``-only
+    (the dense head on raw pixels) classifier on the shapes set."""
+    train = synthetic_shapes(2000, 28, seed=SHAPES_SEED)
+    test = synthetic_shapes(500, 28, seed=10_000 + SHAPES_SEED)
+    if kind == "head":
+        net = Sequential([FlattenLayer(),
+                          *dense_head(28 * 28, (128, 64), 10, _seeded(SHAPES_SEED, 0))])
+    else:
+        net = build_classifier(OcuGeometry(), kernels=4, channels=1, image_size=28,
+                               n_classes=10, seed=SHAPES_SEED, optical=kind == "optical")
+    cfg = TrainConfig(epochs=8, batch_size=32, learning_rate=1e-3, seed=SHAPES_SEED)
+    return train_classifier(net, train.images, train.labels, test.images, test.labels,
+                            10, cfg).accuracy
+
+
+def test_shapes_classification():
+    optical, electrical, head = (run_shapes_classifier(kind)
+                                 for kind in ("optical", "electrical", "head"))
+    ok = (optical >= SHAPES_FLOOR and optical >= electrical - 0.05
+          and min(optical, electrical) > head)
+    print(f"\nshapes classification: [{'PASS' if ok else 'FAIL'}] optical {optical:.4f} "
+          f"(gate {SHAPES_FLOOR}), electrical {electrical:.4f} (parity -0.05), dense head "
+          f"alone {head:.4f} (both convolutional nets above it)", flush=True)
     assert ok
 
 

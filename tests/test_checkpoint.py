@@ -13,7 +13,18 @@ from ocusim.checkpoint import (
     write_checkpoint,
 )
 from ocusim.config import ConfigError
-from ocusim.networks import build_classifier, build_denoiser, calibrate_optical_layers
+from ocusim.data import synthetic_blobs, synthetic_corpus
+from ocusim.networks import (
+    DenoiseTrainConfig,
+    TrainConfig,
+    build_classifier,
+    build_denoiser,
+    calibrate_optical_layers,
+    denoiser_forward,
+    predict_classes,
+    train_classifier,
+    train_denoiser,
+)
 from ocusim.optics import OcuGeometry, OcuModel
 from ocusim.optim import Param
 
@@ -159,6 +170,35 @@ class TestNetworkCheckpoint:
         loaded, _ = load_network(path)
         assert loaded.topology["optical"] is False
         assert np.array_equal(loaded.forward(x), before)
+
+
+    @pytest.mark.parametrize("kind", ["denoiser", "classifier"])
+    def test_reloaded_network_evaluates_bitwise(self, tmp_path, kind):
+        # through the float32 entry points, after a little training
+        rng = np.random.default_rng(5)
+        if kind == "denoiser":
+            net = build_denoiser(small_geometry(), 2, 2, seed=5)
+            train_denoiser(net, synthetic_corpus(2, 16, seed=1), 20.0,
+                           DenoiseTrainConfig(epochs=1, batch_size=4, patch=10,
+                                              crops_per_image=4))
+            x = rng.random((2, 1, 14, 14))
+
+            def evaluate(n):
+                return [denoiser_forward(n, x)[0]]
+        else:
+            net = build_classifier(small_geometry(), 2, 1, 8, 2, seed=4, hidden=(4,))
+            blobs = synthetic_blobs(16, 8, seed=1)
+            train_classifier(net, blobs.images, blobs.labels, blobs.images, blobs.labels, 2,
+                             TrainConfig(epochs=1, batch_size=8))
+            x = rng.random((6, 1, 8, 8))
+
+            def evaluate(n):
+                return [n.forward(x.astype(np.float32)), predict_classes(n, x)]
+        path = tmp_path / "net.ckpt"
+        save_network(path, net)
+        loaded, _ = load_network(path)
+        for got, want in zip(evaluate(loaded), evaluate(net)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestNetworkCheckpointSchema:

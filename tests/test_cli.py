@@ -572,6 +572,51 @@ dir = {tmp_path / 'evalout'}
             assert np.array_equal(written, np.rint(estimate * 255.0) / 255.0)
 
 
+class TestUncalibratedEval:
+    """eval of a network whose gains were never calibrated exits 3 naming the
+    layer whose detected output overflows, before it writes any output file:
+    at gain 1 that output keeps the physical field scale."""
+
+    @pytest.fixture(params=["denoiser", "classifier"])
+    def config(self, request, tmp_path):
+        from ocusim.checkpoint import save_network
+        from ocusim.networks import build_classifier, build_denoiser
+        from ocusim.optics import OcuGeometry
+
+        geometry = OcuGeometry(metaunits_per_layer=8)
+        if request.param == "denoiser":
+            net = build_denoiser(geometry, 2, 2)
+            (tmp_path / "pgms").mkdir()
+            write_pgm(tmp_path / "pgms" / "a.pgm", np.random.default_rng(0).random((24, 24)))
+            data = f"test_kind = pgm-dir\ntest_dir = {tmp_path / 'pgms'}\n"
+        else:
+            net = build_classifier(geometry, 1, 1, 8, 2, hidden=(4,))
+            data = "\n[dataset]\nkind = blobs\ntest_count = 8\n"
+        save_network(tmp_path / "net.ckpt", net)
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(f"[eval]\ncheckpoint = {tmp_path / 'net.ckpt'}\n{data}\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        return cfg
+
+    @staticmethod
+    def check(code, err, out):
+        assert code == 3, err
+        assert "layer 0 (OclLayer)" in err and "calibrated" in err
+        assert "Warning" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_in_process(self, config, tmp_path, capsys):
+        from ocusim import cli
+
+        code = cli.main(["eval", "--config", str(config)])
+        self.check(code, capsys.readouterr().err, tmp_path / "out")
+
+    def test_without_warning_filters(self, config, tmp_path):
+        # a subprocess runs with numpy's default warnings, not pytest's errors
+        proc = run_cli("eval", "--config", str(config))
+        self.check(proc.returncode, proc.stderr, tmp_path / "out")
+
+
 class TestMalformedCheckpoint:
     """Hand-edited checkpoints with a missing or malformed key exit 2 and name it."""
 
@@ -913,12 +958,15 @@ class TestSeedFlag:
 
     def test_rejected_by_a_classifier_eval(self, tmp_path):
         from ocusim.checkpoint import save_network
-        from ocusim.networks import build_classifier
+        from ocusim.networks import build_classifier, calibrate_optical_layers
         from ocusim.optics import OcuGeometry
 
         ckpt = tmp_path / "clf.ckpt"
-        save_network(ckpt, build_classifier(OcuGeometry(metaunits_per_layer=8, num_inputs=9),
-                                            1, 1, 8, 2, hidden=(8,)))
+        net = build_classifier(OcuGeometry(metaunits_per_layer=8, num_inputs=9), 1, 1, 8, 2,
+                               hidden=(8,))
+        # an uncalibrated network cannot run: its detected output overflows
+        calibrate_optical_layers(net, np.random.default_rng(0).random((2, 1, 8, 8)))
+        save_network(ckpt, net)
         cfg = tmp_path / "eval.ini"
         cfg.write_text(f"[eval]\ncheckpoint = {ckpt}\n\n[dataset]\nkind = blobs\n"
                        f"test_count = 8\n\n[output]\ndir = {tmp_path / 'out'}\n")

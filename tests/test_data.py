@@ -24,6 +24,7 @@ from ocusim.data import (
     synthetic_contrast_image,
     synthetic_corpus,
     synthetic_image,
+    synthetic_shapes,
 )
 from ocusim.pgm import read_pgm, write_pgm
 
@@ -33,6 +34,7 @@ from helpers import (
     synthetic_blobs_loop,
     synthetic_contrast_image_reference,
     synthetic_image_reference,
+    synthetic_shapes_loop,
 )
 
 
@@ -355,6 +357,17 @@ class TestSynthetic:
     def test_smallest_blobs_are_finite(self):
         assert np.all(np.isfinite(synthetic_blobs(4, 2).images))
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_shapes_reject_images_below_two_pixels(self, size):
+        with pytest.raises(ValueError, match="at least 2 pixels"):
+            synthetic_shapes(4, size)
+
+    def test_shapes_cover_ten_classes_in_range(self):
+        ds = synthetic_shapes(500, 28, seed=3)
+        assert ds.images.shape == (500, 1, 28, 28) and ds.images.dtype == np.float64
+        assert 0.0 <= ds.images.min() and ds.images.max() <= 1.0
+        assert np.array_equal(np.unique(ds.labels), np.arange(10))
+
     def test_empty_corpus(self):
         assert synthetic_corpus(0, 16).shape == (0, 16, 16)
 
@@ -386,6 +399,18 @@ class TestGeneratorsMatchReference:
         for count in (0, 1, 300, 3200):
             ds = synthetic_blobs(count, size, seed)
             images, labels = synthetic_blobs_loop(count, size, seed)
+            assert ds.images.shape == (count, 1, size, size)
+            assert ds.images.tobytes() == images.tobytes()
+            assert ds.labels.dtype == labels.dtype
+            assert ds.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("size", [2, 5, 28, 32])
+    def test_shapes(self, seed, size):
+        # 300 images span several chunks at every size above 14
+        for count in (0, 1, 300):
+            ds = synthetic_shapes(count, size, seed)
+            images, labels = synthetic_shapes_loop(count, size, seed)
             assert ds.images.shape == (count, 1, size, size)
             assert ds.images.tobytes() == images.tobytes()
             assert ds.labels.dtype == labels.dtype

@@ -226,12 +226,14 @@ def world(tmp_path_factory):
         "train_labels", "test_images", "test_labels", "train_batches", "pgms")}
     save_ocu_model(files["unit"], OcuModel.random_init(geometry, rng))
     write_pgm(files["image"], rng.random((12, 12)))
-    save_network(files["classifier"], build_classifier(geometry, 1, 1, 8, 2, hidden=(4,)))
-    save_network(files["cifar_classifier"], build_classifier(geometry, 1, 3, 32, 4,
-                                                             hidden=(4,)))
-    denoiser = build_denoiser(geometry, 2, 2)
-    calibrate_optical_layers(denoiser, rng.random((2, 1, 12, 12)))
-    save_network(files["denoiser"], denoiser)
+    # every network calibrated: an uncalibrated one's detected output overflows
+    for name, net, size in (
+            ("classifier", build_classifier(geometry, 1, 1, 8, 2, hidden=(4,)), 8),
+            ("cifar_classifier", build_classifier(geometry, 1, 3, 32, 4, hidden=(4,)), 32),
+            ("denoiser", build_denoiser(geometry, 2, 2), 12)):
+        channels = net.layers[0].c
+        calibrate_optical_layers(net, rng.random((2, channels, size, size)))
+        save_network(files[name], net)
     for split in ("train", "test"):
         make_idx_images(files[f"{split}_images"], rng.integers(0, 256, (8, 8, 8)))
         make_idx_labels(files[f"{split}_labels"], np.arange(8) % 2)
@@ -340,3 +342,20 @@ class TestUnusableDatasets:
         code, err = run(tmp_path, capsys, world, command,
                         test_batches=str(tmp_path / "other.bin"))
         assert_named_exit_2(code, err, "[dataset] test set holds no images", tmp_path)
+
+
+class TestMessagesNameTheFile:
+    """The message of a malformed input says what is wrong with that file."""
+
+    def test_config_without_section_header(self, tmp_path, capsys, world):
+        config = tmp_path / "exp.ini"
+        config.write_text("kernel_size = 3\n")
+        code, err = run(tmp_path, capsys, world, "perf", config=str(config))
+        assert_named_exit_2(code, err, f"--config {config}", tmp_path)
+        assert f"file: '{config}', line: 1" in err and "<string>" not in err
+
+    def test_checkpoint_of_another_binary_format(self, tmp_path, capsys, world):
+        # a binary PGM is named as not a checkpoint, not by a byte ASCII rejects
+        code, err = run(tmp_path, capsys, world, "convolve", unit=world["image"])
+        assert_named_exit_2(code, err, "--checkpoint", tmp_path)
+        assert "not an ocusim-checkpoint file" in err and "codec" not in err

@@ -220,6 +220,39 @@ class TestDenoiser:
             build_denoiser(geom, 2, 2)
 
 
+class TestPrecision:
+    """The entry points cast the network input to float32; a network called
+    directly with float64 input runs the float64 reference path."""
+
+    def test_entry_points_run_float32(self):
+        geom = OcuGeometry(metaunits_per_layer=8, num_inputs=9, num_layers=3)
+        x = np.random.default_rng(20).random((3, 1, 12, 12))
+        denoiser = build_denoiser(geom, 2, 2, seed=1)
+        calibrate_optical_layers(denoiser, x)
+        residual, clean = denoiser_forward(denoiser, x)
+        assert residual.dtype == np.float32 and clean.dtype == np.float64
+        assert denoiser.forward(x).dtype == np.float64
+        bn = denoiser.layers[3]
+        assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
+        classifier = build_classifier(geom, 2, 1, 12, 3, seed=1, hidden=(4,))
+        calibrate_optical_layers(classifier, x)
+        scores = classifier.forward(x.astype(np.float32))
+        assert classifier.layers[0].forward(x.astype(np.float32)).dtype == np.float32
+        assert np.array_equal(predict_classes(classifier, x), np.argmax(scores, axis=1))
+
+    @pytest.mark.parametrize("dtype, layer, kind", [
+        (np.float64, 5, "float64"), (np.float32, 0, "float32")])
+    def test_uncalibrated_output_overflow_names_the_layer(self, dtype, layer, kind):
+        # at gain 1 the detected output keeps the physical field scale: float32
+        # cannot hold the first layer's scaled gain weights, float64 overflows
+        # when the last layer squares its fields
+        net = build_denoiser(OcuGeometry(metaunits_per_layer=8), 2, 2)
+        x = np.random.default_rng(21).random((1, 1, 24, 24)).astype(dtype)
+        with pytest.raises(TrainingDiverged,
+                           match=rf"layer {layer} \(OclLayer\).*overflows {kind}.*calibrated"):
+            net.forward(x)
+
+
 class TestOclForwardComposition:
     def test_channel_sum_matches_manual(self):
         # FM_m = sum_n detect(ocu(patches_n)) is what the layer computes

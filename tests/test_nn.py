@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from ocusim import optics
+from ocusim.networks import build_classifier, build_denoiser, calibrate_optical_layers
 from ocusim.nn import (
     BatchNormLayer,
     Conv2dLayer,
@@ -37,8 +39,10 @@ from ocusim.tensorize import PaddedWindows, fold_batch, im2col, im2col_batch
 from helpers import (
     calibrate_gains_whole,
     complex_ocu_vjp,
+    conv_layer_64,
     fd_check_network,
     naive_patch_columns,
+    ocl_layer_64,
     pool_grad_loop,
     pool_loop,
     reflect_pad_grad_loop,
@@ -394,6 +398,66 @@ class TestStreamedMemory:
         assert peak < patch_matrix
         sizes = [a.nbytes for a in self.held_arrays(layer._cache)]
         assert max(sizes) == padded_input
+
+
+def builder_layers(optical):
+    """The calibrated convolutions that the builders make at the default
+    geometry, with an input for each: the desk denoiser's 8x1, 8x8 and 1x8
+    (pad 1) and the classifier's 4x1 (no pad)."""
+    rng = np.random.default_rng(40)
+    denoiser = build_denoiser(OcuGeometry(), 8, 8, seed=5, optical=optical)
+    classifier = build_classifier(OcuGeometry(), 4, 1, 12, 2, seed=0, optical=optical,
+                                  hidden=(4,))
+    for net in (denoiser, classifier):
+        calibrate_optical_layers(net, rng.random((4, 1, 12, 12)))
+    layers = [denoiser.layers[0], denoiser.layers[2], denoiser.layers[5], classifier.layers[0]]
+    return [(layer, rng.random((4, layer.c, 12, 12))) for layer in layers]
+
+
+# (optical, index into builder_layers) of every builder-made convolution
+BUILDER_LAYERS = [(optical, i) for optical in (True, False) for i in range(4)]
+BUILDER_IDS = [f"{'ocl' if optical else 'conv'}{('8x1', '8x8', '1x8', '4x1')[i]}"
+               for optical, i in BUILDER_LAYERS]
+
+
+class TestPrecision:
+    """A convolution works in its input's dtype.  At float32 it runs in the
+    engine's power-of-two scaled frame and agrees with float64; at float64
+    it is bitwise the engine as it was before it took the columns' dtype."""
+
+    @staticmethod
+    def run(layer, x, grad):
+        """(output, input gradient, parameter gradients) of one forward and
+        backward pass of a copy of ``layer``."""
+        layer = copy.deepcopy(layer)
+        out = layer.forward(x, training=True)
+        dx = layer.backward(grad)
+        return out, dx, [p.grad for p in layer.params()]
+
+    @pytest.mark.parametrize("optical, i", BUILDER_LAYERS, ids=BUILDER_IDS)
+    def test_float32_equals_float64(self, optical, i):
+        layer, x = builder_layers(optical)[i]
+        grad = np.random.default_rng(41).standard_normal(layer.out_shape(x.shape))
+        out64, dx64, grads64 = self.run(layer, x, grad)
+        out32, dx32, grads32 = self.run(layer, x.astype(np.float32), grad)
+        assert out32.dtype == dx32.dtype == np.float32
+        for name, got, want in [("output", out32, out64), ("input gradient", dx32, dx64),
+                                *zip([p.name for p in layer.params()], grads32, grads64)]:
+            assert want.dtype == np.float64, name
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-5, f"{name}: relative error {err:.2e}"
+
+    @pytest.mark.parametrize("need_input_grad", [True, False])
+    @pytest.mark.parametrize("optical, i", BUILDER_LAYERS, ids=BUILDER_IDS)
+    def test_float64_is_the_engine_before(self, optical, i, need_input_grad):
+        layer, x = builder_layers(optical)[i]
+        grad = np.random.default_rng(42).standard_normal(layer.out_shape(x.shape))
+        out = layer.forward(x, training=True)
+        dx = layer.backward(grad, need_input_grad=need_input_grad)
+        reference = (ocl_layer_64 if optical else conv_layer_64)(layer, x, grad, need_input_grad)
+        got = [out, dx] + [p.grad for p in layer.params()]
+        for a, b in zip(got, reference):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 class TestReflectPadGrad:

@@ -30,7 +30,9 @@ def _apply_threads(threads: int | None) -> None:
 def _out_dir(args, cfg=None) -> Path:
     """Create and return the output directory: --out-dir, else [output] dir,
     else out.  With a config this ends the command's set-up, before any
-    training or output: a key that nothing has read is unknown (ConfigError)."""
+    training or output: a key that nothing has read is unknown (ConfigError).
+    The directories it makes are recorded in ``args.made_dirs``, deepest
+    first, so that ``main`` can remove them if the command fails."""
     from .config import read_input
 
     configured = None
@@ -39,6 +41,7 @@ def _out_dir(args, cfg=None) -> Path:
         cfg.check_all_read()
     key = f"{cfg.path}: key [output] dir" if configured and not args.out_dir else "--out-dir"
     path = Path(args.out_dir or configured or "out")
+    args.made_dirs = [d for d in (path, *path.parents) if not d.exists()]
     read_input(key, path.mkdir, parents=True, exist_ok=True)
     return path
 
@@ -232,9 +235,10 @@ def _load_classification_dataset(cfg, split: str):
     if not len(ds):
         raise ConfigError(f"{cfg.path}: [dataset] {split} set holds no images")
     limit = cfg.typed("dataset", f"limit_{split}", natural, 0)
-    if limit:
-        ds.images = ds.images[:limit]
-        ds.labels = ds.labels[:limit]
+    if 0 < limit < len(ds):
+        # copies, so that the rest of the set is freed
+        ds.images = ds.images[:limit].copy()
+        ds.labels = ds.labels[:limit].copy()
     return ds
 
 
@@ -533,9 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
+def _run(args) -> int:
+    """The command's exit code, with its failure reported on stderr."""
     from .config import ConfigError
     from .optim import TrainingDiverged
     try:
@@ -544,11 +547,28 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        # eval trains nothing: there the error is a network whose output overflows
+        failed = "evaluation failed" if args.handler is cmd_eval else "training diverged"
+        print(f"{failed}: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    """Run one command.  A command that fails removes the output directories
+    it made, if it left them empty."""
+    args = build_parser().parse_args(argv)
+    _apply_threads(args.threads)
+    code = _run(args)
+    if code:
+        for made in getattr(args, "made_dirs", ()):
+            try:
+                made.rmdir()
+            except OSError:     # not empty: the command wrote into it
+                break
+    return code
 
 
 if __name__ == "__main__":

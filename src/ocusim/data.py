@@ -1,7 +1,9 @@
 """Dataset ingestion, noise injection, patch cropping, and quality metrics.
 
 Images are float arrays normalized to [0, 1]; classification datasets are
-(n, C, H, W).  Noise follows the 8-bit convention: a Gaussian of standard
+(n, C, H, W) float32, the dtype of the networks' column work, each value
+the float64 one rounded to float32.  The denoiser's images and their noise
+stay float64.  Noise follows the 8-bit convention: a Gaussian of standard
 deviation ``sigma`` gray levels is added on the 0-255 scale, clipped, and
 the result renormalized.  No downloading happens here; loaders read local
 files in the exact distribution formats (IDX, CIFAR-10 binary batches).
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,10 +24,15 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 1024 channel-planar pixels
 
+# float32(v / 255) of each 8-bit level v, the float64 quotient rounded once
+_LEVELS = (np.arange(256) / 255.0).astype(np.float32)
+# 8-bit values converted per call: np.take makes an index copy of 8 bytes each
+_LEVEL_CHUNK = 1 << 15
+
 
 @dataclass
 class LabeledDataset:
-    images: np.ndarray          # (n, C, H, W) in [0, 1]
+    images: np.ndarray          # (n, C, H, W) float32 in [0, 1]
     labels: np.ndarray          # (n,) class indices
     split: str = ""
 
@@ -42,27 +50,45 @@ def _rng(seed_or_rng) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_or_rng))
 
 
+def _levels(pixels: np.ndarray, out: np.ndarray) -> None:
+    """Write the 8-bit ``pixels`` into the contiguous float32 ``out`` of the
+    same size as [0, 1] values, through _LEVELS, a chunk at a time."""
+    src, dst = pixels.reshape(-1), out.reshape(-1)
+    for start in range(0, src.size, _LEVEL_CHUNK):
+        stop = start + _LEVEL_CHUNK
+        np.take(_LEVELS, src[start:stop], out=dst[start:stop], mode="clip")
+
+
 # ---------------------------------------------------------------------------
 # IDX (Fashion-MNIST distribution format)
 # ---------------------------------------------------------------------------
 
 def load_idx_images(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated IDX image header")
-    magic = int.from_bytes(raw[0:4], "big")
-    if magic != IDX_IMAGE_MAGIC:
-        raise ValueError(f"{path}: bad IDX image magic 0x{magic:08x}")
-    n = int.from_bytes(raw[4:8], "big")
-    rows = int.from_bytes(raw[8:12], "big")
-    cols = int.from_bytes(raw[12:16], "big")
-    payload = raw[16:]
-    if len(payload) != n * rows * cols:
-        raise ValueError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {n * rows * cols}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, rows, cols)
-    return pixels.astype(float) / 255.0
+    """(n, 1, rows, cols) float32 images of an IDX file, read a chunk at a
+    time into the one array they fill."""
+    with open(path, "rb") as f:
+        head = f.read(16)
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated IDX image header")
+        magic = int.from_bytes(head[0:4], "big")
+        if magic != IDX_IMAGE_MAGIC:
+            raise ValueError(f"{path}: bad IDX image magic 0x{magic:08x}")
+        n = int.from_bytes(head[4:8], "big")
+        rows = int.from_bytes(head[8:12], "big")
+        cols = int.from_bytes(head[12:16], "big")
+        payload = os.fstat(f.fileno()).st_size - 16
+        if payload != n * rows * cols:
+            raise ValueError(f"{path}: payload holds {payload} bytes, header promises "
+                             f"{n * rows * cols}")
+        images = np.empty((n, 1, rows, cols), dtype=np.float32)
+        flat = images.reshape(-1)
+        chunk = np.empty(_LEVEL_CHUNK, dtype=np.uint8)
+        for start in range(0, flat.size, _LEVEL_CHUNK):
+            part = chunk[:flat.size - start]
+            if f.readinto(part) != len(part):
+                raise ValueError(f"{path}: payload ended early")
+            _levels(part, flat[start:start + len(part)])
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -96,7 +122,10 @@ def load_idx(images_path, labels_path, split: str = "") -> LabeledDataset:
 def load_cifar4(paths, classes=(0, 1, 2, 3), split: str = "") -> LabeledDataset:
     """Read CIFAR-10 binary batches keeping only ``classes``, relabeled 0..3."""
     classes = tuple(classes)
-    images, labels = [], []
+    relabel = np.full(10, -1, dtype=np.int64)
+    for new, old in enumerate(classes):
+        relabel[old] = new
+    pixels, labels = [], []     # the kept 8-bit records of each batch
     for path in paths:
         raw = Path(path).read_bytes()
         if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
@@ -106,13 +135,14 @@ def load_cifar4(paths, classes=(0, 1, 2, 3), split: str = "") -> LabeledDataset:
         if int(batch_labels.max()) > 9:
             raise ValueError(f"{path}: unknown class id {int(batch_labels.max())}")
         keep = np.isin(batch_labels, classes)
-        kept = arr[keep]
-        images.append(kept[:, 1:].reshape(-1, 3, 32, 32).astype(float) / 255.0)
-        relabel = np.full(10, -1, dtype=np.int64)
-        for new, old in enumerate(classes):
-            relabel[old] = new
+        pixels.append(np.ascontiguousarray(arr[keep, 1:]))
         labels.append(relabel[batch_labels[keep]])
-    return LabeledDataset(np.concatenate(images), np.concatenate(labels), split)
+    images = np.empty((sum(map(len, pixels)), 3, 32, 32), dtype=np.float32)
+    start = 0
+    for kept in pixels:
+        _levels(kept, images[start:start + len(kept)])
+        start += len(kept)
+    return LabeledDataset(images, np.concatenate(labels), split)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +411,8 @@ def synthetic_blobs(count: int, size: int = 8, seed: int = 0) -> LabeledDataset:
     """Two linearly separable classes: a bright blob in opposite corners.
 
     The noise of a chunk of images is drawn in one call, the same stream,
-    in the same order, as one draw per image.
+    in the same order, as one draw per image.  The pixels are computed in
+    float64 and stored in float32.
     """
     if size < 2:
         raise ValueError(f"blob images need at least 2 pixels a side, got {size}")
@@ -390,7 +421,7 @@ def synthetic_blobs(count: int, size: int = 8, seed: int = 0) -> LabeledDataset:
     centers = ((0.25, 0.25), (0.75, 0.75))
     bumps = np.stack([0.8 * np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / 0.04))
                       for cy, cx in centers])
-    images = np.empty((count, 1, size, size))
+    images = np.empty((count, 1, size, size), dtype=np.float32)
     labels = rng.integers(0, 2, size=count)
     chunk = max(1, _BLOB_CHUNK_VALUES // (size * size))
     for start in range(0, count, chunk):
@@ -447,7 +478,8 @@ def synthetic_shapes(count: int, size: int = 28, seed: int = 0) -> LabeledDatase
     width, contrast and background (SHAPE_JITTER), with a one-pixel soft
     edge and uniform pixel noise.  The labels, then every image's jitter,
     then the noise of chunks of images are drawn in one call each; the
-    images of a chunk are made in whole-array passes, one per class.
+    images of a chunk are made in whole-array passes, one per class, in
+    float64, and stored in float32.
     """
     if size < 2:
         raise ValueError(f"shape images need at least 2 pixels a side, got {size}")
@@ -456,7 +488,7 @@ def synthetic_shapes(count: int, size: int = 28, seed: int = 0) -> LabeledDatase
     low, high = SHAPE_JITTER.T
     jitter = low + (high - low) * rng.random((count, len(SHAPE_JITTER)))
     grid = (np.arange(size) + 0.5) / size
-    images = np.empty((count, 1, size, size))
+    images = np.empty((count, 1, size, size), dtype=np.float32)
     chunk = max(1, _BLOB_CHUNK_VALUES // (size * size))
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)

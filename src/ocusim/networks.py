@@ -137,12 +137,16 @@ def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> None:
 
     Intermediate layers run in training mode so batch-normalized inputs are
     seen at their training-time scale; the single running-stat refresh this
-    causes is deterministic.
+    causes is deterministic.  A layer whose calibration fails is named in
+    the error.
     """
     x = _work(x)
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         if isinstance(layer, OclLayer):
-            layer.calibrate_gains(x)
+            try:
+                layer.calibrate_gains(x)
+            except (TrainingDiverged, ValueError) as exc:
+                raise type(exc)(f"layer {i} (OclLayer): {exc}") from None
         x = layer.forward(x, training=True)
 
 

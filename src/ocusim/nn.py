@@ -195,30 +195,49 @@ class OclLayer(_Convolution):
         otherwise sit at the raw physical field scale and gradients die),
         and the positive detector port is chosen per unit so its output is
         not negative almost everywhere (which a downstream ReLU would
-        silence permanently).  The detection engine runs once; the RMS and
-        mean are then taken one unit at a time, so calibration needs no
-        more memory than the engine.  The outputs are float64 whatever the
-        dtype of ``x``.  Raises TrainingDiverged naming num_layers when the
-        detected power overflows float64.
+        silence permanently).  A unit whose input channel is all zero has
+        no signal to scale; it takes the median of the other units'
+        log-gains, the layer's scale.  The detection engine runs one input
+        channel at a time, and the RMS and mean are taken one unit at a
+        time, so calibration needs the memory of one channel's outputs.
+        The outputs are float64 whatever the dtype of ``x``.  Raises
+        TrainingDiverged naming num_layers when the detected power
+        overflows float64, and ValueError when every channel is all zero.
         """
+        x = np.asarray(x, dtype=float)
+        self.out_shape(x.shape)
         rms, mean = np.empty((self.q, self.c)), np.empty((self.q, self.c))
         with np.errstate(over="ignore", invalid="ignore"):
-            src, partials = self._operators(np.asarray(x, dtype=float))
-            out = bank_unit_outputs(partials.quad, src)
-            for unit in np.ndindex(self.q, self.c):
-                # the unit's B*G^2 outputs copied into one contiguous row:
-                # np.mean's pairwise sum of a row does not depend on what
-                # surrounds it
-                diff = src.crop(out[unit]).reshape(-1)
-                rms[unit] = np.sqrt(np.mean(diff * diff))
-                mean[unit] = np.mean(diff)
+            quad = stacked_transfer_partials(self.phases.value, self.geometry).quad
+            for c in range(self.c):
+                rms[:, c], mean[:, c] = self._channel_moments(quad[c:c + 1], x[:, c:c + 1])
         if not np.all(np.isfinite(rms)):
             raise TrainingDiverged(
                 f"detected power overflows float64 at num_layers = "
                 f"{self.geometry.num_layers}; use fewer metalines")
-        safe = np.where(rms > 0, rms, 1.0)
-        self.log_gain.value[...] = np.log(1.0 / safe)
+        lit = rms > 0
+        if not lit.any():
+            raise ValueError("the calibration input is all zero, so no unit has a "
+                             "signal to set its gain from")
+        log_gain = np.log(1.0 / np.where(lit, rms, 1.0))
+        self.log_gain.value[...] = np.where(lit, log_gain, np.median(log_gain[lit]))
         self.port_sign[...] = np.where(mean < 0, -1.0, 1.0)
+
+    def _channel_moments(self, quad, x):
+        """RMS and mean over ``x`` of the outputs of the q units of one input
+        channel, from its (1, 4q, H^2) rows and its (B, 1, N, N) batch.  A
+        call of its own, so that one channel's outputs are freed before the
+        next channel's are made."""
+        src = PaddedWindows(x, self.h, self.pad)
+        out = bank_unit_outputs(quad, src)
+        rms, mean = np.empty(self.q), np.empty(self.q)
+        for k in range(self.q):
+            # the unit's B*G^2 outputs copied into one contiguous row: np.mean's
+            # pairwise sum of a row does not depend on what surrounds it
+            diff = src.crop(out[k, 0]).reshape(-1)
+            rms[k] = np.sqrt(np.mean(diff * diff))
+            mean[k] = np.mean(diff)
+        return rms, mean
 
 
 class Conv2dLayer(_Convolution):

@@ -47,6 +47,48 @@ def test_summarize_gives_one_verdict_per_metric(case):
     assert metric["within_bound"] == (expected != "worse")
 
 
+def rounds(count, failing=()):
+    """Per-round records of a perfbench detail line, three keys in turn."""
+    return [{"key": f"k{i % 3}", "setup_s": 0.01, "steps": 10, "digest": f"d{i % 3}",
+             "quality": {"mse": 0.1 * i}, "checks": {"fits": i not in failing,
+                                                     "digest_repeats": True}}
+            for i in range(count)]
+
+
+def test_rounds_are_summarized():
+    records = rounds(3000, failing={5, 2999})
+    assert bench_pairs().summarize_rounds(records) == {
+        "count": 3000, "failed": 2, "failed_checks": {"fits": 2},
+        "digests": ["d0", "d1", "d2"], "first": records[0], "last": records[-1]}
+
+
+def test_run_once_keeps_the_result_and_summarizes_the_rounds(tmp_path):
+    detail = {"workload": "w", "env": {"numpy": "x"}, "digest": "d0", "rounds": rounds(500),
+              "end_to_end": {"step_ms_p50": 1.0}}
+    result = {"correct": True, "attempted": 500, "failed": 0,
+              "metrics": {"step_ms_p50": {"value": 1.0, "unit": "ms"}}}
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"print('round 0: ok')\nprint('detail: ' + {json.dumps(json.dumps(detail))})\n"
+        f"print({json.dumps(json.dumps(result))})\n")
+    run = bench_pairs().run_once(tmp_path, "w", 1, 1.0, False)
+    assert run["returncode"] == 0 and run["result"] == result and run["digest"] == "d0"
+    kept = {k: v for k, v in run["detail"].items() if k != "rounds"}
+    assert kept == {k: v for k, v in detail.items() if k != "rounds"}
+    assert run["detail"]["rounds"] == bench_pairs().summarize_rounds(detail["rounds"])
+
+
+@pytest.mark.parametrize("name", ["BENCH_float32-columns.json", "BENCH_input-files_aa.json"])
+def test_summarized_rounds_keep_every_verdict(name):
+    # a committed report's runs with their rounds summarized give its summary
+    module = bench_pairs()
+    report = json.loads((ROOT / name).read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for run in report["runs"]:
+        run["detail"]["rounds"] = module.summarize_rounds(run["detail"]["rounds"])
+    assert module.summarize(report["runs"], spec) == report["summary"]
+
+
 def test_tiny_aa_pair_writes_a_complete_report(tmp_path):
     out = tmp_path / "BENCH_selftest.json"
     done = subprocess.run(
@@ -69,9 +111,12 @@ def test_tiny_aa_pair_writes_a_complete_report(tmp_path):
         assert r["workload"] == "srp_fit" and r["pair"] == 0 and r["returncode"] == 0
         assert r["result"]["correct"] and r["result"]["failed"] == 0
     assert runs[0]["seed"] == runs[1]["seed"] and runs[0]["digest"] == runs[1]["digest"]
-    for r in runs:   # the whole detail line, not only its digest
+    for r in runs:   # the whole detail line, not only its digest, its rounds summarized
         assert r["detail"]["digest"] == r["digest"]
         assert {"env", "digest", "rounds", "end_to_end"} <= set(r["detail"]), sorted(r["detail"])
+        summary = r["detail"]["rounds"]
+        assert summary["count"] == r["result"]["attempted"] and summary["failed"] == 0
+        assert summary["first"]["digest"] == r["digest"] and r["digest"] in summary["digests"]
 
     entry = report["summary"]["srp_fit"]
     assert entry["pairs"] == entry["pairs_compared"] == 1

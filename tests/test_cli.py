@@ -393,6 +393,24 @@ dir = {tmp_path / 'evalout'}
         assert (geo_out / "geometry_layer0_ock0_ocu0.csv").is_file()
 
 
+class TestDatasetLimit:
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_kept_arrays_own_their_data(self, tmp_path, split):
+        # views of the first images would keep the whole set alive
+        from ocusim.cli import _load_classification_dataset
+        from ocusim.config import Config
+        from ocusim.data import synthetic_blobs
+
+        cfg = tmp_path / "data.ini"
+        cfg.write_text(f"[dataset]\nkind = blobs\n{split}_count = 64\nsize = 8\n"
+                       f"limit_{split} = 10\n")
+        ds = _load_classification_dataset(Config.load(cfg), split)
+        full = synthetic_blobs(64, 8, seed=0 if split == "train" else 1)
+        assert ds.images.flags.owndata and ds.labels.flags.owndata
+        assert ds.images.tobytes() == full.images[:10].tobytes()
+        assert ds.labels.tobytes() == full.labels[:10].tobytes()
+
+
 class TestEvalDatasetMismatch:
     """eval of a classifier on images unlike its training images exits 2:
     blobs of another size name [dataset] size, other datasets their shape,
@@ -470,8 +488,8 @@ class TestDenoiserPipeline:
         proc = run_cli("train-denoiser", "--config", str(cfg))
         assert proc.returncode == 3, proc.stderr
         assert "diverged" in proc.stderr and "num_layers = 8" in proc.stderr
-        assert "Warning" not in proc.stderr
-        assert not (out / "denoiser.ckpt").exists()
+        assert "layer 0 (OclLayer)" in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()     # the failed run removes the directory it made
 
     def test_last_batch_of_one_trains_without_batch_norm(self, tmp_path):
         # 24 crops in batches of 23: a one-crop batch is fine with no batch norm
@@ -574,8 +592,9 @@ dir = {tmp_path / 'evalout'}
 
 class TestUncalibratedEval:
     """eval of a network whose gains were never calibrated exits 3 naming the
-    layer whose detected output overflows, before it writes any output file:
-    at gain 1 that output keeps the physical field scale."""
+    layer whose detected output overflows, as an evaluation failure, and
+    leaves no output directory: at gain 1 that output keeps the physical
+    field scale."""
 
     @pytest.fixture(params=["denoiser", "classifier"])
     def config(self, request, tmp_path):
@@ -601,9 +620,9 @@ class TestUncalibratedEval:
     @staticmethod
     def check(code, err, out):
         assert code == 3, err
-        assert "layer 0 (OclLayer)" in err and "calibrated" in err
-        assert "Warning" not in err
-        assert not out.exists() or not any(out.iterdir())
+        assert err.startswith("evaluation failed: layer 0 (OclLayer)") and "calibrated" in err
+        assert "training" not in err and "Warning" not in err
+        assert not out.exists()
 
     def test_in_process(self, config, tmp_path, capsys):
         from ocusim import cli

@@ -100,6 +100,31 @@ class TestIdx:
         with pytest.raises(ValueError, match="magic"):
             load_idx_labels(path)
 
+    def test_pixels_are_the_float64_quotients_in_float32(self, tmp_path):
+        # every level, in a file that spans several read chunks
+        images = np.arange(300 * 28 * 28).reshape(300, 28, 28) % 256
+        make_idx_images(tmp_path / "imgs", images)
+        loaded = load_idx_images(tmp_path / "imgs")
+        assert loaded.dtype == np.float32 and loaded.shape == (300, 1, 28, 28)
+        expected = (images.astype(np.uint8).astype(float) / 255.0).astype(np.float32)
+        assert loaded.tobytes() == expected.tobytes()
+
+    def test_holds_no_more_than_its_images(self, tmp_path):
+        # no float64 copy and no copy of the file's bytes: the float32
+        # images and at most 0.5 MB of read buffers
+        make_idx_images(tmp_path / "imgs",
+                        np.random.default_rng(6).integers(0, 256, size=(2000, 28, 28)))
+        load_idx_images(tmp_path / "imgs")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            images = load_idx_images(tmp_path / "imgs")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert images.nbytes == 2000 * 28 * 28 * 4
+        assert peak <= images.nbytes + 2**19
+
     def test_rereading_is_bitwise_identical(self, tmp_path):
         rng = np.random.default_rng(5)
         make_idx_images(tmp_path / "imgs",
@@ -132,6 +157,19 @@ class TestCifar:
         assert np.allclose(ds.images[0, 0], 10 / 255.0)
         assert np.allclose(ds.images[0, 1], 20 / 255.0)
         assert np.allclose(ds.images[0, 2], 30 / 255.0)
+
+    def test_pixels_are_the_float64_quotients_in_float32(self, tmp_path):
+        rng = np.random.default_rng(7)
+        records = rng.integers(0, 256, size=(40, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(40) % 10
+        (tmp_path / "a.bin").write_bytes(records[:25].tobytes())
+        (tmp_path / "b.bin").write_bytes(records[25:].tobytes())
+        ds = load_cifar4([tmp_path / "a.bin", tmp_path / "b.bin"], classes=(3, 0))
+        kept = records[np.isin(records[:, 0], (3, 0))]
+        expected = (kept[:, 1:].astype(float) / 255.0).astype(np.float32)
+        assert ds.images.dtype == np.float32
+        assert ds.images.tobytes() == expected.tobytes()
+        assert ds.labels.tolist() == [0 if c == 3 else 1 for c in kept[:, 0]]
 
     def test_four_of_ten_ratio(self, tmp_path):
         path = tmp_path / "batch.bin"
@@ -364,7 +402,7 @@ class TestSynthetic:
 
     def test_shapes_cover_ten_classes_in_range(self):
         ds = synthetic_shapes(500, 28, seed=3)
-        assert ds.images.shape == (500, 1, 28, 28) and ds.images.dtype == np.float64
+        assert ds.images.shape == (500, 1, 28, 28) and ds.images.dtype == np.float32
         assert 0.0 <= ds.images.min() and ds.images.max() <= 1.0
         assert np.array_equal(np.unique(ds.labels), np.arange(10))
 
@@ -391,7 +429,8 @@ class TestSynthetic:
 
 
 class TestGeneratorsMatchReference:
-    """The whole-array generators equal the per-image ones byte for byte."""
+    """The whole-array generators equal the per-image float64 ones cast to
+    float32, byte for byte."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("size", [2, 5, 8, 28])
@@ -400,7 +439,7 @@ class TestGeneratorsMatchReference:
             ds = synthetic_blobs(count, size, seed)
             images, labels = synthetic_blobs_loop(count, size, seed)
             assert ds.images.shape == (count, 1, size, size)
-            assert ds.images.tobytes() == images.tobytes()
+            assert ds.images.tobytes() == images.astype(np.float32).tobytes()
             assert ds.labels.dtype == labels.dtype
             assert ds.labels.tobytes() == labels.tobytes()
 
@@ -412,7 +451,7 @@ class TestGeneratorsMatchReference:
             ds = synthetic_shapes(count, size, seed)
             images, labels = synthetic_shapes_loop(count, size, seed)
             assert ds.images.shape == (count, 1, size, size)
-            assert ds.images.tobytes() == images.tobytes()
+            assert ds.images.tobytes() == images.astype(np.float32).tobytes()
             assert ds.labels.dtype == labels.dtype
             assert ds.labels.tobytes() == labels.tobytes()
 

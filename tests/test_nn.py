@@ -147,20 +147,50 @@ class TestOclLayer:
         assert np.any(port_sign < 0) and np.any(port_sign > 0)
 
     def test_calibration_of_a_dark_unit(self):
-        # a zero input channel gives its units all-zero outputs: gain 1, port +1
+        # a zero input channel gives its units all-zero outputs: they take
+        # the median of the lit units' log-gains, and port +1
         layer = OclLayer(tiny_geometry(inputs=9), 2, 3, np.random.default_rng(10), pad=1)
         x = np.random.default_rng(11).random((2, 3, 6, 6))
         x[:, 1] = 0.0
         log_gain, port_sign = calibrate_gains_whole(layer, x)
         layer.calibrate_gains(x)
-        assert layer.log_gain.value.tobytes() == log_gain.tobytes()
+        lit = [0, 2]
+        assert layer.log_gain.value[:, lit].tobytes() == log_gain[:, lit].tobytes()
         assert layer.port_sign.tobytes() == port_sign.tobytes()
-        assert np.all(layer.log_gain.value[:, 1] == 0.0) and np.all(layer.port_sign[:, 1] == 1.0)
-        assert np.all(layer.log_gain.value[:, [0, 2]] != 0.0)
+        assert np.all(layer.log_gain.value[:, 1] == np.median(log_gain[:, lit]))
+        assert np.all(layer.port_sign[:, 1] == 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dark_channel_at_calibration_stays_at_the_layer_scale(self, dtype):
+        # calibrated near 1e-64, a unit left at gain 1 would put its channel's
+        # later signal at the physical field scale: overflow at float32, 1e59
+        # at float64
+        layer = OclLayer(OcuGeometry(), 4, 4, np.random.default_rng(14), pad=1)
+        x = np.random.default_rng(15).random((4, 4, 10, 10)).astype(dtype)
+        dark = x.copy()
+        dark[:, 3] = 0.0
+        layer.calibrate_gains(dark)
+        assert np.all(layer.gains() < 1e-30)
+        calibrated = layer.forward(dark)
+        lit = layer.forward(x)
+        assert lit.dtype == dtype and np.all(np.isfinite(lit))
+        rms = [float(np.sqrt(np.mean(np.square(y, dtype=float)))) for y in (calibrated, lit)]
+        assert 0.1 < rms[1] / rms[0] < 10.0
+
+    def test_calibration_of_an_all_zero_input_names_the_layer(self):
+        net = build_denoiser(tiny_geometry(inputs=9), 2, 2, 1)
+        with pytest.raises(ValueError, match="all zero"):
+            net.layers[0].calibrate_gains(np.zeros((2, 1, 6, 6)))
+        with pytest.raises(ValueError, match=r"^layer 0 \(OclLayer\): .*all zero"):
+            calibrate_optical_layers(net, np.zeros((2, 1, 6, 6)))
+        assert np.all(net.layers[0].log_gain.value == 0.0)
 
     def test_calibration_needs_no_more_memory_than_the_engine(self):
         # the whole-array formula copies all (q, C, B*G^2) unit outputs and
-        # squares them; calibration reduces one unit at a time instead
+        # squares them; calibration runs the engine one input channel at a
+        # time and reduces one unit at a time, so it needs the engine's
+        # memory for one channel: that channel's (q, 1, n) float64 outputs
+        # and the engine's block buffers
         geom = OcuGeometry()
         layer = OclLayer(geom, 8, 8, np.random.default_rng(12), pad=1)
         x = np.random.default_rng(13).random((16, 8, 40, 40))
@@ -175,13 +205,14 @@ class TestOclLayer:
             finally:
                 tracemalloc.stop()
 
-        engine = peak(lambda: bank_unit_outputs(
-            stacked_transfer_partials(layer.phases.value, geom).quad, PaddedWindows(x, 3, 1)))
-        whole = peak(lambda: calibrate_gains_whole(layer, x))
+        quad = stacked_transfer_partials(layer.phases.value, geom).quad
+        engine = peak(lambda: bank_unit_outputs(quad, PaddedWindows(x, 3, 1)))
+        one_channel = peak(lambda: bank_unit_outputs(quad[:1], PaddedWindows(x[:, :1], 3, 1)))
         streamed = peak(lambda: layer.calibrate_gains(x))
-        one_copy = 8 * 8 * 16 * 40 * 40 * 8     # 13.1 MB
-        assert streamed < engine + 2**19
-        assert streamed < whole - 0.7 * one_copy
+        outputs = 8 * 16 * 42 * 42 * 8          # one channel's (q, 1, n) outputs, 1.8 MB
+        assert streamed < one_channel + 2**19
+        assert streamed < outputs + optics.BLOCK_BYTES + 2**21
+        assert streamed < engine / 4
 
     def test_rejects_channel_mismatch(self):
         geom = tiny_geometry()

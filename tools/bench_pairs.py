@@ -10,7 +10,9 @@ base side is ``--base REV`` exported with ``git archive``, or, with
 alone).  Both live in a temporary directory that is removed at the end.  Each pair runs ``perfbench/run.py`` once per side on a
 fresh seed (pair i uses seed ``--seed0 + i`` on both sides), the two sides
 taking turns to go first.  The file holds the environment, every run's
-result line and ``detail:`` line, and per workload and end-to-end metric of
+result line and ``detail:`` line, that line's per-round records summarized
+(their count, failures and distinct digests, and the first and last
+record), and per workload and end-to-end metric of
 BENCHMARK.json: the median [Q1, Q3] of each side, the relative change of
 the medians, the pairs the change won, whether the change's median is
 worse than the base's by more than the metric's bound, whether the
@@ -80,9 +82,26 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
+def summarize_rounds(rounds: list[dict]) -> dict:
+    """A run's per-round records, of which a 30 s srp_fit run makes
+    thousands, as their count, the rounds that failed a check and how often
+    each check failed, their distinct digests in order of appearance, and
+    the first and the last record."""
+    failed_checks: dict[str, int] = {}
+    for r in rounds:
+        for check, ok in r["checks"].items():
+            if not ok:
+                failed_checks[check] = failed_checks.get(check, 0) + 1
+    return {"count": len(rounds),
+            "failed": sum(not all(r["checks"].values()) for r in rounds),
+            "failed_checks": failed_checks,
+            "digests": list(dict.fromkeys(r["digest"] for r in rounds)),
+            "first": rounds[0], "last": rounds[-1]}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    """One perfbench run: its result line, its parsed ``detail:`` line and the
-    digest that line holds (None on failure)."""
+    """One perfbench run: its result line, its parsed ``detail:`` line with
+    the rounds summarized, and the digest that line holds (None on failure)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
     began = time.perf_counter()
@@ -94,6 +113,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, tiny: bool) -
         run["result"] = json.loads(lines[-1])
         run["detail"] = json.loads(next(line for line in lines if line.startswith("detail: "))[8:])
         run["digest"] = run["detail"]["digest"]
+        run["detail"]["rounds"] = summarize_rounds(run["detail"]["rounds"])
     except (IndexError, StopIteration, ValueError, KeyError):
         run["stderr"] = done.stderr[-2000:]
     return run

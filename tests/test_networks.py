@@ -1,3 +1,7 @@
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -251,6 +255,29 @@ class TestPrecision:
         with pytest.raises(TrainingDiverged,
                            match=rf"layer {layer} \(OclLayer\).*overflows {kind}.*calibrated"):
             net.forward(x)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc only")
+def test_training_steps_reuse_freed_memory():
+    # a step's temporaries together exceed twice the largest of them, so under
+    # glibc's dynamic thresholds the heap top freed by one step is returned and
+    # the next step faults all 4096 pages in again
+    script = """
+import resource
+import numpy as np
+from ocusim.networks import _keep_freed_memory
+_keep_freed_memory()
+def step():
+    blocks = [np.ones(1 << 18) for _ in range(8)]   # eight 2 MB temporaries
+    del blocks
+step(); step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert int(done.stdout) < 100
 
 
 class TestOclForwardComposition:

@@ -46,6 +46,22 @@ def _out_dir(args, cfg=None) -> Path:
     return path
 
 
+def write_table(path, rows, header=()) -> None:
+    """Write a CSV table: the header, if given, then one line per row, every
+    line ending in \\n.  A field is empty for None, the repr of a float
+    (numpy's float64 is one) and the str of anything else."""
+    def field(value):
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    with open(path, "w", newline="") as f:
+        if header:
+            f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(field, row)) + "\n")
+
+
 def _seed(args, cfg, section: str, default: int = 0) -> int:
     """--seed, else [section] seed, which is read (and checked) either way."""
     from .config import natural
@@ -126,8 +142,8 @@ def cmd_fit_kernel(args) -> int:
 
     from .checkpoint import save_ocu_model
     from .config import Config, ConfigError, count, geometry_from_config, natural, positive
-    from .optics import OcuModel, write_geometry_csv
-    from .srp import FitConfig, fit_kernel, generate_pattern, write_history_csv
+    from .optics import GEOMETRY_COLUMNS, OcuModel, geometry_records
+    from .srp import FitConfig, fit_kernel, generate_pattern
 
     cfg = Config.load(args.config)
     kernels = _resolve_kernels(cfg)
@@ -158,18 +174,14 @@ def cmd_fit_kernel(args) -> int:
             "final_loss": repr(result.history[-1][1]),
             "train_mse": repr(result.train_mse),
         })
-        with open(out / f"{name}_history.csv", "w") as f:
-            write_history_csv(result.history, f)
-        with open(out / f"{name}_geometry.csv", "w") as f:
-            write_geometry_csv(result.model, f)
+        write_table(out / f"{name}_history.csv", result.history, ("epoch", "loss", "mse"))
+        write_table(out / f"{name}_geometry.csv", geometry_records(result.model),
+                    GEOMETRY_COLUMNS)
         rows.append((name, result.train_mse, result.holdout_mse))
         holdout_txt = "" if result.holdout_mse is None else f"  holdout_mse={result.holdout_mse:.6f}"
         print(f"{name}: train_mse={result.train_mse:.6f}{holdout_txt}")
 
-    with open(out / "summary.csv", "w") as f:
-        f.write("kernel,train_mse,holdout_mse\n")
-        for name, train_mse, holdout_mse in rows:
-            f.write(f"{name},{train_mse!r},{'' if holdout_mse is None else repr(holdout_mse)}\n")
+    write_table(out / "summary.csv", rows, ("kernel", "train_mse", "holdout_mse"))
     if any(r[2] is not None for r in rows):
         avg = sum(r[2] for r in rows if r[2] is not None) / sum(r[2] is not None for r in rows)
         print(f"average holdout mse: {avg:.6f}")
@@ -197,9 +209,7 @@ def cmd_convolve(args) -> int:
 
     fm = feature_map(model, img)
     out = _out_dir(args)
-    with open(out / "feature_map.csv", "w") as f:
-        for row in fm:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_table(out / "feature_map.csv", fm)
     span = fm.max() - fm.min()
     viewable = (fm - fm.min()) / span if span > 0 else np.zeros_like(fm)
     write_pgm(out / "feature_map.pgm", viewable)
@@ -242,18 +252,11 @@ def _load_classification_dataset(cfg, split: str):
     return ds
 
 
-def _write_confusion(path, matrix) -> None:
-    with open(path, "w") as f:
-        for row in matrix:
-            f.write(",".join(str(int(v)) for v in row) + "\n")
-
-
 def cmd_train_classifier(args) -> int:
     from .checkpoint import save_network
     from .config import (Config, ConfigError, boolean, count, counts, geometry_from_config,
                          natural, positive)
     from .networks import TrainConfig, build_classifier, train_classifier
-    from .srp import write_history_csv
 
     cfg = Config.load(args.config)
     train = _load_classification_dataset(cfg, "train")
@@ -283,9 +286,8 @@ def cmd_train_classifier(args) -> int:
         "final_loss": repr(result.history[-1][1]),
         "accuracy": repr(result.accuracy),
     })
-    with open(out / "history.csv", "w") as f:
-        write_history_csv(result.history, f, "epoch,train_loss,test_accuracy")
-    _write_confusion(out / "confusion.csv", result.confusion)
+    write_table(out / "history.csv", result.history, ("epoch", "train_loss", "test_accuracy"))
+    write_table(out / "confusion.csv", result.confusion)
     print(f"test accuracy: {result.accuracy:.4f}")
     return 0
 
@@ -315,7 +317,6 @@ def cmd_train_denoiser(args) -> int:
     from .config import (Config, ConfigError, boolean, count, geometry_from_config, natural,
                          nonnegative, positive)
     from .networks import DenoiseTrainConfig, build_denoiser, train_denoiser
-    from .srp import write_history_csv
 
     cfg = Config.load(args.config)
     images = _load_denoise_images(cfg, "dataset", "")
@@ -348,8 +349,7 @@ def cmd_train_denoiser(args) -> int:
         "seed": seed, "sigma": sigma, "epochs": train_cfg.epochs,
         "final_loss": repr(result.history[-1][1]),
     })
-    with open(out / "history.csv", "w") as f:
-        write_history_csv(result.history, f, "epoch,train_loss")
+    write_table(out / "history.csv", result.history, ("epoch", "train_loss"))
     print(f"final training loss: {result.history[-1][1]:.6f}")
     return 0
 
@@ -383,10 +383,8 @@ def cmd_eval(args) -> int:
                               f"(labels 0-{n_classes - 1})")
         out = _out_dir(args, cfg)
         acc, conf, _ = evaluate_classifier(net, test.images, test.labels, n_classes)
-        _write_confusion(out / "confusion.csv", conf)
-        with open(out / "metrics.csv", "w") as f:
-            f.write("metric,value\n")
-            f.write(f"accuracy,{acc!r}\n")
+        write_table(out / "confusion.csv", conf)
+        write_table(out / "metrics.csv", [("accuracy", acc)], ("metric", "value"))
         print(f"accuracy: {acc:.4f}")
         return 0
 
@@ -410,11 +408,8 @@ def cmd_eval(args) -> int:
 
     rows, noisy_mean, denoised_mean = _psnr_table(
         saved(_denoised_images(net, images, sigma, seed)))
-    with open(out / "psnr.csv", "w") as f:
-        f.write("image,psnr_noisy,psnr_denoised\n")
-        for i, (p_noisy, p_denoised) in enumerate(rows):
-            f.write(f"{i},{p_noisy!r},{p_denoised!r}\n")
-        f.write(f"mean,{noisy_mean!r},{denoised_mean!r}\n")
+    table = [(i, *row) for i, row in enumerate(rows)] + [("mean", noisy_mean, denoised_mean)]
+    write_table(out / "psnr.csv", table, ("image", "psnr_noisy", "psnr_denoised"))
     print(f"noisy {noisy_mean:.2f} dB -> denoised {denoised_mean:.2f} dB "
           f"({denoised_mean - noisy_mean:+.2f} dB)")
     return 0
@@ -440,24 +435,22 @@ def cmd_perf(args) -> int:
     width = max(len(r[0]) for r in rows)
     for name, value, unit in rows:
         print(f"{name:<{width}}  {value:.6g} {unit}")
-    with open(out / "perf.csv", "w") as f:
-        f.write(",".join(r[0] for r in rows) + "\n")
-        f.write(",".join(repr(r[1]) for r in rows) + "\n")
+    names, values, _ = zip(*rows)
+    write_table(out / "perf.csv", [values], names)
     return 0
 
 
 def cmd_export_geometry(args) -> int:
     from .checkpoint import read_checkpoint
     from .config import ConfigError, read_input
-    from .optics import write_geometry_csv
+    from .optics import GEOMETRY_COLUMNS, geometry_records
 
     ckpt = read_input("--checkpoint", read_checkpoint, args.checkpoint)
     if ckpt.kind == "ocu":
         from .checkpoint import load_ocu_model
         model, _ = read_input("--checkpoint", load_ocu_model, args.checkpoint)
         path = _out_dir(args) / "geometry.csv"
-        with open(path, "w") as f:
-            write_geometry_csv(model, f)
+        write_table(path, geometry_records(model), GEOMETRY_COLUMNS)
         print(f"geometry table written to {path}")
         return 0
     if ckpt.kind in ("classifier", "denoiser"):
@@ -478,9 +471,8 @@ def cmd_export_geometry(args) -> int:
                 for n in range(layer.c):
                     model = OcuModel(layer.geometry, layer.phases.value[m, n],
                                      float(gains[m, n]))
-                    path = out / f"geometry_layer{li}_ock{m}_ocu{n}.csv"
-                    with open(path, "w") as f:
-                        write_geometry_csv(model, f)
+                    write_table(out / f"geometry_layer{li}_ock{m}_ocu{n}.csv",
+                                geometry_records(model), GEOMETRY_COLUMNS)
                     count += 1
         print(f"{count} geometry tables written to {out}")
         return 0

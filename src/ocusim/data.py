@@ -121,6 +121,8 @@ def load_idx(images_path, labels_path, split: str = "") -> LabeledDataset:
 
 def load_cifar4(paths, classes=(0, 1, 2, 3), split: str = "") -> LabeledDataset:
     """Read CIFAR-10 binary batches keeping only ``classes``, relabeled 0..3."""
+    if not paths:
+        raise ValueError("no CIFAR-10 batch files given")
     classes = tuple(classes)
     relabel = np.full(10, -1, dtype=np.int64)
     for new, old in enumerate(classes):

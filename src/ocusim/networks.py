@@ -157,13 +157,15 @@ def build_classifier(
                      n_classes=n_classes, seed=seed, optical=optical, hidden=tuple(hidden))
 
 
-def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> None:
-    """Run one batch through the stack, setting each OclLayer's gains.
+def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> np.ndarray:
+    """Run one batch through the stack, setting each OclLayer's gains, and
+    return the stack's output.
 
     Intermediate layers run in training mode so batch-normalized inputs are
     seen at their training-time scale; the single running-stat refresh this
-    causes is deterministic.  A layer whose calibration fails is named in
-    the error.
+    causes is deterministic.  Batch norm in training mode uses the batch's
+    statistics, so the output is the calibrated network's training-mode
+    forward of ``x``.  A layer whose calibration fails is named in the error.
     """
     x = _work(x)
     for i, layer in enumerate(net.layers):
@@ -173,6 +175,7 @@ def calibrate_optical_layers(net: Sequential, x: np.ndarray) -> None:
             except (TrainingDiverged, ValueError) as exc:
                 raise type(exc)(f"layer {i} (OclLayer): {exc}") from None
         x = layer.forward(x, training=True)
+    return x
 
 
 @dataclass
@@ -295,10 +298,10 @@ class DenoiserResult:
     history: list[tuple[int, float]]
 
 
-def _match_output_scale(net: Sequential, x: np.ndarray, target: np.ndarray) -> None:
-    """Scale the output layer so first predictions match the target power
-    (the denoiser analogue of gain-to-label-power initialization)."""
-    pred = net.forward(_work(x), training=True)
+def _match_output_scale(net: Sequential, pred: np.ndarray, target: np.ndarray) -> None:
+    """Scale the output layer so that its first predictions ``pred`` match
+    the target power (the denoiser analogue of gain-to-label-power
+    initialization)."""
     p_rms = float(np.sqrt(np.mean(pred * pred, dtype=float)))
     t_rms = float(np.sqrt(np.mean(target * target)))
     if p_rms == 0.0:
@@ -337,8 +340,7 @@ def train_denoiser(
     head = crop_patches(train_images[:math.ceil(m / cfg.crops_per_image)], cfg.patch,
                         cfg.crops_per_image, _seeded(cfg.seed, 10))[:m, None].copy()
     first = add_awgn(head, sigma, noise_rng)
-    calibrate_optical_layers(net, first.noisy)
-    _match_output_scale(net, first.noisy, first.noise)
+    _match_output_scale(net, calibrate_optical_layers(net, first.noisy), first.noise)
 
     def batch(idx):
         sample = add_awgn(crops.gather(idx)[:, None], sigma, noise_rng)

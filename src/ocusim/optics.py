@@ -46,7 +46,6 @@ Conventions:
 
 from __future__ import annotations
 
-import csv
 import math
 import weakref
 from dataclasses import dataclass, field, fields
@@ -595,11 +594,14 @@ def ocu_vjp(model: OcuModel, patches: np.ndarray, grad_detected: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# fabrication export
+# fabrication records
 # ---------------------------------------------------------------------------
 
+GEOMETRY_COLUMNS = ("layer", "metaunit", "y_um", "delta_phi_rad", "w2_nm")
+
+
 def geometry_records(model: OcuModel):
-    """Rows of (layer, metaunit, y_um, delta_phi_rad, w2_nm) for fabrication."""
+    """Rows of GEOMETRY_COLUMNS for fabrication, phases wrapped to [0, 2 pi)."""
     geom = model.geometry
     y = geom.metaline_y()
     rows = []
@@ -610,10 +612,3 @@ def geometry_records(model: OcuModel):
             rows.append((l + 1, v, float(y[v] * 1e6), float(wrapped[v]),
                          float(w2[v] * 1e9)))
     return rows
-
-
-def write_geometry_csv(model: OcuModel, fileobj) -> None:
-    writer = csv.writer(fileobj)
-    writer.writerow(["layer", "metaunit", "y_um", "delta_phi_rad", "w2_nm"])
-    for row in geometry_records(model):
-        writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4])])

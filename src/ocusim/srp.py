@@ -371,10 +371,3 @@ def evaluate_kernel_emulation(
     else:
         pearson = float(np.corrcoef(y, ref.ravel())[0, 1])
     return EmulationReport(mse, pearson, predicted, ref)
-
-
-def write_history_csv(history, fileobj, header: str = "epoch,loss,mse") -> None:
-    """One CSV row per history entry: the epoch, then the repr of each value."""
-    fileobj.write(header + "\n")
-    for epoch, *values in history:
-        fileobj.write(",".join([str(epoch), *map(repr, values)]) + "\n")

@@ -600,8 +600,7 @@ def train_denoiser_materialized(net, train_images, sigma, cfg):
     noise_rng = _seeded(cfg.seed, 11)
     n = len(patches)
     first = add_awgn(patches[:min(cfg.batch_size, n)], sigma, noise_rng)
-    calibrate_optical_layers(net, first.noisy)
-    _match_output_scale(net, first.noisy, first.noise)
+    _match_output_scale(net, calibrate_optical_layers(net, first.noisy), first.noise)
 
     def batch(idx):
         sample = add_awgn(patches[idx], sigma, noise_rng)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ocusim.checkpoint import load_ocu_model
+from ocusim.cli import write_table
 from ocusim.optics import bank_detect, quadrature_rows, transfer_partials
 from ocusim.pgm import read_pgm, write_pgm
 from ocusim.srp import evaluate_kernel_emulation
@@ -138,6 +139,120 @@ detector_power_mw = 100
 [output]
 dir = {out}
 """
+
+
+class TestWriteTable:
+    def test_fields(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = (3, np.int64(4), 0.1, np.float64(1e-300), float("nan"), float("inf"), None, "mean")
+        write_table(path, [row], ("a", "b", "c", "d", "e", "f", "g", "h"))
+        assert path.read_bytes() == b"a,b,c,d,e,f,g,h\n3,4,0.1,1e-300,nan,inf,,mean\n"
+        write_table(path, [row])
+        assert path.read_bytes() == b"3,4,0.1,1e-300,nan,inf,,mean\n"
+
+    def test_rows_of_an_array_without_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, np.array([[1, 2], [3, 4]], dtype=np.int64))
+        assert path.read_bytes() == b"1,2\n3,4\n"
+        write_table(path, np.array([[0.5, -2.0]]))
+        assert path.read_bytes() == b"0.5,-2.0\n"
+
+    def test_history_csv(self, tmp_path):
+        history = [(0, 1.5, 0.25), (1, 1.0, 0.125)]
+        path = tmp_path / "h.csv"
+        write_table(path, history, ("epoch", "loss", "mse"))
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "epoch,loss,mse"
+        assert lines[1] == "0,1.5,0.25"
+
+    def test_history_csv_header_and_row_width(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write_table(path, [(0, 0.5, float("nan")), (1, 0.25, 0.75)],
+                    ("epoch", "train_loss", "test_accuracy"))
+        assert path.read_text() == "epoch,train_loss,test_accuracy\n0,0.5,nan\n1,0.25,0.75\n"
+        write_table(path, [(0, 0.5)], ("epoch", "train_loss"))
+        assert path.read_text() == "epoch,train_loss\n0,0.5\n"
+
+    def test_geometry_csv_header(self, tmp_path):
+        from ocusim.optics import GEOMETRY_COLUMNS, OcuGeometry, OcuModel, geometry_records
+
+        geom = OcuGeometry(metaunits_per_layer=3, num_inputs=4, num_layers=3)
+        model = OcuModel.random_init(geom, np.random.default_rng(9))
+        path = tmp_path / "geom.csv"
+        write_table(path, geometry_records(model), GEOMETRY_COLUMNS)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "layer,metaunit,y_um,delta_phi_rad,w2_nm"
+        assert len(lines) == 1 + geom.metaline_count * 3
+
+
+class TestEveryTable:
+    """Every table that every command writes ends its lines in \\n and
+    gives each row its header's number of fields."""
+
+    HEADERLESS = ("feature_map.csv", "confusion.csv")
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        from ocusim import cli
+
+        root = tmp_path_factory.mktemp("tables")
+        configs = {"fit": FIT_CONFIG, "clf": BLOBS_CONFIG, "dn": DENOISE_CONFIG,
+                   "perf": PERF_CONFIG, "clf-eval": f"""
+[eval]
+checkpoint = {root / 'clf' / 'classifier.ckpt'}
+
+[dataset]
+kind = blobs
+test_count = 16
+size = 8
+""", "dn-eval": f"""
+[eval]
+checkpoint = {root / 'dn' / 'denoiser.ckpt'}
+test_count = 2
+test_size = 24
+"""}
+        for name, text in configs.items():
+            (root / f"{name}.ini").write_text(text.format(out=root / name))
+        write_pgm(root / "img.pgm", np.random.default_rng(1).random((10, 10)))
+        runs = [
+            ("fit-kernel", "--config", root / "fit.ini"),
+            ("convolve", "--checkpoint", root / "fit" / "box_blur.ckpt",
+             "--image", root / "img.pgm", "--out-dir", root / "conv"),
+            ("export-geometry", "--checkpoint", root / "fit" / "box_blur.ckpt",
+             "--out-dir", root / "fit-geometry"),
+            ("train-classifier", "--config", root / "clf.ini"),
+            ("eval", "--config", root / "clf-eval.ini", "--out-dir", root / "clf-eval"),
+            ("train-denoiser", "--config", root / "dn.ini"),
+            ("eval", "--config", root / "dn-eval.ini", "--out-dir", root / "dn-eval"),
+            ("export-geometry", "--checkpoint", root / "dn" / "denoiser.ckpt",
+             "--out-dir", root / "dn-geometry"),
+            ("perf", "--config", root / "perf.ini"),
+        ]
+        for argv in runs:
+            assert cli.main([str(arg) for arg in argv]) == 0, argv
+        return root
+
+    def test_every_kind_of_table_is_written(self, outputs):
+        names = {p.name for p in outputs.rglob("*.csv")}
+        assert names >= {"box_blur_history.csv", "box_blur_geometry.csv", "summary.csv",
+                         "feature_map.csv", "geometry.csv", "history.csv", "confusion.csv",
+                         "metrics.csv", "psnr.csv", "geometry_layer0_ock0_ocu0.csv",
+                         "perf.csv"}
+
+    def test_lines_end_in_newline_and_rows_fit_the_header(self, outputs):
+        for path in sorted(outputs.rglob("*.csv")):
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path
+            widths = [line.count(",") + 1 for line in data.decode().splitlines()]
+            if path.name in self.HEADERLESS:
+                assert len(set(widths)) == 1, path
+            else:
+                assert len(widths) >= 2 and set(widths[1:]) == {widths[0]}, path
+
+    def test_a_missing_holdout_is_an_empty_field(self, outputs):
+        lines = (outputs / "fit" / "summary.csv").read_text().splitlines()
+        assert lines[0] == "kernel,train_mse,holdout_mse"
+        assert lines[1].startswith("box_blur,") and lines[1].endswith(",")
 
 
 class TestPerfCommand:

@@ -140,6 +140,10 @@ class TestCifar:
             for lab in labels:
                 f.write(bytes([lab]) + bytes([value]) * 3072)
 
+    def test_no_batch_files(self):
+        with pytest.raises(ValueError, match="no CIFAR-10 batch files given"):
+            load_cifar4([])
+
     def test_filters_and_relabels(self, tmp_path):
         path = tmp_path / "batch.bin"
         self._write_batch(path, [0, 5, 1, 9, 2, 3, 3, 7])

@@ -334,6 +334,13 @@ class TestUnusableDatasets:
         code, err = run(tmp_path, capsys, world, "train-classifier-cifar4", train_batches="")
         assert_named_exit_2(code, err, "[dataset] train_batches", tmp_path)
 
+    @pytest.mark.parametrize("command, slot", [("train-classifier-cifar4", "train_batches"),
+                                               ("eval-classifier-cifar4", "test_batches")])
+    def test_an_empty_batch_list_says_so(self, tmp_path, capsys, world, command, slot):
+        code, err = run(tmp_path, capsys, world, command, **{slot: ""})
+        assert_named_exit_2(code, err, f"[dataset] {slot}: no CIFAR-10 batch files given",
+                            tmp_path)
+
     @pytest.mark.parametrize("command", ["train-classifier-cifar4", "eval-classifier-cifar4"])
     def test_cifar_batch_without_the_classes(self, tmp_path, capsys, world, command):
         records = np.zeros((4, 3073), dtype=np.uint8)

@@ -183,6 +183,38 @@ class TestDenoiser:
         # the clean estimate may differ from the input only marginally
         assert psnr(np.clip(clean[0, 0], 0, 1), test_img) > 40.0
 
+    def test_calibration_returns_the_training_forward(self):
+        net = build_denoiser(OcuGeometry(metaunits_per_layer=8, num_inputs=9, num_layers=3),
+                             2, 2, middle_layers=2, seed=5)
+        x = np.random.default_rng(2).random((4, 1, 12, 12)).astype(np.float32)
+        out = calibrate_optical_layers(net, x)
+        assert out.tobytes() == net.forward(x, training=True).tobytes()
+
+    def test_set_up_runs_each_batch_norm_forward_once(self, monkeypatch):
+        # the output scale is matched on calibration's forward, not on a second one
+        from ocusim import networks
+
+        forwards, at_first_step = [], []
+        original_forward, original_adam = BatchNormLayer.forward, networks.Adam
+
+        def forward(layer, x, training=False):
+            if training:
+                forwards.append(id(layer))
+            return original_forward(layer, x, training)
+
+        def adam(*args, **kwargs):      # built as the set-up ends
+            at_first_step.append(list(forwards))
+            return original_adam(*args, **kwargs)
+
+        monkeypatch.setattr(BatchNormLayer, "forward", forward)
+        monkeypatch.setattr(networks, "Adam", adam)
+        net = build_denoiser(OcuGeometry(metaunits_per_layer=8, num_inputs=9, num_layers=3),
+                             2, 2, middle_layers=2, seed=5)
+        cfg = DenoiseTrainConfig(epochs=1, batch_size=4, seed=1, patch=12, crops_per_image=4)
+        train_denoiser(net, synthetic_corpus(2, 16, seed=3), 20.0, cfg)
+        norms = [id(layer) for layer in net.layers if isinstance(layer, BatchNormLayer)]
+        assert len(norms) == 2 and at_first_step == [norms]
+
     @pytest.mark.parametrize("images, batch_size, crops_per_image", [
         (synthetic_corpus(3, 24, seed=15), 5, 4),
         # unequal sizes; the calibration batch spans three images

@@ -28,7 +28,6 @@ from ocusim.optics import (
     slot_length_from_phase,
     stacked_transfer_partials,
     transfer_partials,
-    write_geometry_csv,
 )
 
 from ocusim.nn import OclLayer
@@ -614,13 +613,3 @@ class TestGeometryExport:
             assert 1 <= layer <= geom.metaline_count
             assert 0.0 <= phi < TWO_PI
             assert 0.0 <= w2_nm <= w2_max
-
-    def test_csv_header(self, tmp_path):
-        geom = small_geometry(v=3)
-        model = OcuModel.random_init(geom, np.random.default_rng(9))
-        path = tmp_path / "geom.csv"
-        with open(path, "w") as f:
-            write_geometry_csv(model, f)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "layer,metaunit,y_um,delta_phi_rad,w2_nm"
-        assert len(lines) == 1 + geom.metaline_count * 3

@@ -25,7 +25,6 @@ from ocusim.srp import (
     phase_gradients,
     srp_loss,
     training_labels,
-    write_history_csv,
 )
 from ocusim.tensorize import im2col
 
@@ -505,25 +504,6 @@ class TestFit:
             fit_kernel(model, np.ones((3, 3)), generate_pattern(8, 16), FitConfig(epochs=1))
         with pytest.raises(ValueError, match="kernel needs 9"):
             evaluate_kernel_emulation(model, np.ones((3, 3)), generate_pattern(8, 16))
-
-    def test_history_csv(self, tmp_path):
-        history = [(0, 1.5, 0.25), (1, 1.0, 0.125)]
-        path = tmp_path / "h.csv"
-        with open(path, "w") as f:
-            write_history_csv(history, f)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,loss,mse"
-        assert lines[1] == "0,1.5,0.25"
-
-    def test_history_csv_header_and_row_width(self, tmp_path):
-        path = tmp_path / "h.csv"
-        with open(path, "w") as f:
-            write_history_csv([(0, 0.5, float("nan")), (1, 0.25, 0.75)], f,
-                              "epoch,train_loss,test_accuracy")
-        assert path.read_text() == "epoch,train_loss,test_accuracy\n0,0.5,nan\n1,0.25,0.75\n"
-        with open(path, "w") as f:
-            write_history_csv([(0, 0.5)], f, "epoch,train_loss")
-        assert path.read_text() == "epoch,train_loss\n0,0.5\n"
 
 
 class TestEmulationReport:
